@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to certify the group engine.
 
-Everything here works on raw image tuples and never touches stabilizer
-chains, so a bug in the engine cannot hide in the oracle.
+Everything here works on raw image tuples and imports nothing from the
+rest of the package, so a bug in the engine cannot hide in the oracle.
+The property suite and the test suite both use this one copy.
 """
 
 from __future__ import annotations
@@ -38,16 +39,6 @@ def closure(gens, degree):
                     nxt.append(y)
         frontier = nxt
     return elems
-
-
-def element_order(x):
-    n = len(x)
-    identity = tuple(range(n))
-    y, k = x, 1
-    while y != identity:
-        y = mult(y, x)
-        k += 1
-    return k
 
 
 def conjugacy_classes(elems):

@@ -4,8 +4,9 @@ Entries are keyed by a content hash of the canonical generators, the class
 order fingerprint and an algorithm version, so changes to the table
 algorithm invalidate old entries. A deserialized table is rebuilt through
 the CharacterTable constructor and therefore re-verifies all orthogonality
-invariants before being used. Writes go through a temp file and an atomic
-replace.
+invariants before being used. Each write goes through its own temp file in
+the cache directory and an atomic replace, so concurrent writers of one
+entry do not collide.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -92,7 +94,12 @@ def load_or_compute_table(G: PermGroup, cache_dir, seed: int = 0):
         except (ValueError, KeyError, AssertionError, json.JSONDecodeError):
             pass  # stale or corrupt entry: fall through and recompute
     tab = character_table(G, seed=seed)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(serialize_table(tab), separators=(",", ":")))
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            json.dump(serialize_table(tab), f, separators=(",", ":"))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return tab, "cold"

@@ -149,9 +149,6 @@ class Cyclotomic:
         canon = self.canonical()
         return canon[0] if canon else _ZERO
 
-    def is_integer(self) -> bool:
-        return self.is_rational() and self.to_fraction().denominator == 1
-
     def to_int(self) -> int:
         q = self.to_fraction()
         if q.denominator != 1:
@@ -285,13 +282,6 @@ class Cyclotomic:
         for b in bits[1:]:
             out += b if b.startswith("-") else "+" + b
         return out
-
-
-def cyclotomic_sum(values) -> Cyclotomic:
-    total = Cyclotomic.zero()
-    for v in values:
-        total = total + v
-    return total
 
 
 def weighted_conjugate_dot(triples) -> Cyclotomic:

@@ -7,11 +7,14 @@ suite cross-checks against brute-force closure on small groups.
 
 Conjugacy classes, centralizers and normalizers are computed by explicit
 orbit/stabilizer runs at desk scale; resource bounds guard against inputs
-far beyond the intended corpus.
+far beyond the intended corpus. Subgroup orbits under conjugation, and the
+normalizers read off them, all come from one memoized walk,
+`PermGroup.subgroup_orbit`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -158,15 +161,6 @@ class PermGroup:
     @property
     def base(self) -> tuple[int, ...]:
         return tuple(lvl.point for lvl in self._levels)
-
-    @property
-    def strong_generators(self) -> tuple[Perm, ...]:
-        out = []
-        for lvl in self._levels:
-            for g in lvl.gens:
-                if g not in out:
-                    out.append(g)
-        return tuple(out)
 
     def contains(self, g: Perm) -> bool:
         if g.degree != self.degree:
@@ -325,6 +319,19 @@ class PermGroup:
     def center(self) -> "Subgroup":
         return self.centralizer_of_subgroup(self)
 
+    def subgroup_orbit(self, elems: frozenset) -> "SubgroupOrbit":
+        """The conjugates of the element set `elems` under this group.
+
+        `elems` need not lie in the group. The walk is memoized under every
+        member of the orbit, so each orbit is walked once per group.
+        """
+        key = ("subgroup_orbit", elems)
+        if key not in self._memo:
+            orbit = SubgroupOrbit(self, elems)
+            for member in orbit.members:
+                self._memo[("subgroup_orbit", member)] = orbit
+        return self._memo[key]
+
     def normalizer(self, H: "PermGroup") -> "Subgroup":
         """N_self(H) for a subgroup H of self."""
         if not H.is_subset(self):
@@ -335,31 +342,16 @@ class PermGroup:
             )
         key = ("normalizer", H.element_set())
         if key not in self._memo:
-            start = H.element_set()
-
-            def act(pointset, g):
-                return frozenset(
-                    x.conjugate(g).images for x in map(Perm, pointset)
-                )
-
-            trans, stab = self._stabilizer_of_action(start, act)
-            N = self.subgroup(tuple(stab) + tuple(H.generators))
-            assert len(trans) * N.order == self.order
+            orbit = self.subgroup_orbit(H.element_set())
+            N = self.subgroup(orbit.stabilizer(H.element_set()) + list(H.generators))
+            assert len(orbit.members) * N.order == self.order
             self._memo[key] = N
         return self._memo[key]
-
-    def subgroup_conjugates(self, H: "PermGroup"):
-        """All conjugates of H in self as (frozenset of images, conjugator)."""
-        start = H.element_set()
-        trans, _ = self._stabilizer_of_action(
-            start, lambda ps, g: frozenset(x.conjugate(g).images for x in map(Perm, ps))
-        )
-        return trans
 
     def are_conjugate_subgroups(self, H: "PermGroup", K: "PermGroup") -> bool:
         if H.order != K.order:
             return False
-        return K.element_set() in self.subgroup_conjugates(H)
+        return K.element_set() in self.subgroup_orbit(H.element_set()).members
 
     # --- normal structure ---------------------------------------------------
 
@@ -619,6 +611,48 @@ class Subgroup(PermGroup):
         super().__init__(parent.degree, gens)
         if parent.order % self.order != 0:
             raise AssertionError("Lagrange violation; stabilizer chain is broken")
+
+
+class SubgroupOrbit:
+    """The orbit of an element set under conjugation, from one depth-first walk.
+
+    Each new member is built by conjugating the member it was first reached
+    from, in that set's iteration order, and goes into `members` when found.
+    Set iteration depends on insertion order, and reports show generator
+    lists read from these sets, so the walk order is part of the output.
+    """
+
+    def __init__(self, G: PermGroup, start: frozenset):
+        self.members = {start}
+        self._conjugators = {start: G.identity}
+        self._schreier: list[Perm] = []
+        frontier = [start]
+        while frontier:
+            current = frontier.pop()
+            u = self._conjugators[current]
+            perms = [Perm(im) for im in current]
+            for g in G.generators:
+                image = frozenset(x.conjugate(g).images for x in perms)
+                if image not in self.members:
+                    self.members.add(image)
+                    self._conjugators[image] = u * g
+                    frontier.append(image)
+                else:
+                    sg = u * g * self._conjugators[image].inverse()
+                    if not sg.is_identity() and sg not in self._schreier:
+                        self._schreier.append(sg)
+
+    @functools.cached_property
+    def canonical_key(self) -> tuple:
+        """The least sorted member: equal exactly for conjugate element sets."""
+        return min(tuple(sorted(s)) for s in self.members)
+
+    def stabilizer(self, member: frozenset) -> list[Perm]:
+        """Generators of the stabilizer of `member`, the normalizer of a subgroup."""
+        t = self._conjugators[member]
+        if t.is_identity():
+            return list(self._schreier)
+        return [s.conjugate(t) for s in self._schreier]
 
 
 @dataclass(frozen=True)

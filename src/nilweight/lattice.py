@@ -5,14 +5,15 @@ class representative H is extended by elements z of its normalizer with
 z^p in H, so that <H, z> contains H with prime index. That reaches every
 solvable subgroup; for a non-solvable ambient group a join-closure pass
 with prime-power cyclic subgroups picks up the perfect overgroups.
-Conjugacy of candidates is decided on element sets with an
-(order, element-order histogram) fingerprint as prefilter.
+Conjugacy of candidates is decided by the canonical key of their orbit.
+`PermGroup.subgroup_orbit` walks each class's orbit once and memoizes it
+under every member, so the lattice, normalizers and Carter fibers all read
+the same walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from collections import Counter
 
 from .groups import PermGroup, ResourceLimitError, Subgroup
 from .perms import Perm
@@ -47,56 +48,27 @@ class SubgroupClass:
         return f"SubgroupClass(order={self.order}, size={self.class_size}, <{gens}>)"
 
 
-def _fingerprint(H: PermGroup) -> tuple:
-    hist = Counter(Perm(im).order() for im in H.element_set())
-    return (H.order, tuple(sorted(hist.items())))
-
-
-def _orbit_of_subgroup(G: PermGroup, elems: frozenset) -> set[frozenset]:
-    key = ("subgroup_orbit", elems)
-    if key in G._memo:
-        return G._memo[key]
-    orbit = {elems}
-    frontier = [elems]
-    while frontier:
-        current = frontier.pop()
-        perms = [Perm(im) for im in current]
-        for g in G.generators:
-            image = frozenset(x.conjugate(g).images for x in perms)
-            if image not in orbit:
-                orbit.add(image)
-                frontier.append(image)
-    for member in orbit:
-        G._memo[("subgroup_orbit", member)] = orbit
-    return orbit
-
-
-def _canonical_key(orbit: set[frozenset]) -> tuple:
-    return min(tuple(sorted(s)) for s in orbit)
-
-
 class _ClassCollector:
-    """Dedupes candidate subgroups into conjugacy classes."""
+    """Dedupes candidate subgroups into conjugacy classes by canonical key."""
 
     def __init__(self, G: PermGroup):
         self.G = G
         self.by_key: dict[tuple, SubgroupClass] = {}
-        self.keys_by_fingerprint: dict[tuple, list[frozenset]] = {}
-        self._orbits: dict[tuple, set[frozenset]] = {}
 
     def add(self, H: Subgroup) -> SubgroupClass | None:
-        """Register H; returns its new class, or None if already known."""
-        elems = H.element_set()
-        fp = _fingerprint(H)
-        for key in self.keys_by_fingerprint.get(fp, []):
-            if elems in self._orbits[key]:
-                return None
-        orbit = _orbit_of_subgroup(self.G, elems)
-        key = _canonical_key(orbit)
-        cls = SubgroupClass(representative=H, class_size=len(orbit), canonical_key=key)
+        """Register H; returns its new class, or None if already known.
+
+        The walk of a known class is memoized under every member, so only
+        a new class costs a walk.
+        """
+        orbit = self.G.subgroup_orbit(H.element_set())
+        key = orbit.canonical_key
+        if key in self.by_key:
+            return None
+        cls = SubgroupClass(
+            representative=H, class_size=len(orbit.members), canonical_key=key
+        )
         self.by_key[key] = cls
-        self.keys_by_fingerprint.setdefault(fp, []).append(key)
-        self._orbits[key] = orbit
         return cls
 
     def classes(self) -> list[SubgroupClass]:
@@ -119,7 +91,6 @@ def subgroup_classes(G: PermGroup, bound: int | None = None) -> tuple[SubgroupCl
             H = cls.representative
             N = G.normalizer(H)
             h_set = H.element_set()
-            seen_candidates = set()
             for images in sorted(N.element_set()):
                 if images in h_set:
                     continue
@@ -129,9 +100,6 @@ def subgroup_classes(G: PermGroup, bound: int | None = None) -> tuple[SubgroupCl
                     continue  # z must have prime order modulo H
                 K = G.subgroup(tuple(H.generators) + (z,))
                 assert K.order == coset_order * H.order
-                if K.element_set() in seen_candidates:
-                    continue
-                seen_candidates.add(K.element_set())
                 new_cls = collector.add(K)
                 if new_cls is not None:
                     frontier.append(new_cls)
@@ -164,7 +132,7 @@ def _nonsolvable_completion(G: PermGroup, collector: _ClassCollector) -> None:
     for c in G.conjugacy_classes():
         if len(factorize(c.element_order)) == 1:
             Z = G.subgroup([c.representative])
-            for conj_set in _orbit_of_subgroup(G, Z.element_set()):
+            for conj_set in G.subgroup_orbit(Z.element_set()).members:
                 if conj_set not in seen:
                     seen.add(conj_set)
                     cyclics.append([Perm(im) for im in conj_set if not Perm(im).is_identity()])
@@ -197,18 +165,15 @@ def nilpotent_sigma_subgroup_classes(
 
 def subgroup_class_of(G: PermGroup, H: PermGroup) -> SubgroupClass:
     """The class of subgroup H within G's lattice."""
-    if "subgroup_member_index" not in G._memo:
-        index = {}
-        for cls in subgroup_classes(G):
-            for member in _orbit_of_subgroup(G, cls.representative.element_set()):
-                index[member] = cls
-        G._memo["subgroup_member_index"] = index
-    try:
-        return G._memo["subgroup_member_index"][H.element_set()]
-    except KeyError:
-        raise ValueError(
-            "subgroup not found in the lattice (is it a subgroup of G?)"
-        ) from None
+    if not H.is_subset(G):
+        raise ValueError("subgroup not found in the lattice (is it a subgroup of G?)")
+    if "subgroup_class_by_key" not in G._memo:
+        G._memo["subgroup_class_by_key"] = {
+            cls.canonical_key: cls for cls in subgroup_classes(G)
+        }
+    # the lattice walked every class, so the walk of H is memoized
+    key = G.subgroup_orbit(H.element_set()).canonical_key
+    return G._memo["subgroup_class_by_key"][key]
 
 
 def carter_subgroups(G: PermGroup) -> SubgroupClass:
@@ -246,21 +211,28 @@ def carter_fiber(G: PermGroup, sigma: PrimeSet, R: PermGroup) -> tuple[SubgroupC
         raise ValueError("R is not a sigma'-subgroup")
     if not R.is_nilpotent():
         raise ValueError("R is not nilpotent")
-    r_set = R.element_set()
     out = []
     for cls in subgroup_classes(G):
         if not coprimes.is_sigma_number(cls.order):
             continue
         if cls.order < R.order or cls.order % R.order:
             continue
-        for conj_set in sorted(
-            _orbit_of_subgroup(G, cls.representative.element_set()),
-            key=lambda s: tuple(sorted(s)),
-        ):
-            if not r_set <= conj_set:
-                continue
-            Q = G.subgroup([Perm(im) for im in conj_set if not Perm(im).is_identity()])
+        for Q in conjugates_containing(G, cls, R):
             if is_carter_in(R, Q):
                 out.append(replace(cls, representative=Q))
                 break
     return tuple(out)
+
+
+def conjugates_containing(G: PermGroup, cls: SubgroupClass, R: PermGroup):
+    """The conjugates of a subgroup class of G that contain R, as subgroups.
+
+    They are yielded lazily, in order of their sorted element sets.
+    """
+    r_set = R.element_set()
+    for conj_set in sorted(
+        G.subgroup_orbit(cls.representative.element_set()).members,
+        key=lambda s: tuple(sorted(s)),
+    ):
+        if r_set <= conj_set:
+            yield G.subgroup([Perm(im) for im in conj_set if not Perm(im).is_identity()])

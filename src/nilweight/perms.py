@@ -119,9 +119,6 @@ class Perm:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
-    def moved_points(self) -> list[int]:
-        return [i for i, j in enumerate(self.images) if i != j]
-
     def order(self) -> int:
         out = 1
         for c in self.cycles_zero_based():

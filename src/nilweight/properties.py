@@ -1,9 +1,9 @@
 """The aggregated property suite: module invariants plus the lemma checks.
 
 Each property emits one outcome row per instance; failures carry the
-witnessing instance. Brute-force oracles (closure order, normalizers,
-subgroup enumeration) are implemented here from scratch on raw image
-tuples so they share no code path with the stabilizer-chain engine.
+witnessing instance. The brute-force oracles (closure order, normalizers,
+subgroup enumeration) come from `nilweight.bruteforce`, which works on raw
+image tuples and shares no code path with the stabilizer-chain engine.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import bruteforce
 from .chartab import (
     character_table,
     conjugate_character,
@@ -20,12 +21,7 @@ from .chartab import (
     restrict_character,
 )
 from .groups import PermGroup
-from .lattice import (
-    _orbit_of_subgroup,
-    carter_subgroups,
-    is_carter_in,
-    subgroup_classes,
-)
+from .lattice import carter_subgroups, is_carter_in, subgroup_classes
 from .perms import Perm
 from .pipartial import (
     GlaubermanAction,
@@ -88,56 +84,6 @@ class PropertyReport:
         return {k: (v[1], v[0]) for k, v in stats.items()}  # (passed, failed)
 
 
-# --- brute-force oracles (independent of the stabilizer chain) ---------------
-
-
-def _bf_mult(a, b):
-    return tuple(b[i] for i in a)
-
-
-def _bf_inv(a):
-    out = [0] * len(a)
-    for i, j in enumerate(a):
-        out[j] = i
-    return tuple(out)
-
-
-def _bf_conj(x, g):
-    return _bf_mult(_bf_mult(_bf_inv(g), x), g)
-
-
-def _bf_closure(gens, degree):
-    identity = tuple(range(degree))
-    elems = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = _bf_mult(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return elems
-
-
-def _bf_all_subgroups(elems, degree):
-    identity = tuple(range(degree))
-    found = {frozenset([identity])}
-    frontier = list(found)
-    while frontier:
-        H = frontier.pop()
-        for g in elems:
-            if g in H:
-                continue
-            K = frozenset(_bf_closure(set(H) | {g}, degree))
-            if K not in found:
-                found.add(K)
-                frontier.append(K)
-    return found
-
-
 # --- individual properties -------------------------------------------------
 
 
@@ -145,7 +91,7 @@ def _prop_order_certificate(corpus, bound):
     for name, G in corpus:
         if G.order > bound:
             continue
-        brute = len(_bf_closure([g.images for g in G.generators], G.degree))
+        brute = len(bruteforce.closure([g.images for g in G.generators], G.degree))
         yield PropertyOutcome(
             "order-certificate", name, brute == G.order, f"brute={brute} chain={G.order}"
         )
@@ -163,7 +109,6 @@ def _prop_normalizer_sandwich(corpus, bound):
     for name, G in corpus:
         if G.order > bound:
             continue
-        elems = [Perm(im) for im in G.element_set()]
         ok = True
         for cls in subgroup_classes(G):
             H = cls.representative
@@ -171,12 +116,7 @@ def _prop_normalizer_sandwich(corpus, bound):
             if not (H.is_subset(N) and N.is_subset(G)):
                 ok = False
                 break
-            h_set = H.element_set()
-            brute = {
-                g.images
-                for g in elems
-                if frozenset(x.conjugate(g).images for x in map(Perm, h_set)) == h_set
-            }
+            brute = bruteforce.normalizer(G.element_set(), H.element_set())
             if brute != N.element_set():
                 ok = False
                 break
@@ -187,12 +127,10 @@ def _prop_subgroup_completeness(corpus, bound):
     for name, G in corpus:
         if G.order > bound:
             continue
-        brute = _bf_all_subgroups(G.element_set(), G.degree)
+        brute = bruteforce.all_subgroups(G.element_set(), G.degree)
         classes = subgroup_classes(G)
         total = sum(c.class_size for c in classes)
-        by_conjugacy = set()
-        for H in brute:
-            by_conjugacy.add(min(tuple(sorted(s)) for s in _orbit_of_subgroup(G, H)))
+        by_conjugacy = {G.subgroup_orbit(H).canonical_key for H in brute}
         ok = total == len(brute) and len(by_conjugacy) == len(classes)
         yield PropertyOutcome(
             "subgroup-completeness",
@@ -280,7 +218,8 @@ def _prop_carter_lifting(corpus):
                     R = rcls.representative
                     if not R.is_nilpotent():
                         continue
-                    nk_r = _normalizer_of_set(K, R)
+                    r_orbit = K.subgroup_orbit(R.element_set())
+                    nk_r = K.subgroup(r_orbit.stabilizer(R.element_set()))
                     if not nk_r.is_subset(R):
                         continue
                     r_img = quo.subgroup([proj(g) for g in R.generators])
@@ -303,14 +242,6 @@ def _alt_series_choice(S: PermGroup) -> PermGroup:
         if T.order < S.order and is_prime(S.order // T.order)
     ]
     return min(options, key=lambda T: (T.order, sorted(T.element_set())))
-
-
-def _normalizer_of_set(K: PermGroup, R: PermGroup) -> PermGroup:
-    trans, stab = K._stabilizer_of_action(
-        R.element_set(),
-        lambda ps, g: frozenset(Perm(im).conjugate(g).images for im in ps),
-    )
-    return K.subgroup(stab)
 
 
 def _prop_table_invariants(corpus):
@@ -507,20 +438,12 @@ def _prop_lemma_intersection_counts(corpus, heavy_bound):
                         T = partial_character_stabilizer(G, N, tau)
                         rhs = 0
                         t_set = T.element_set()
-                        reps = []
-                        seen_orbits = set()
-                        for conj_set in _orbit_of_subgroup(G, Q.element_set()):
-                            if not conj_set <= t_set:
-                                continue
-                            key = min(
-                                tuple(sorted(s))
-                                for s in _orbit_of_subgroup(T, conj_set)
-                            )
-                            if key in seen_orbits:
-                                continue
-                            seen_orbits.add(key)
-                            reps.append(conj_set)
-                        for conj_set in reps:
+                        reps = {}  # one member of each T-orbit inside T
+                        for conj_set in G.subgroup_orbit(Q.element_set()).members:
+                            if conj_set <= t_set:
+                                key = T.subgroup_orbit(conj_set).canonical_key
+                                reps.setdefault(key, conj_set)
+                        for conj_set in reps.values():
                             U = T.subgroup(
                                 [Perm(im) for im in conj_set if not Perm(im).is_identity()]
                             )

@@ -8,7 +8,6 @@ sigma-part and a coprime part.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -154,7 +153,3 @@ def sigma_part(n: int, sigma: PrimeSet) -> int:
             n //= p
             out *= p
     return out
-
-
-def rational_is_integer(q: Fraction) -> bool:
-    return q.denominator == 1

@@ -32,8 +32,8 @@ from .chartab import (
 from .groups import PermGroup
 from .lattice import (
     SubgroupClass,
-    _orbit_of_subgroup,
     carter_fiber,
+    conjugates_containing,
     is_carter_in,
     subgroup_class_of,
     subgroup_classes,
@@ -244,8 +244,7 @@ def check_normalizer_counting(
     lhs_set = ipi_with_vertex(G, sigma, Q, theta=phi_member)
     N = G.normalizer(Q)
     q_in_n = N.subgroup(Q.generators)
-    phi_member_n = _partial_member_for_character(M, sigma, phi)
-    rhs_set = ipi_with_vertex(N, sigma, q_in_n, theta=phi_member_n)
+    rhs_set = ipi_with_vertex(N, sigma, q_in_n, theta=phi_member)
     rows = [ReportRow("lhs", f"phi_deg={p.degree}", 1) for p in lhs_set]
     rows += [ReportRow("rhs", f"local_phi_deg={p.degree}", 1) for p in rhs_set]
     return VerificationReport(
@@ -323,19 +322,13 @@ def check_canonical_bijection(
             detail=detail,
         )
 
-    r_set = R.element_set()
     q_subgroups: list[PermGroup] = []
     for cls in subgroup_classes(H):
         if cls.order % R.order:
             continue
-        for conj_set in sorted(
-            _orbit_of_subgroup(H, cls.representative.element_set()),
-            key=lambda s: tuple(sorted(s)),
-        ):
-            if r_set <= conj_set:
-                Q = H.subgroup([Perm(im) for im in conj_set if not Perm(im).is_identity()])
-                if is_carter_in(R, Q):
-                    q_subgroups.append(Q)
+        for Q in conjugates_containing(H, cls, R):
+            if is_carter_in(R, Q):
+                q_subgroups.append(Q)
 
     by_class_key: dict[tuple, list[PermGroup]] = {}
     for Q in q_subgroups:
@@ -469,19 +462,10 @@ def _self_normalizing_stabilizers_hold(G, sigma, N, H, R, NR, n_tab) -> bool:
         if stab.element_set() != CR.element_set():
             continue
         H_gamma = character_stabilizer(H, N, gamma)
-        n_in_hgamma = _normalizer_within(H_gamma, R)
-        if n_in_hgamma.element_set() != R.element_set():
+        # gamma is R-invariant, so R <= H_gamma
+        if H_gamma.normalizer(R).element_set() != R.element_set():
             return False
     return True
-
-
-def _normalizer_within(K: PermGroup, R: PermGroup) -> PermGroup:
-    """N_K(R) without requiring R <= K."""
-    trans, stab = K._stabilizer_of_action(
-        R.element_set(),
-        lambda ps, g: frozenset(Perm(im).conjugate(g).images for im in ps),
-    )
-    return K.subgroup(stab)
 
 
 def bijection_setup(G: PermGroup, sigma: PrimeSet):

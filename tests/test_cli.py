@@ -1,8 +1,13 @@
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
+from nilweight import cache
 from nilweight.cli import run_command
+from nilweight.corpus import builtin_by_name
 
 GOLDEN_VERIFY_A_S4 = """nilweight-report 1
 command\tverify-a
@@ -18,6 +23,110 @@ row\tlhs\torder=1 size=1 rep=()\t1
 row\tlhs\torder=3 size=8 rep=(2,3,4)\t1
 row\trhs\t|Q|=4 reps=1 <(1,2)(3,4),(1,3)(2,4)> gamma_deg=2\t1
 row\trhs\t|Q|=8 reps=3 <(1,2)(3,4),(1,3,2,4),(3,4)> gamma_deg=1\t1
+"""
+
+GOLDEN_SUBGROUPS_A5 = """nilweight-report 1
+command\tsubgroups
+group\tA5
+order\t60
+subgroup-classes\t9
+total-subgroups\t59
+row\tsubgroup\t1\t1\tnilpotent\tsolvable\t()
+row\tsubgroup\t2\t15\tnilpotent\tsolvable\t(2,3)(4,5)
+row\tsubgroup\t3\t10\tnilpotent\tsolvable\t(3,4,5)
+row\tsubgroup\t4\t5\tnilpotent\tsolvable\t(2,3)(4,5),(2,4)(3,5)
+row\tsubgroup\t5\t6\tnilpotent\tsolvable\t(1,2,3,4,5)
+row\tsubgroup\t6\t10\t-\tsolvable\t(3,4,5),(1,2)(4,5)
+row\tsubgroup\t10\t6\t-\tsolvable\t(1,2,3,4,5),(2,5)(3,4)
+row\tsubgroup\t12\t5\t-\tsolvable\t(2,3)(4,5),(2,4)(3,5),(3,4,5)
+row\tsubgroup\t60\t1\t-\t-\t(3,4,5),(1,2)(4,5),(1,3)(4,5)
+"""
+
+GOLDEN_VERIFY_B_S4 = """nilweight-report 1
+command\tverify-b
+check\tcarter-refinement
+group\tS4
+pi\t3
+detail\tR=<()> |R|=1
+hypothesis:sigma-separable\tmet
+hypothesis:solvable Hall complement\tmet
+hypothesis:R nilpotent sigma'-subgroup\tmet
+lhs\t0
+rhs\t0
+verdict\tholds
+check\tcarter-refinement
+group\tS4
+pi\t3
+detail\tR=<(3,4)> |R|=2
+hypothesis:sigma-separable\tmet
+hypothesis:solvable Hall complement\tmet
+hypothesis:R nilpotent sigma'-subgroup\tmet
+lhs\t0
+rhs\t0
+verdict\tholds
+check\tcarter-refinement
+group\tS4
+pi\t3
+detail\tR=<(1,2)(3,4)> |R|=2
+hypothesis:sigma-separable\tmet
+hypothesis:solvable Hall complement\tmet
+hypothesis:R nilpotent sigma'-subgroup\tmet
+lhs\t0
+rhs\t0
+verdict\tholds
+check\tcarter-refinement
+group\tS4
+pi\t3
+detail\tR=<(1,2)(3,4),(3,4)> |R|=4
+hypothesis:sigma-separable\tmet
+hypothesis:solvable Hall complement\tmet
+hypothesis:R nilpotent sigma'-subgroup\tmet
+lhs\t0
+rhs\t0
+verdict\tholds
+check\tcarter-refinement
+group\tS4
+pi\t3
+detail\tR=<(1,2)(3,4),(1,3)(2,4)> |R|=4
+hypothesis:sigma-separable\tmet
+hypothesis:solvable Hall complement\tmet
+hypothesis:R nilpotent sigma'-subgroup\tmet
+lhs\t1
+rhs\t1
+verdict\tholds
+check\tcarter-refinement
+group\tS4
+pi\t3
+detail\tR=<(1,2)(3,4),(1,3,2,4)> |R|=4
+hypothesis:sigma-separable\tmet
+hypothesis:solvable Hall complement\tmet
+hypothesis:R nilpotent sigma'-subgroup\tmet
+lhs\t0
+rhs\t0
+verdict\tholds
+check\tcarter-refinement
+group\tS4
+pi\t3
+detail\tR=<(1,2)(3,4),(1,3,2,4),(3,4)> |R|=8
+hypothesis:sigma-separable\tmet
+hypothesis:solvable Hall complement\tmet
+hypothesis:R nilpotent sigma'-subgroup\tmet
+lhs\t1
+rhs\t1
+verdict\tholds
+lhs-total\t2
+rhs-total\t2
+row\tinfo\tweights with first component R\t0
+row\tinfo\tweights with first component R\t0
+row\tinfo\tweights with first component R\t0
+row\tinfo\tweights with first component R\t0
+row\tlhs\tphi_deg=2 vertex=|Q|=4 reps=1 <(1,4)(2,3),(1,3)(2,4),(1,2)(3,4)>\t1
+row\trhs\tlocal_phi_deg=2\t1
+row\tinfo\tweights with first component R\t1
+row\tinfo\tweights with first component R\t0
+row\tlhs\tphi_deg=1 vertex=|Q|=8 reps=3 <(1,4)(2,3),(1,3)(2,4),(1,2)(3,4),(1,3,2,4),(3,4),(1,2),(1,4,2,3)>\t1
+row\trhs\tlocal_phi_deg=1\t1
+row\tinfo\tweights with first component R\t1
 """
 
 
@@ -46,11 +155,12 @@ class TestVerifyA:
 
 class TestVerifyB:
     def test_s4_all_r(self):
+        # the <...> generator lists of the vertex rows come from carter_fiber
         code, text = run_command(
             ["verify-b", "--group", "S4", "--pi", "3", "--format", "machine"]
         )
         assert code == 0
-        assert "lhs-total\t2" in text and "rhs-total\t2" in text
+        assert text == GOLDEN_VERIFY_B_S4
 
     def test_s4_explicit_r(self):
         code, text = run_command(
@@ -90,6 +200,12 @@ class TestOtherCommands:
         assert code == 0
         assert "subgroup-classes\t11" in text
         assert "total-subgroups\t30" in text
+
+    def test_subgroups_a5_machine_golden(self):
+        # the order-60 representative comes from the non-solvable completion
+        code, text = run_command(["subgroups", "--group", "A5", "--format", "machine"])
+        assert code == 0
+        assert text == GOLDEN_SUBGROUPS_A5
 
     def test_carter(self):
         code, text = run_command(["carter", "--group", "S4"])
@@ -177,6 +293,26 @@ class TestCache:
             f.write_text('{"version": 999}')
         code, text = run_command(argv)
         assert code == 0 and "cache\tcold" in text
+
+    def test_concurrent_writers_of_one_entry(self, tmp_path, monkeypatch):
+        # both writers finish their temp file before either renames it
+        barrier = threading.Barrier(2, timeout=60)
+        real_replace = os.replace
+
+        def replace(src, dst):
+            barrier.wait()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cache.os, "replace", replace)
+        s4 = builtin_by_name("S4")
+        with ThreadPoolExecutor(2) as pool:
+            writes = [
+                pool.submit(cache.load_or_compute_table, s4.build(), tmp_path)
+                for _ in range(2)
+            ]
+        assert [w.result()[1] for w in writes] == ["cold", "cold"]
+        assert len(list(tmp_path.glob("chartab-*.json"))) == 1
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestJobs:

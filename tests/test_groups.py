@@ -1,10 +1,13 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from nilweight import bruteforce as bf
 from nilweight.perms import MalformedPermError, Perm
 from nilweight.groups import PermGroup, ResourceLimitError, bsgs_construct
 from nilweight.sigma import PrimeSet, sigma_part
 
-import bruteforce as bf
 from conftest import group, perm
 
 
@@ -163,18 +166,26 @@ class TestNormalizer:
         assert H.is_subset(N)
 
     def test_matches_bruteforce(self, s4):
+        # every subgroup: one walk per class serves all of its conjugates
         elems = bf.closure([g.images for g in s4.generators], 4)
-        for gens in [["(1,2)"], ["(1,2,3)"], ["(1,2,3,4)"], ["(1,2)(3,4)"], ["(1,2)", "(3,4)"]]:
-            H = s4.subgroup([perm(s, 4) for s in gens])
-            N = s4.normalizer(H)
-            assert N.element_set() == frozenset(
-                bf.normalizer(elems, [h.images for h in H.elements()])
+        for member in bf.all_subgroups(elems, 4):
+            H = s4.subgroup([Perm(im) for im in member])
+            assert s4.normalizer(H).element_set() == frozenset(
+                bf.normalizer(elems, member)
             )
 
     def test_not_a_subgroup(self, a5):
         H = bsgs_construct([perm("(1,2)", 5)], 5)
         with pytest.raises(ValueError):
             a5.normalizer(H)
+
+
+def test_bruteforce_oracle_imports_nothing_from_the_engine():
+    for node in ast.walk(ast.parse(Path(bf.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.module.split(".")[0] != "nilweight"
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "nilweight" for a in node.names)
 
 
 class TestQuotients:

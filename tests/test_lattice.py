@@ -1,5 +1,6 @@
 import pytest
 
+from nilweight import bruteforce as bf
 from nilweight.groups import bsgs_construct
 from nilweight.lattice import (
     carter_fiber,
@@ -11,7 +12,6 @@ from nilweight.lattice import (
 )
 from nilweight.sigma import PrimeSet
 
-import bruteforce as bf
 from conftest import group, perm
 
 
