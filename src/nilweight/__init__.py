@@ -37,7 +37,6 @@ from .chartab import (
     has_sigma_defect_zero,
     induce_character,
     inner_product,
-    irr_over,
     restrict_character,
 )
 from .pipartial import (

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .chartab import Character, CharacterTable, character_table
 from .cyclotomic import Cyclotomic
-from .groups import PermGroup
+from .groups import PermGroup, check_bound
 
 ALGORITHM_VERSION = 1
 
@@ -86,10 +86,12 @@ def load_or_compute_table(G: PermGroup, cache_dir, seed: int = 0):
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"chartab-{table_cache_key(G)}.json"
+    # a warm read obeys the bound a cold computation does
+    check_bound("table", G.order)
     if path.exists():
         try:
             tab = deserialize_table(G, json.loads(path.read_text()))
-            G._memo["chartab"] = tab
+            character_table.remember(G, tab)
             return tab, "warm"
         except (ValueError, KeyError, AssertionError, json.JSONDecodeError):
             pass  # stale or corrupt entry: fall through and recompute

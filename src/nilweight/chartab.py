@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, weighted_conjugate_dot
-from .groups import PermGroup, ResourceLimitError
+from .groups import PermGroup, memoized
 from .linalg import (
     charpoly_mod,
     find_splitting_prime,
@@ -30,7 +30,6 @@ from .linalg import (
 from .perms import Perm
 from .sigma import PrimeSet, sigma_part
 
-CHARTAB_ORDER_BOUND = 20_000
 _MAX_SPLIT_ROUNDS = 500
 
 
@@ -124,13 +123,10 @@ class CharacterTable:
         return f"CharacterTable(order={self.group.order}, degrees={self.degrees()})"
 
 
-def character_table(G: PermGroup, seed: int = 0, bound: int | None = None) -> CharacterTable:
-    limit = bound if bound is not None else CHARTAB_ORDER_BOUND
-    if G.order > limit:
-        raise ResourceLimitError(f"group order {G.order} exceeds table bound {limit}")
-    if "chartab" not in G._memo:
-        G._memo["chartab"] = _dixon_schneider(G, seed)
-    return G._memo["chartab"]
+# the table does not depend on the splitting seed, so the key ignores it
+@memoized(lambda G, seed=0: ("character_table",), bound="table")
+def character_table(G: PermGroup, seed: int = 0) -> CharacterTable:
+    return _dixon_schneider(G, seed)
 
 
 # --- the finite-field computation -------------------------------------------
@@ -333,20 +329,6 @@ def decompose_into_irreducibles(chi: Character, table: CharacterTable):
         if m.denominator != 1 or m < 0:
             raise AssertionError(f"non-integral multiplicity {m}")
         out.append(int(m))
-    return out
-
-
-def irr_over(table: CharacterTable, N: PermGroup, theta: Character):
-    """All irreducibles of G lying over theta in Irr(N), N normal in G."""
-    G = table.group
-    if not G.is_normal(N):
-        raise ValueError("N is not normal in G")
-    out = []
-    for chi in table.irreducibles:
-        if inner_product(restrict_character(chi, N), theta) != 0:
-            out.append(chi)
-    if not out:
-        raise AssertionError("no irreducible lies over theta")
     return out
 
 

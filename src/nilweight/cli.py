@@ -17,12 +17,14 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import groups as groups_mod
-from . import lattice as lattice_mod
 from .cache import load_or_compute_table
 from .corpus import GroupFileError, builtin_by_name, builtin_corpus, parse_group_file
-from .groups import ResourceLimitError
-from .lattice import carter_subgroups, subgroup_classes
+from .groups import ResourceLimitError, resource_bound
+from .lattice import (
+    carter_subgroups,
+    nilpotent_sigma_subgroup_classes,
+    subgroup_classes,
+)
 from .perms import MalformedPermError, Perm
 from .pipartial import enumerate_weights, sigma_partial_characters, vertices
 from .properties import run_property_suite
@@ -102,42 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("properties", "run the full property suite")
     add("scan", "weight-count reports over the corpus")
     return parser
-
-
-class _BoundOverride:
-    """Temporarily overrides every desk-scale bound for one invocation."""
-
-    def __init__(self, bound: int | None):
-        if bound is not None and bound < 1:
-            raise UsageError("--bound must be positive")
-        self.bound = bound
-
-    def __enter__(self):
-        from . import chartab as chartab_mod
-
-        self.saved = (
-            groups_mod.CLASS_ORDER_BOUND,
-            groups_mod.STABILIZER_ORDER_BOUND,
-            lattice_mod.LATTICE_ORDER_BOUND,
-            chartab_mod.CHARTAB_ORDER_BOUND,
-        )
-        if self.bound is not None:
-            groups_mod.CLASS_ORDER_BOUND = self.bound
-            groups_mod.STABILIZER_ORDER_BOUND = self.bound
-            lattice_mod.LATTICE_ORDER_BOUND = self.bound
-            chartab_mod.CHARTAB_ORDER_BOUND = self.bound
-        return self
-
-    def __exit__(self, *exc):
-        from . import chartab as chartab_mod
-
-        (
-            groups_mod.CLASS_ORDER_BOUND,
-            groups_mod.STABILIZER_ORDER_BOUND,
-            lattice_mod.LATTICE_ORDER_BOUND,
-            chartab_mod.CHARTAB_ORDER_BOUND,
-        ) = self.saved
-        return False
 
 
 def _resolve_group(arg: str | None):
@@ -248,6 +214,11 @@ def cmd_carter(args, out: Output) -> int:
 def cmd_ipi(args, out: Output, with_vertices: bool = False) -> int:
     G = _resolve_group(args.group).build()
     sigma = _parse_pi(args.pi)
+    if not G.is_sigma_separable(sigma):
+        raise UsageError(
+            f"group {args.group} is not separable for pi={_sigma_label(sigma)}; "
+            "partial characters need a pi-separable group"
+        )
     out.put("group", args.group)
     out.put("pi", _sigma_label(sigma))
     phis = sigma_partial_characters(G, sigma)
@@ -265,7 +236,7 @@ def cmd_ipi(args, out: Output, with_vertices: bool = False) -> int:
 def cmd_weights(args, out: Output) -> int:
     G = _resolve_group(args.group).build()
     sigma = _parse_pi(args.pi)
-    ws = enumerate_weights(G, sigma, nilpotent_only=True)
+    ws = enumerate_weights(G, sigma)
     out.put("group", args.group)
     out.put("pi", _sigma_label(sigma))
     out.put("count", len(ws))
@@ -303,8 +274,7 @@ def cmd_verify_b(args, out: Output) -> int:
         coprime = sigma.complement_within(G.order)
         reports = [
             check_carter_refinement(G, sigma, cls.representative, definition.name)
-            for cls in subgroup_classes(G)
-            if coprime.is_sigma_number(cls.order) and cls.is_nilpotent()
+            for cls in nilpotent_sigma_subgroup_classes(G, coprime)
         ]
     for rep in reports:
         _emit_report(out, rep)
@@ -361,10 +331,12 @@ def _corpus_groups(args):
 
 
 def _scan_one(payload):
-    name, text = payload
-    definition = parse_group_file(text)
-    G = definition.build()
-    reports = scan_corpus([(name, G)], mode="weight-count")
+    # the bound travels with the task: a worker process does not share the
+    # caller's context under every start method
+    name, text, bound = payload
+    with resource_bound(bound):
+        G = parse_group_file(text).build()
+        reports = scan_corpus([(name, G)], mode="weight-count")
     return [
         (
             rep.group_name,
@@ -382,7 +354,7 @@ def cmd_scan(args, out: Output) -> int:
         definitions = [_resolve_group(args.group)]
     else:
         definitions = list(builtin_corpus())
-    payloads = [(d.name, d.to_text()) for d in definitions]
+    payloads = [(d.name, d.to_text(), args.bound) for d in definitions]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             chunks = list(pool.map(_scan_one, payloads))
@@ -423,7 +395,9 @@ def run_command(argv) -> tuple[int, str]:
         return (EXIT_USAGE if exc.code not in (0, None) else EXIT_OK), ""
     out = Output(args.cmd, machine=args.format == "machine")
     try:
-        with _BoundOverride(args.bound):
+        if args.bound is not None and args.bound < 1:
+            raise UsageError("--bound must be positive")
+        with resource_bound(args.bound):
             code = COMMANDS[args.cmd](args, out)
     except UsageError as exc:
         return EXIT_USAGE, f"error: {exc}\n"

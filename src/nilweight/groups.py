@@ -10,23 +10,86 @@ orbit/stabilizer runs at desk scale; resource bounds guard against inputs
 far beyond the intended corpus. Subgroup orbits under conjugation, and the
 normalizers read off them, all come from one memoized walk,
 `PermGroup.subgroup_orbit`.
+
+Resource bounds (`check_bound`) and memoization (`memoized`) live here
+alone, and every module uses them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .perms import MalformedPermError, Perm
 from .sigma import PrimeSet, factorize, prime_divisors, sigma_part
 
-CLASS_ORDER_BOUND = 100_000
-STABILIZER_ORDER_BOUND = 100_000
+# The largest group order each computation accepts, by the name its error uses.
+DEFAULT_BOUNDS = {
+    "class": 100_000,
+    "normalizer": 100_000,
+    "subgroup-lattice": 2_000,
+    "table": 20_000,
+}
+_bound_override: ContextVar[int | None] = ContextVar("bound_override", default=None)
 
 
 class ResourceLimitError(RuntimeError):
     """An operation was asked to run past its configured desk-scale bound."""
+
+
+@contextlib.contextmanager
+def resource_bound(bound: int | None):
+    """Within the block, `bound` replaces every default bound; None means the defaults."""
+    token = _bound_override.set(bound)
+    try:
+        yield
+    finally:
+        _bound_override.reset(token)
+
+
+def check_bound(kind: str, order: int) -> None:
+    """Raise ResourceLimitError if `order` exceeds the bound named `kind`."""
+    limit = _bound_override.get()
+    if limit is None:
+        limit = DEFAULT_BOUNDS[kind]
+    if order > limit:
+        raise ResourceLimitError(f"group order {order} exceeds {kind} bound {limit}")
+
+
+def memoized(key=None, bound: str | None = None):
+    """Memoize a function of a group in that group's memo.
+
+    The memo key is `key(G, *args, **kwargs)`, by default the function's
+    name followed by its positional arguments. With `bound`, the group's
+    order is checked against that bound before the memo is read. The
+    decorated function's `remember(G, value, *args)` stores a value under
+    the key the function reads.
+    """
+
+    def decorate(fn):
+        name = fn.__name__
+        key_of = key or (lambda G, *args: (name, *args))
+
+        @functools.wraps(fn)
+        def cached(G, *args, **kwargs):
+            if bound is not None:
+                check_bound(bound, G.order)
+            k = key_of(G, *args, **kwargs)
+            memo = G._memo
+            if k not in memo:
+                memo[k] = fn(G, *args, **kwargs)
+            return memo[k]
+
+        def remember(G, value, *args):
+            G._memo[key_of(G, *args)] = value
+
+        cached.remember = remember
+        return cached
+
+    return decorate
 
 
 class _ChainLevel:
@@ -174,21 +237,19 @@ class PermGroup:
 
     __contains__ = contains
 
+    @memoized()
     def elements(self) -> tuple[Perm, ...]:
         """All group elements, materialized once and cached."""
-        if "elements" not in self._memo:
-            out = [self.identity]
-            for lvl in reversed(self._levels):
-                trans = [lvl.transversal[p] for p in sorted(lvl.transversal)]
-                out = [h * u for h in out for u in trans]
-            assert len(out) == self.order
-            self._memo["elements"] = tuple(out)
-        return self._memo["elements"]
+        out = [self.identity]
+        for lvl in reversed(self._levels):
+            trans = [lvl.transversal[p] for p in sorted(lvl.transversal)]
+            out = [h * u for h in out for u in trans]
+        assert len(out) == self.order
+        return tuple(out)
 
+    @memoized()
     def element_set(self) -> frozenset:
-        if "element_set" not in self._memo:
-            self._memo["element_set"] = frozenset(g.images for g in self.elements())
-        return self._memo["element_set"]
+        return frozenset(g.images for g in self.elements())
 
     # --- subgroups --------------------------------------------------------
 
@@ -204,62 +265,57 @@ class PermGroup:
 
     # --- conjugacy classes --------------------------------------------------
 
-    def conjugacy_classes(self, bound: int | None = None) -> tuple["ConjugacyClass", ...]:
-        limit = bound if bound is not None else CLASS_ORDER_BOUND
-        if self.order > limit:
-            raise ResourceLimitError(
-                f"group order {self.order} exceeds class bound {limit}"
-            )
-        if "classes" not in self._memo:
-            remaining = sorted(self.element_set())
-            in_class: set = set()
-            classes = []
-            for images in remaining:
-                if images in in_class:
-                    continue
-                rep = Perm(images)
-                orbit = {images}
-                frontier = [rep]
-                while frontier:
-                    x = frontier.pop()
-                    for g in self.generators:
-                        y = x.conjugate(g)
-                        if y.images not in orbit:
-                            orbit.add(y.images)
-                            frontier.append(y)
-                in_class |= orbit
-                classes.append(
-                    ConjugacyClass(
-                        representative=rep,
-                        size=len(orbit),
-                        element_order=rep.order(),
-                        members=frozenset(orbit),
-                    )
+    @memoized(bound="class")
+    def conjugacy_classes(self) -> tuple["ConjugacyClass", ...]:
+        remaining = sorted(self.element_set())
+        in_class: set = set()
+        classes = []
+        for images in remaining:
+            if images in in_class:
+                continue
+            rep = Perm(images)
+            orbit = {images}
+            frontier = [rep]
+            while frontier:
+                x = frontier.pop()
+                for g in self.generators:
+                    y = x.conjugate(g)
+                    if y.images not in orbit:
+                        orbit.add(y.images)
+                        frontier.append(y)
+            in_class |= orbit
+            classes.append(
+                ConjugacyClass(
+                    representative=rep,
+                    size=len(orbit),
+                    element_order=rep.order(),
+                    members=frozenset(orbit),
                 )
-            classes.sort(key=lambda c: (c.element_order, c.size, c.representative.images))
-            assert sum(c.size for c in classes) == self.order
-            self._memo["classes"] = tuple(classes)
-        return self._memo["classes"]
+            )
+        classes.sort(key=lambda c: (c.element_order, c.size, c.representative.images))
+        assert sum(c.size for c in classes) == self.order
+        return tuple(classes)
+
+    @memoized()
+    def _class_lookup(self) -> dict:
+        lookup = {}
+        for i, c in enumerate(self.conjugacy_classes()):
+            for images in c.members:
+                lookup[images] = i
+        return lookup
 
     def class_index_of(self, g: Perm) -> int:
-        if "class_lookup" not in self._memo:
-            lookup = {}
-            for i, c in enumerate(self.conjugacy_classes()):
-                for images in c.members:
-                    lookup[images] = i
-            self._memo["class_lookup"] = lookup
         try:
-            return self._memo["class_lookup"][g.images]
+            return self._class_lookup()[g.images]
         except KeyError:
             raise ValueError(f"{g!r} is not an element of this group") from None
 
+    @memoized()
     def inverse_class_map(self) -> tuple[int, ...]:
-        if "inverse_classes" not in self._memo:
-            self._memo["inverse_classes"] = tuple(
-                self.class_index_of(c.representative.inverse())
-                for c in self.conjugacy_classes()
-            )
-        return self._memo["inverse_classes"]
+        return tuple(
+            self.class_index_of(c.representative.inverse())
+            for c in self.conjugacy_classes()
+        )
 
     def exponent(self) -> int:
         out = 1
@@ -319,34 +375,27 @@ class PermGroup:
     def center(self) -> "Subgroup":
         return self.centralizer_of_subgroup(self)
 
+    @memoized()
     def subgroup_orbit(self, elems: frozenset) -> "SubgroupOrbit":
         """The conjugates of the element set `elems` under this group.
 
         `elems` need not lie in the group. The walk is memoized under every
         member of the orbit, so each orbit is walked once per group.
         """
-        key = ("subgroup_orbit", elems)
-        if key not in self._memo:
-            orbit = SubgroupOrbit(self, elems)
-            for member in orbit.members:
-                self._memo[("subgroup_orbit", member)] = orbit
-        return self._memo[key]
+        orbit = SubgroupOrbit(self, elems)
+        for member in orbit.members:
+            PermGroup.subgroup_orbit.remember(self, orbit, member)
+        return orbit
 
+    @memoized(lambda G, H: ("normalizer", H.element_set()), bound="normalizer")
     def normalizer(self, H: "PermGroup") -> "Subgroup":
         """N_self(H) for a subgroup H of self."""
         if not H.is_subset(self):
             raise ValueError("H is not a subgroup of the group")
-        if self.order > STABILIZER_ORDER_BOUND:
-            raise ResourceLimitError(
-                f"group order {self.order} exceeds normalizer bound {STABILIZER_ORDER_BOUND}"
-            )
-        key = ("normalizer", H.element_set())
-        if key not in self._memo:
-            orbit = self.subgroup_orbit(H.element_set())
-            N = self.subgroup(orbit.stabilizer(H.element_set()) + list(H.generators))
-            assert len(orbit.members) * N.order == self.order
-            self._memo[key] = N
-        return self._memo[key]
+        orbit = self.subgroup_orbit(H.element_set())
+        N = self.subgroup(orbit.stabilizer(H.element_set()) + list(H.generators))
+        assert len(orbit.members) * N.order == self.order
+        return N
 
     def are_conjugate_subgroups(self, H: "PermGroup", K: "PermGroup") -> bool:
         if H.order != K.order:
@@ -385,42 +434,41 @@ class PermGroup:
             a.commutes_with(b) for i, a in enumerate(gens) for b in gens[i + 1 :]
         )
 
+    @memoized()
     def structure_flags(self) -> "StructureFlags":
-        if "structure" not in self._memo:
-            # derived series
-            derived_length = 0
-            current: PermGroup = self
-            while current.order > 1:
-                nxt = current.derived_subgroup()
-                if nxt.order == current.order:
-                    derived_length = None
+        # derived series
+        derived_length = 0
+        current: PermGroup = self
+        while current.order > 1:
+            nxt = current.derived_subgroup()
+            if nxt.order == current.order:
+                derived_length = None
+                break
+            current = nxt
+            derived_length += 1
+        solvable = derived_length is not None
+        # lower central series
+        nilpotent = False
+        if solvable:
+            term: PermGroup = self
+            while True:
+                comms = [
+                    a.inverse() * b.inverse() * a * b
+                    for a in self.generators
+                    for b in term.generators
+                ]
+                nxt = self.normal_closure(comms)
+                if nxt.order == 1:
+                    nilpotent = True
                     break
-                current = nxt
-                derived_length += 1
-            solvable = derived_length is not None
-            # lower central series
-            nilpotent = False
-            if solvable:
-                term: PermGroup = self
-                while True:
-                    comms = [
-                        a.inverse() * b.inverse() * a * b
-                        for a in self.generators
-                        for b in term.generators
-                    ]
-                    nxt = self.normal_closure(comms)
-                    if nxt.order == 1:
-                        nilpotent = True
-                        break
-                    if nxt.order == term.order:
-                        break
-                    term = nxt
-            self._memo["structure"] = StructureFlags(
-                is_solvable=solvable,
-                is_nilpotent=nilpotent,
-                derived_length=derived_length if solvable else None,
-            )
-        return self._memo["structure"]
+                if nxt.order == term.order:
+                    break
+                term = nxt
+        return StructureFlags(
+            is_solvable=solvable,
+            is_nilpotent=nilpotent,
+            derived_length=derived_length if solvable else None,
+        )
 
     def is_solvable(self) -> bool:
         return self.structure_flags().is_solvable
@@ -435,31 +483,30 @@ class PermGroup:
             H.contains(h.conjugate(g)) for h in H.generators for g in self.generators
         )
 
+    @memoized()
     def normal_subgroups(self) -> tuple["Subgroup", ...]:
         """All normal subgroups, via join-closure of class-rep normal closures."""
-        if "normal_subgroups" not in self._memo:
-            atoms = []
-            seen_atom = set()
-            for c in self.conjugacy_classes():
-                if c.element_order == 1:
-                    continue
-                ncl = self.normal_closure([c.representative])
-                if ncl.element_set() not in seen_atom:
-                    seen_atom.add(ncl.element_set())
-                    atoms.append(ncl)
-            found = {frozenset({self.identity.images}): self.subgroup([])}
-            frontier = list(found.values())
-            while frontier:
-                H = frontier.pop()
-                for A in atoms:
-                    join = self.subgroup(tuple(H.generators) + tuple(A.generators))
-                    key = join.element_set()
-                    if key not in found:
-                        found[key] = join
-                        frontier.append(join)
-            subs = sorted(found.values(), key=lambda s: (s.order, sorted(s.element_set())))
-            self._memo["normal_subgroups"] = tuple(subs)
-        return self._memo["normal_subgroups"]
+        atoms = []
+        seen_atom = set()
+        for c in self.conjugacy_classes():
+            if c.element_order == 1:
+                continue
+            ncl = self.normal_closure([c.representative])
+            if ncl.element_set() not in seen_atom:
+                seen_atom.add(ncl.element_set())
+                atoms.append(ncl)
+        found = {frozenset({self.identity.images}): self.subgroup([])}
+        frontier = list(found.values())
+        while frontier:
+            H = frontier.pop()
+            for A in atoms:
+                join = self.subgroup(tuple(H.generators) + tuple(A.generators))
+                key = join.element_set()
+                if key not in found:
+                    found[key] = join
+                    frontier.append(join)
+        subs = sorted(found.values(), key=lambda s: (s.order, sorted(s.element_set())))
+        return tuple(subs)
 
     def minimal_proper_normal(self) -> "Subgroup | None":
         """A nontrivial proper normal subgroup of least order, or None if simple."""
@@ -472,11 +519,10 @@ class PermGroup:
                 best = ncl
         return best
 
+    @memoized()
     def composition_factor_orders(self) -> tuple[int, ...]:
         """Multiset of composition factor orders, sorted ascending."""
-        if "comp_factors" not in self._memo:
-            self._memo["comp_factors"] = tuple(sorted(_composition_factors(self)))
-        return self._memo["comp_factors"]
+        return tuple(sorted(_composition_factors(self)))
 
     def is_sigma_separable(self, sigma: PrimeSet) -> bool:
         return all(
@@ -484,23 +530,21 @@ class PermGroup:
             for f in self.composition_factor_orders()
         )
 
+    @memoized()
     def o_sigma(self, sigma: PrimeSet) -> "Subgroup":
         """The largest normal sigma-subgroup."""
-        key = ("o_sigma", sigma)
-        if key not in self._memo:
-            acc = self.subgroup([])
-            for c in self.conjugacy_classes():
-                if not sigma.is_sigma_number(c.element_order):
-                    continue
-                if acc.contains(c.representative):
-                    continue
-                ncl = self.normal_closure([c.representative])
-                if not sigma.is_sigma_number(ncl.order):
-                    continue
-                acc = self.subgroup(tuple(acc.generators) + tuple(ncl.generators))
-                assert sigma.is_sigma_number(acc.order)
-            self._memo[key] = acc
-        return self._memo[key]
+        acc = self.subgroup([])
+        for c in self.conjugacy_classes():
+            if not sigma.is_sigma_number(c.element_order):
+                continue
+            if acc.contains(c.representative):
+                continue
+            ncl = self.normal_closure([c.representative])
+            if not sigma.is_sigma_number(ncl.order):
+                continue
+            acc = self.subgroup(tuple(acc.generators) + tuple(ncl.generators))
+            assert sigma.is_sigma_number(acc.order)
+        return acc
 
     def hall_sigma_subgroup(self, sigma: PrimeSet) -> "Subgroup":
         """A subgroup of order |G|_sigma, found by subgroup-class search."""
@@ -512,24 +556,19 @@ class PermGroup:
             )
         return H
 
+    @memoized()
     def find_hall_sigma_subgroup(self, sigma: PrimeSet) -> "Subgroup | None":
-        key = ("hall", sigma)
-        if key not in self._memo:
-            target = sigma_part(self.order, sigma)
-            result = None
-            if target == 1:
-                result = self.subgroup([])
-            elif target == self.order:
-                result = self.subgroup(self.generators)
-            else:
-                from .lattice import subgroup_classes
+        target = sigma_part(self.order, sigma)
+        if target == 1:
+            return self.subgroup([])
+        if target == self.order:
+            return self.subgroup(self.generators)
+        from .lattice import subgroup_classes
 
-                for cls in subgroup_classes(self):
-                    if cls.order == target:
-                        result = cls.representative
-                        break
-            self._memo[key] = result
-        return self._memo[key]
+        for cls in subgroup_classes(self):
+            if cls.order == target:
+                return cls.representative
+        return None
 
     def sigma_element_classes(self, sigma: PrimeSet) -> tuple["ConjugacyClass", ...]:
         return tuple(

@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .groups import PermGroup, ResourceLimitError, Subgroup
+from .groups import PermGroup, Subgroup, memoized
 from .perms import Perm
 from .sigma import PrimeSet, factorize
-
-LATTICE_ORDER_BOUND = 2000
 
 
 @dataclass(frozen=True)
@@ -75,40 +73,34 @@ class _ClassCollector:
         return sorted(self.by_key.values(), key=lambda c: (c.order, c.canonical_key))
 
 
-def subgroup_classes(G: PermGroup, bound: int | None = None) -> tuple[SubgroupClass, ...]:
+@memoized(bound="subgroup-lattice")
+def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
     """All subgroup conjugacy classes of G."""
-    limit = bound if bound is not None else LATTICE_ORDER_BOUND
-    if G.order > limit:
-        raise ResourceLimitError(
-            f"group order {G.order} exceeds subgroup-lattice bound {limit}"
-        )
-    if "subgroup_classes" not in G._memo:
-        collector = _ClassCollector(G)
-        trivial = collector.add(G.subgroup([]))
-        frontier = [trivial]
-        while frontier:
-            cls = frontier.pop()
-            H = cls.representative
-            N = G.normalizer(H)
-            h_set = H.element_set()
-            for images in sorted(N.element_set()):
-                if images in h_set:
-                    continue
-                z = Perm(images)
-                coset_order = _coset_order(z, H)
-                if len(factorize(coset_order)) != 1 or factorize(coset_order)[0][1] != 1:
-                    continue  # z must have prime order modulo H
-                K = G.subgroup(tuple(H.generators) + (z,))
-                assert K.order == coset_order * H.order
-                new_cls = collector.add(K)
-                if new_cls is not None:
-                    frontier.append(new_cls)
-        if not G.is_solvable():
-            _nonsolvable_completion(G, collector)
-        classes = collector.classes()
-        assert classes[0].order == 1 and classes[-1].order == G.order
-        G._memo["subgroup_classes"] = tuple(classes)
-    return G._memo["subgroup_classes"]
+    collector = _ClassCollector(G)
+    trivial = collector.add(G.subgroup([]))
+    frontier = [trivial]
+    while frontier:
+        cls = frontier.pop()
+        H = cls.representative
+        N = G.normalizer(H)
+        h_set = H.element_set()
+        for images in sorted(N.element_set()):
+            if images in h_set:
+                continue
+            z = Perm(images)
+            coset_order = _coset_order(z, H)
+            if len(factorize(coset_order)) != 1 or factorize(coset_order)[0][1] != 1:
+                continue  # z must have prime order modulo H
+            K = G.subgroup(tuple(H.generators) + (z,))
+            assert K.order == coset_order * H.order
+            new_cls = collector.add(K)
+            if new_cls is not None:
+                frontier.append(new_cls)
+    if not G.is_solvable():
+        _nonsolvable_completion(G, collector)
+    classes = collector.classes()
+    assert classes[0].order == 1 and classes[-1].order == G.order
+    return tuple(classes)
 
 
 def _coset_order(z: Perm, H: PermGroup) -> int:
@@ -153,27 +145,28 @@ def _nonsolvable_completion(G: PermGroup, collector: _ClassCollector) -> None:
 
 
 def nilpotent_sigma_subgroup_classes(
-    G: PermGroup, sigma: PrimeSet, nilpotent_only: bool = True
+    G: PermGroup, sigma: PrimeSet
 ) -> tuple[SubgroupClass, ...]:
-    """Subgroup classes whose order is a sigma-number, optionally nilpotent."""
+    """The nilpotent subgroup classes of sigma-order, in lattice order."""
     return tuple(
         cls
         for cls in subgroup_classes(G)
-        if cls.is_sigma_group(sigma) and (not nilpotent_only or cls.is_nilpotent())
+        if cls.is_sigma_group(sigma) and cls.is_nilpotent()
     )
+
+
+@memoized()
+def _classes_by_key(G: PermGroup) -> dict[tuple, SubgroupClass]:
+    return {cls.canonical_key: cls for cls in subgroup_classes(G)}
 
 
 def subgroup_class_of(G: PermGroup, H: PermGroup) -> SubgroupClass:
     """The class of subgroup H within G's lattice."""
     if not H.is_subset(G):
         raise ValueError("subgroup not found in the lattice (is it a subgroup of G?)")
-    if "subgroup_class_by_key" not in G._memo:
-        G._memo["subgroup_class_by_key"] = {
-            cls.canonical_key: cls for cls in subgroup_classes(G)
-        }
+    by_key = _classes_by_key(G)
     # the lattice walked every class, so the walk of H is memoized
-    key = G.subgroup_orbit(H.element_set()).canonical_key
-    return G._memo["subgroup_class_by_key"][key]
+    return by_key[G.subgroup_orbit(H.element_set()).canonical_key]
 
 
 def carter_subgroups(G: PermGroup) -> SubgroupClass:

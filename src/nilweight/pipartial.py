@@ -21,12 +21,17 @@ import math
 from .chartab import (
     Character,
     character_table,
-    inner_product,
+    decompose_into_irreducibles,
     restrict_character,
 )
 from .cyclotomic import Cyclotomic
-from .groups import PermGroup
-from .lattice import SubgroupClass, subgroup_class_of, subgroup_classes
+from .groups import PermGroup, memoized
+from .lattice import (
+    SubgroupClass,
+    nilpotent_sigma_subgroup_classes,
+    subgroup_class_of,
+    subgroup_classes,
+)
 from .linalg import nonneg_integer_solution
 from .perms import Perm
 from .sigma import PrimeSet, factorize, sigma_part
@@ -96,49 +101,47 @@ def _flatten(values, conductor) -> list[Fraction]:
     return out
 
 
+@memoized()
 def sigma_partial_characters(G: PermGroup, sigma: PrimeSet) -> tuple[PartialCharacter, ...]:
     """The set Iso(G) of irreducible sigma-partial characters."""
-    key = ("ipi", sigma)
-    if key not in G._memo:
-        if not G.is_sigma_separable(sigma):
-            raise ValueError("partial-character theory requires a sigma-separable group")
-        tab = character_table(G)
-        sidx = G.sigma_class_indices(sigma)
-        restrictions: dict[tuple, list[int]] = {}
-        for i, chi in enumerate(tab.irreducibles):
-            v = tuple(chi.values[j] for j in sidx)
-            restrictions.setdefault(v, []).append(i)
-        e = G.exponent()
-        ordered = sorted(
-            restrictions, key=lambda v: (v[0].to_int(), [x.sort_key(e) for x in v])
-        )
-        accepted: list[tuple] = []
-        for v in ordered:
-            deg = v[0].to_int()
-            smaller = [u for u in accepted if u[0].to_int() < deg]
-            if smaller:
-                sol = nonneg_integer_solution(
-                    [_flatten(u, e) for u in smaller], _flatten(v, e)
-                )
-                if sol is not None:
-                    continue  # a sum of smaller members, hence reducible
-            accepted.append(v)
-        if len(accepted) != len(sidx):
-            raise InternalConsistencyError(
-                f"found {len(accepted)} irreducible partial characters, "
-                f"expected {len(sidx)} (the sigma-class count)"
+    if not G.is_sigma_separable(sigma):
+        raise ValueError("partial-character theory requires a sigma-separable group")
+    tab = character_table(G)
+    sidx = G.sigma_class_indices(sigma)
+    restrictions: dict[tuple, list[int]] = {}
+    for i, chi in enumerate(tab.irreducibles):
+        v = tuple(chi.values[j] for j in sidx)
+        restrictions.setdefault(v, []).append(i)
+    e = G.exponent()
+    ordered = sorted(
+        restrictions, key=lambda v: (v[0].to_int(), [x.sort_key(e) for x in v])
+    )
+    accepted: list[tuple] = []
+    for v in ordered:
+        deg = v[0].to_int()
+        smaller = [u for u in accepted if u[0].to_int() < deg]
+        if smaller:
+            sol = nonneg_integer_solution(
+                [_flatten(u, e) for u in smaller], _flatten(v, e)
             )
-        # every restriction must decompose nonnegative-integrally in the basis
-        columns = [_flatten(u, e) for u in accepted]
-        for v in ordered:
-            if nonneg_integer_solution(columns, _flatten(v, e)) is None:
-                raise InternalConsistencyError(
-                    "a restriction does not decompose over the irreducible set"
-                )
-        G._memo[key] = tuple(
-            PartialCharacter(G, sigma, v, restrictions[v], sidx) for v in accepted
+            if sol is not None:
+                continue  # a sum of smaller members, hence reducible
+        accepted.append(v)
+    if len(accepted) != len(sidx):
+        raise InternalConsistencyError(
+            f"found {len(accepted)} irreducible partial characters, "
+            f"expected {len(sidx)} (the sigma-class count)"
         )
-    return G._memo[key]
+    # every restriction must decompose nonnegative-integrally in the basis
+    columns = [_flatten(u, e) for u in accepted]
+    for v in ordered:
+        if nonneg_integer_solution(columns, _flatten(v, e)) is None:
+            raise InternalConsistencyError(
+                "a restriction does not decompose over the irreducible set"
+            )
+    return tuple(
+        PartialCharacter(G, sigma, v, restrictions[v], sidx) for v in accepted
+    )
 
 
 def partial_restriction_values(phi: PartialCharacter, H: PermGroup):
@@ -321,10 +324,12 @@ class GlaubermanAction:
 
     @property
     def fixed(self) -> PermGroup:
-        key = ("glauberman_fixed", self.acting.element_set())
-        if key not in self.acted._memo:
-            self.acted._memo[key] = self.acted.centralizer_of_subgroup(self.acting)
-        return self.acted._memo[key]
+        return _fixed_points(self.acted, self.acting)
+
+
+@memoized(lambda acted, acting: ("glauberman_fixed", acting.element_set()))
+def _fixed_points(acted: PermGroup, acting: PermGroup) -> PermGroup:
+    return acted.centralizer_of_subgroup(acting)
 
 
 def is_invariant_character(chi: Character, acting: PermGroup) -> bool:
@@ -377,12 +382,9 @@ def glauberman_correspondent(
     if len(step) != 1 or step[0][1] != 1:
         raise InternalConsistencyError("composition step is not of prime order")
     C = action.fixed
-    res = restrict_character(chi, C)
-    hits = [
-        psi
-        for psi in character_table(C).irreducibles
-        if inner_product(res, psi) % p != 0
-    ]
+    c_tab = character_table(C)
+    multiplicities = decompose_into_irreducibles(restrict_character(chi, C), c_tab)
+    hits = [psi for psi, m in zip(c_tab.irreducibles, multiplicities) if m % p]
     if len(hits) != 1:
         raise InternalConsistencyError(
             f"{len(hits)} constituents with multiplicity prime to {p}"
@@ -423,26 +425,17 @@ class Weight:
         return f"Weight(|Q|={self.q_order}, deg={self.character.values[0]})"
 
 
+@memoized(lambda G, cls: ("weight_quotient", cls.canonical_key))
 def weight_quotient(G: PermGroup, cls: SubgroupClass):
     """N_G(Q)/Q with its projection, memoized per subgroup class."""
-    key = ("weight_quotient", cls.canonical_key)
-    if key not in G._memo:
-        Q = cls.representative
-        N = G.normalizer(Q)
-        G._memo[key] = N.quotient(Q)
-    return G._memo[key]
+    Q = cls.representative
+    return G.normalizer(Q).quotient(Q)
 
 
-def enumerate_weights(
-    G: PermGroup, sigma: PrimeSet, nilpotent_only: bool = True
-) -> tuple[Weight, ...]:
-    """All weight classes (Q, gamma) for nilpotent (default) sigma-subgroups Q."""
+def enumerate_weights(G: PermGroup, sigma: PrimeSet) -> tuple[Weight, ...]:
+    """All weight classes (Q, gamma) for nilpotent sigma-subgroups Q."""
     out = []
-    for cls in subgroup_classes(G):
-        if not sigma.is_sigma_number(cls.order):
-            continue
-        if nilpotent_only and not cls.is_nilpotent():
-            continue
+    for cls in nilpotent_sigma_subgroup_classes(G, sigma):
         quo, proj = weight_quotient(G, cls)
         tab = character_table(quo)
         quo_sigma_part = sigma_part(quo.order, sigma)

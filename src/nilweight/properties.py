@@ -21,7 +21,12 @@ from .chartab import (
     restrict_character,
 )
 from .groups import PermGroup
-from .lattice import carter_subgroups, is_carter_in, subgroup_classes
+from .lattice import (
+    carter_subgroups,
+    is_carter_in,
+    nilpotent_sigma_subgroup_classes,
+    subgroup_classes,
+)
 from .perms import Perm
 from .pipartial import (
     GlaubermanAction,
@@ -47,9 +52,11 @@ from .verify import (
     sigma_subsets,
 )
 
-DEFAULT_BRUTE_BOUND = 200
-DEFAULT_LATTICE_BRUTE_BOUND = 500
-DEFAULT_HEAVY_BOUND = 150
+# the largest group orders the suite checks with each kind of property
+BRUTE_MAX_ORDER = 200
+LATTICE_BRUTE_MAX_ORDER = 500
+HEAVY_MAX_ORDER = 150
+FROBENIUS_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -559,9 +566,7 @@ def _prop_carter_refinement(corpus, heavy_bound):
                 continue
             lhs_total = rhs_total = 0
             ok = True
-            for cls in subgroup_classes(G):
-                if not (coprime.is_sigma_number(cls.order) and cls.is_nilpotent()):
-                    continue
+            for cls in nilpotent_sigma_subgroup_classes(G, coprime):
                 rep = check_carter_refinement(G, sigma, cls.representative, name)
                 if rep.verdict != HOLDS:
                     ok = False
@@ -571,7 +576,7 @@ def _prop_carter_refinement(corpus, heavy_bound):
                 lhs_total += rep.lhs or 0
                 rhs_total += rep.rhs or 0
             n_ipi = len(sigma_partial_characters(G, sigma))
-            n_weights = len(enumerate_weights(G, coprime, nilpotent_only=True))
+            n_weights = len(enumerate_weights(G, coprime))
             agg = lhs_total == n_ipi and rhs_total == n_weights
             yield PropertyOutcome(
                 "carter-refinement-theorem", f"{name} sigma={sigma}", ok
@@ -609,34 +614,27 @@ def _prop_canonical_bijection(corpus, heavy_bound):
                 )
 
 
-def run_property_suite(
-    corpus,
-    brute_bound: int = DEFAULT_BRUTE_BOUND,
-    lattice_brute_bound: int = DEFAULT_LATTICE_BRUTE_BOUND,
-    heavy_bound: int = DEFAULT_HEAVY_BOUND,
-    frobenius_samples: int = 100,
-    seed: int = 0,
-) -> PropertyReport:
+def run_property_suite(corpus, seed: int = 0) -> PropertyReport:
     """Run every property over the corpus; failures become report rows."""
     outcomes: list[PropertyOutcome] = []
-    outcomes += _prop_order_certificate(corpus, brute_bound)
+    outcomes += _prop_order_certificate(corpus, BRUTE_MAX_ORDER)
     outcomes += _prop_class_equation(corpus)
-    outcomes += _prop_normalizer_sandwich(corpus, lattice_brute_bound)
-    outcomes += _prop_subgroup_completeness(corpus, lattice_brute_bound)
+    outcomes += _prop_normalizer_sandwich(corpus, LATTICE_BRUTE_MAX_ORDER)
+    outcomes += _prop_subgroup_completeness(corpus, LATTICE_BRUTE_MAX_ORDER)
     outcomes += _prop_hall(corpus)
-    outcomes += _prop_o_sigma(corpus, lattice_brute_bound)
+    outcomes += _prop_o_sigma(corpus, LATTICE_BRUTE_MAX_ORDER)
     outcomes += _prop_carter(corpus)
     outcomes += _prop_carter_lifting(corpus)
     outcomes += _prop_table_invariants(corpus)
-    outcomes += _prop_frobenius(corpus, frobenius_samples, seed)
+    outcomes += _prop_frobenius(corpus, FROBENIUS_SAMPLES, seed)
     outcomes += _prop_defect_zero_radical(corpus)
     outcomes += _prop_ipi_count(corpus)
-    outcomes += _prop_vertex_degree_law(corpus, heavy_bound)
-    outcomes += _prop_clifford_roundtrip(corpus, heavy_bound)
-    outcomes += _prop_glauberman(corpus, heavy_bound)
-    outcomes += _prop_lemma_intersection_counts(corpus, min(heavy_bound, 40))
-    outcomes += _prop_normalizer_counting(corpus, min(heavy_bound, 60))
+    outcomes += _prop_vertex_degree_law(corpus, HEAVY_MAX_ORDER)
+    outcomes += _prop_clifford_roundtrip(corpus, HEAVY_MAX_ORDER)
+    outcomes += _prop_glauberman(corpus, HEAVY_MAX_ORDER)
+    outcomes += _prop_lemma_intersection_counts(corpus, min(HEAVY_MAX_ORDER, 40))
+    outcomes += _prop_normalizer_counting(corpus, min(HEAVY_MAX_ORDER, 60))
     outcomes += _prop_weight_count(corpus)
-    outcomes += _prop_carter_refinement(corpus, heavy_bound)
-    outcomes += _prop_canonical_bijection(corpus, heavy_bound)
+    outcomes += _prop_carter_refinement(corpus, HEAVY_MAX_ORDER)
+    outcomes += _prop_canonical_bijection(corpus, HEAVY_MAX_ORDER)
     return PropertyReport(outcomes)

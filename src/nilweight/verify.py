@@ -35,6 +35,7 @@ from .lattice import (
     carter_fiber,
     conjugates_containing,
     is_carter_in,
+    nilpotent_sigma_subgroup_classes,
     subgroup_class_of,
     subgroup_classes,
 )
@@ -124,7 +125,7 @@ def check_weight_count(G: PermGroup, sigma: PrimeSet, name: str = "G") -> Verifi
     lhs_classes = [
         c for c in G.conjugacy_classes() if coprime.is_sigma_number(c.element_order)
     ]
-    weights = enumerate_weights(G, sigma, nilpotent_only=True)
+    weights = enumerate_weights(G, sigma)
     rows = [ReportRow("lhs", _class_label(c), 1) for c in lhs_classes]
     rows += [
         ReportRow(
@@ -511,11 +512,10 @@ def scan_corpus(corpus, mode: str = "weight-count", sigma_sets=None):
                         check_carter_refinement(G, sigma, G.subgroup([]), name)
                     )
                     continue
-                for cls in subgroup_classes(G):
-                    if coprime.is_sigma_number(cls.order) and cls.is_nilpotent():
-                        reports.append(
-                            check_carter_refinement(G, sigma, cls.representative, name)
-                        )
+                for cls in nilpotent_sigma_subgroup_classes(G, coprime):
+                    reports.append(
+                        check_carter_refinement(G, sigma, cls.representative, name)
+                    )
             else:
                 raise ValueError(f"unknown scan mode {mode!r}")
     return reports

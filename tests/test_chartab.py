@@ -11,7 +11,6 @@ from nilweight.chartab import (
     has_sigma_defect_zero,
     induce_character,
     inner_product,
-    irr_over,
     restrict_character,
 )
 from nilweight.cyclotomic import Cyclotomic
@@ -168,30 +167,6 @@ class TestRestrictionInduction:
                     assert inner_product(ind, chi) == inner_product(
                         theta, restrict_character(chi, H)
                     )
-
-
-class TestIrrOver:
-    def test_over_trivial(self, s3):
-        tab = character_table(s3)
-        C3 = s3.subgroup([perm("(1,2,3)", 3)])
-        triv_n = trivial_char(character_table(C3))
-        over = irr_over(tab, C3, triv_n)
-        assert {chi.degree for chi in over} == {1}
-        assert len(over) == 2
-
-    def test_over_nontrivial_of_c3(self, s3):
-        tab = character_table(s3)
-        C3 = s3.subgroup([perm("(1,2,3)", 3)])
-        nontriv = next(
-            chi for chi in character_table(C3).irreducibles if chi.values[1] != 1
-        )
-        over = irr_over(tab, C3, nontriv)
-        assert [chi.degree for chi in over] == [2]
-
-    def test_over_self(self, s4):
-        tab = character_table(s4)
-        for chi in tab.irreducibles:
-            assert irr_over(tab, s4, chi) == [chi]
 
 
 class TestDefect:

@@ -1,11 +1,13 @@
+import functools
+import multiprocessing
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from nilweight import cache
+from nilweight import cache, cli, groups
 from nilweight.cli import run_command
 from nilweight.corpus import builtin_by_name
 
@@ -266,6 +268,12 @@ class TestErrors:
         assert code == 2
         assert "resource" in text
 
+    @pytest.mark.parametrize("command", ["ipi", "vertices"])
+    def test_non_separable_group(self, command):
+        code, text = run_command([command, "--group", "A5", "--pi", "2"])
+        assert code == 2
+        assert text.startswith("error:") and "A5" in text and "pi=2" in text
+
     def test_unknown_subcommand(self):
         code, text = run_command(["frobnicate"])
         assert code == 2
@@ -314,6 +322,16 @@ class TestCache:
         assert len(list(tmp_path.glob("chartab-*.json"))) == 1
         assert list(tmp_path.glob("*.tmp")) == []
 
+    def test_warm_read_obeys_table_bound(self, tmp_path, monkeypatch):
+        argv = ["chartab", "--group", "S4", "--format", "machine", "--cache-dir"]
+        warm, cold = tmp_path / "warm", tmp_path / "cold"
+        assert run_command(argv + [str(warm)])[0] == 0
+        monkeypatch.setitem(groups.DEFAULT_BOUNDS, "table", 10)
+        for cache_dir in (cold, warm):
+            code, text = run_command(argv + [str(cache_dir)])
+            assert code == 2
+            assert text == "resource error: group order 24 exceeds table bound 10\n"
+
 
 class TestJobs:
     def test_parallel_scan_matches_serial(self):
@@ -322,3 +340,11 @@ class TestJobs:
             ["scan", "--group", "A5", "--format", "machine", "--jobs", "2"]
         )
         assert serial == parallel
+
+    def test_bound_reaches_spawned_workers(self, monkeypatch):
+        spawn = multiprocessing.get_context("spawn")
+        pool = functools.partial(ProcessPoolExecutor, mp_context=spawn)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+        code, text = run_command(["scan", "--group", "S4", "--jobs", "2", "--bound", "5"])
+        assert code == 2
+        assert "resource error" in text

@@ -5,7 +5,8 @@ import pytest
 
 from nilweight import bruteforce as bf
 from nilweight.perms import MalformedPermError, Perm
-from nilweight.groups import PermGroup, ResourceLimitError, bsgs_construct
+from nilweight import groups
+from nilweight.groups import PermGroup, ResourceLimitError, bsgs_construct, resource_bound
 from nilweight.sigma import PrimeSet, sigma_part
 
 from conftest import group, perm
@@ -119,8 +120,8 @@ class TestConjugacyClasses:
             assert c.representative.images == min(c.members)
 
     def test_bound(self, s4):
-        with pytest.raises(ResourceLimitError):
-            s4.conjugacy_classes(bound=10)
+        with resource_bound(10), pytest.raises(ResourceLimitError):
+            s4.conjugacy_classes()
 
 
 class TestCentralizer:
@@ -186,6 +187,21 @@ def test_bruteforce_oracle_imports_nothing_from_the_engine():
             assert node.level == 0 and node.module.split(".")[0] != "nilweight"
         elif isinstance(node, ast.Import):
             assert all(a.name.split(".")[0] != "nilweight" for a in node.names)
+
+
+def test_bounds_and_memo_have_one_home():
+    # resource bounds and the memo live in `groups`; no module keeps its own
+    offenders = []
+    for path in sorted(Path(groups.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if path.name != "groups.py" and "._memo" in text:
+            offenders.append(f"{path.name} touches ._memo")
+        for node in ast.walk(ast.parse(text)):
+            name = getattr(node, "id", None) or getattr(node, "attr", "")
+            stored = isinstance(getattr(node, "ctx", None), ast.Store)
+            if stored and name.endswith("_BOUND"):
+                offenders.append(f"{path.name} assigns {name}")
+    assert offenders == []
 
 
 class TestQuotients:
