@@ -3,10 +3,10 @@
 Entries are keyed by a content hash of the canonical generators, the class
 order fingerprint and an algorithm version, so changes to the table
 algorithm invalidate old entries. A deserialized table is rebuilt through
-the CharacterTable constructor and therefore re-verifies all orthogonality
-invariants before being used. Each write goes through its own temp file in
-the cache directory and an atomic replace, so concurrent writers of one
-entry do not collide.
+the CharacterTable constructor, which puts its rows in canonical order and
+certifies them before the table is used. Each write goes through its own
+temp file in the cache directory and an atomic replace, so concurrent
+writers of one entry do not collide.
 """
 
 from __future__ import annotations
@@ -76,13 +76,13 @@ def deserialize_table(G: PermGroup, data: dict) -> CharacterTable:
     chars = [
         Character(G, [_value_from_json(v) for v in row]) for row in data["characters"]
     ]
-    return CharacterTable(G, chars)  # the constructor re-verifies everything
+    return CharacterTable(G, chars)
 
 
-def load_or_compute_table(G: PermGroup, cache_dir, seed: int = 0):
+def load_or_compute_table(G: PermGroup, cache_dir):
     """Return (table, source) with source "warm" on a cache hit, else "cold"."""
     if cache_dir is None:
-        return character_table(G, seed=seed), "cold"
+        return character_table(G), "cold"
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"chartab-{table_cache_key(G)}.json"
@@ -95,7 +95,7 @@ def load_or_compute_table(G: PermGroup, cache_dir, seed: int = 0):
             return tab, "warm"
         except (ValueError, KeyError, AssertionError, json.JSONDecodeError):
             pass  # stale or corrupt entry: fall through and recompute
-    tab = character_table(G, seed=seed)
+    tab = character_table(G)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:

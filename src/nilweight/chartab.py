@@ -5,9 +5,9 @@ eigenvectors of the class-sum matrices over F_q (q = 1 mod exp(G),
 q > 2*sqrt(|G|)) give the central characters, degrees are recovered from
 the orthogonality relations, and values are lifted to exact cyclotomics
 from the eigenvalue multiplicities of each power map. The splitting uses
-seeded pseudo-random linear combinations of class matrices, so results
-are reproducible; the final table is sorted by (degree, values) and all
-orthogonality invariants are verified before the table is returned.
+pseudo-random linear combinations of class matrices drawn from a fixed
+seed. The `CharacterTable` constructor sorts every table, computed or read
+from disk, by (degree, values) and certifies it before it is used.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .perms import Perm
 from .sigma import PrimeSet, sigma_part
 
 _MAX_SPLIT_ROUNDS = 500
+# the table does not depend on this seed, only the splitting work does
+_SPLIT_SEED = 0
 
 
 class Character:
@@ -83,50 +85,54 @@ class Character:
 
 
 class CharacterTable:
+    """The irreducible characters of a group, in canonical order and certified.
+
+    Whatever order the rows arrive in, they are sorted by (degree, values),
+    so a computed table and one read from disk give the same report.
+    """
+
     def __init__(self, group: PermGroup, irreducibles):
         self.group = group
-        self.irreducibles: tuple[Character, ...] = tuple(irreducibles)
         self.conductor = group.exponent()
+        self.irreducibles: tuple[Character, ...] = tuple(
+            sorted(
+                irreducibles,
+                key=lambda chi: (
+                    chi.degree,
+                    [v.sort_key(self.conductor) for v in chi.values],
+                ),
+            )
+        )
         self.verify()
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(chi.degree for chi in self.irreducibles)
 
     def verify(self) -> None:
-        """Exact orthogonality and degree invariants; raises on any failure."""
+        """Exact certificate of the table; raises AssertionError on any failure.
+
+        The table must be square, every degree must be a positive divisor
+        of |G|, and the rows must be orthonormal. Row orthogonality is
+        checked once per pair i <= j, since (psi, chi) is the conjugate of
+        (chi, psi). For the square table X and D = diag(|C_k|/|G|) it reads
+        X D X* = I, so X^-1 = D X* and X* X = D^-1: column orthogonality
+        follows, and the sum of the squared degrees, its identity entry,
+        equals |G| (Isaacs, Character Theory of Finite Groups, Thm 2.18).
+        """
         G = self.group
-        classes = G.conjugacy_classes()
-        r = len(classes)
-        if len(self.irreducibles) != r:
+        irr = self.irreducibles
+        if len(irr) != len(G.conjugacy_classes()):
             raise AssertionError("number of irreducibles differs from class count")
-        if sum(chi.degree ** 2 for chi in self.irreducibles) != G.order:
-            raise AssertionError("degree squares do not sum to the group order")
-        for chi in self.irreducibles:
-            if G.order % chi.degree:
-                raise AssertionError("character degree does not divide group order")
-        for i, chi in enumerate(self.irreducibles):
-            for j, psi in enumerate(self.irreducibles):
-                ip = inner_product(chi, psi)
-                if ip != (1 if i == j else 0):
+        for chi in irr:
+            if chi.degree < 1 or G.order % chi.degree:
+                raise AssertionError("character degree is not a positive divisor of |G|")
+        for i, chi in enumerate(irr):
+            for j in range(i, len(irr)):
+                if inner_product(chi, irr[j]) != (1 if i == j else 0):
                     raise AssertionError("row orthogonality fails")
-        # column orthogonality: the conjugate is folded into the dot helper
-        for i in range(r):
-            for j in range(r):
-                total = weighted_conjugate_dot(
-                    (1, chi.values[i], chi.values[j]) for chi in self.irreducibles
-                )
-                want = G.order // classes[i].size if i == j else 0
-                if total != Cyclotomic.from_rational(want):
-                    raise AssertionError("column orthogonality fails")
 
     def __repr__(self) -> str:
         return f"CharacterTable(order={self.group.order}, degrees={self.degrees()})"
-
-
-# the table does not depend on the splitting seed, so the key ignores it
-@memoized(lambda G, seed=0: ("character_table",), bound="table")
-def character_table(G: PermGroup, seed: int = 0) -> CharacterTable:
-    return _dixon_schneider(G, seed)
 
 
 # --- the finite-field computation -------------------------------------------
@@ -148,8 +154,8 @@ def _class_matrices(G: PermGroup):
     return mats
 
 
-def _split_to_common_eigenvectors(mats, q, r, seed):
-    rng = random.Random(seed)
+def _split_to_common_eigenvectors(mats, q, r):
+    rng = random.Random(_SPLIT_SEED)
     # start from the full space, given by the identity basis (already in RREF)
     spaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
     rounds = 0
@@ -205,7 +211,9 @@ def _split_space(B, M, q):
     return out
 
 
-def _dixon_schneider(G: PermGroup, seed: int) -> CharacterTable:
+@memoized(bound="table")
+def character_table(G: PermGroup) -> CharacterTable:
+    """The character table of G by the finite-field method, memoized on G."""
     classes = G.conjugacy_classes()
     r = len(classes)
     e = G.exponent()
@@ -213,7 +221,7 @@ def _dixon_schneider(G: PermGroup, seed: int) -> CharacterTable:
     z = pow(primitive_root(q), (q - 1) // e, q)
 
     mats = _class_matrices(G)
-    vectors = _split_to_common_eigenvectors(mats, q, r, seed)
+    vectors = _split_to_common_eigenvectors(mats, q, r)
 
     inv = G.inverse_class_map()
     sizes = [c.size for c in classes]
@@ -263,8 +271,6 @@ def _dixon_schneider(G: PermGroup, seed: int) -> CharacterTable:
                 raise AssertionError("eigenvalue multiplicities do not sum to the degree")
             values.append(Cyclotomic(e, terms))
         chars.append(Character(G, values))
-
-    chars.sort(key=lambda chi: (chi.degree, [v.sort_key(e) for v in chi.values]))
     return CharacterTable(G, chars)
 
 
@@ -343,18 +349,9 @@ def character_stabilizer(G: PermGroup, N: PermGroup, theta: Character):
     G must normalize N (it need not contain it)."""
     if theta.group is not N:
         raise ValueError("theta must live on N")
-    n_classes = N.conjugacy_classes()
 
     def act(values, g):
-        gi = g.inverse()
         # (v.g)(x) = v(g x g^-1), the right action chi -> chi^g
-        return tuple(
-            values[N.class_index_of(g * c.representative * gi)] for c in n_classes
-        )
+        return tuple(values[k] for k in N.class_image(g))
 
-    trans, stab = G._stabilizer_of_action(tuple(theta.values), act)
-    if len(trans) == 1:
-        return G
-    T = G.subgroup(stab)
-    assert len(trans) * T.order == G.order
-    return T
+    return G.stabilizer(tuple(theta.values), act)

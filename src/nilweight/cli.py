@@ -78,31 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="count nilpotent weights and partial characters of finite groups",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def add(name, help_):
+    for name, run, help_, flags in SUBCOMMANDS:
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(run=run)
         p.add_argument("--group", help="builtin name or group file path")
-        p.add_argument("--pi", default=None, help="comma-separated primes")
-        p.add_argument("--r", default=None, help="generators of R (verify-b)")
         p.add_argument("--format", choices=("human", "machine"), default="human")
-        p.add_argument("--cache-dir", default=None)
         p.add_argument("--bound", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
-        return p
-
-    add("classes", "conjugacy classes")
-    add("chartab", "character table")
-    add("subgroups", "subgroup classes")
-    add("carter", "the Carter subgroup class")
-    add("ipi", "irreducible partial characters")
-    add("vertices", "partial characters with their vertices")
-    add("weights", "nilpotent weight classes")
-    add("verify-a", "global weight count identity")
-    add("verify-b", "per-R Carter refinement")
-    add("bijection", "explicit correspondence under a normal Hall subgroup")
-    add("properties", "run the full property suite")
-    add("scan", "weight-count reports over the corpus")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 
@@ -164,7 +147,12 @@ def cmd_classes(args, out: Output) -> int:
 
 def cmd_chartab(args, out: Output) -> int:
     G = _resolve_group(args.group).build()
-    tab, source = load_or_compute_table(G, args.cache_dir, seed=args.seed)
+    try:
+        tab, source = load_or_compute_table(G, args.cache_dir)
+    except OSError as exc:
+        raise UsageError(
+            f"cannot use cache directory {args.cache_dir}: {exc.strerror or exc}"
+        ) from None
     out.put("group", args.group)
     out.put("order", G.order)
     out.put("classes", len(G.conjugacy_classes()))
@@ -200,6 +188,10 @@ def cmd_subgroups(args, out: Output) -> int:
 
 def cmd_carter(args, out: Output) -> int:
     G = _resolve_group(args.group).build()
+    if not G.is_solvable():
+        raise UsageError(
+            f"group {args.group} is not solvable; Carter subgroups need a solvable group"
+        )
     cls = carter_subgroups(G)
     out.put("group", args.group)
     out.put("carter-order", cls.order)
@@ -336,7 +328,7 @@ def _scan_one(payload):
     name, text, bound = payload
     with resource_bound(bound):
         G = parse_group_file(text).build()
-        reports = scan_corpus([(name, G)], mode="weight-count")
+        reports = scan_corpus([(name, G)])
     return [
         (
             rep.group_name,
@@ -350,6 +342,8 @@ def _scan_one(payload):
 
 
 def cmd_scan(args, out: Output) -> int:
+    if args.jobs < 1:
+        raise UsageError("--jobs must be positive")
     if args.group:
         definitions = [_resolve_group(args.group)]
     else:
@@ -370,20 +364,38 @@ def cmd_scan(args, out: Output) -> int:
     return EXIT_FAILED_VERDICT if verdicts["fails"] else EXIT_OK
 
 
-COMMANDS = {
-    "classes": cmd_classes,
-    "chartab": cmd_chartab,
-    "subgroups": cmd_subgroups,
-    "carter": cmd_carter,
-    "ipi": cmd_ipi,
-    "vertices": lambda args, out: cmd_ipi(args, out, with_vertices=True),
-    "weights": cmd_weights,
-    "verify-a": cmd_verify_a,
-    "verify-b": cmd_verify_b,
-    "bijection": cmd_bijection,
-    "properties": cmd_properties,
-    "scan": cmd_scan,
+# the flags a subcommand reads besides --group, --format and --bound
+FLAGS = {
+    "pi": dict(default=None, help="comma-separated primes"),
+    "r": dict(default=None, help="generators of R, separated by ';'"),
+    "cache-dir": dict(default=None, help="character-table cache directory"),
+    "jobs": dict(type=int, default=1, help="worker processes for the scan"),
+    "seed": dict(type=int, default=0, help="seed of the Frobenius samples"),
 }
+SUBCOMMANDS = (
+    ("classes", cmd_classes, "conjugacy classes", ()),
+    ("chartab", cmd_chartab, "character table", ("cache-dir",)),
+    ("subgroups", cmd_subgroups, "subgroup classes", ()),
+    ("carter", cmd_carter, "the Carter subgroup class", ()),
+    ("ipi", cmd_ipi, "irreducible partial characters", ("pi",)),
+    (
+        "vertices",
+        lambda args, out: cmd_ipi(args, out, with_vertices=True),
+        "partial characters with their vertices",
+        ("pi",),
+    ),
+    ("weights", cmd_weights, "nilpotent weight classes", ("pi",)),
+    ("verify-a", cmd_verify_a, "global weight count identity", ("pi",)),
+    ("verify-b", cmd_verify_b, "per-R Carter refinement", ("pi", "r")),
+    (
+        "bijection",
+        cmd_bijection,
+        "explicit correspondence under a normal Hall subgroup",
+        ("pi",),
+    ),
+    ("properties", cmd_properties, "run the full property suite", ("seed",)),
+    ("scan", cmd_scan, "weight-count reports over the corpus", ("jobs",)),
+)
 
 
 def run_command(argv) -> tuple[int, str]:
@@ -398,7 +410,7 @@ def run_command(argv) -> tuple[int, str]:
         if args.bound is not None and args.bound < 1:
             raise UsageError("--bound must be positive")
         with resource_bound(args.bound):
-            code = COMMANDS[args.cmd](args, out)
+            code = args.run(args, out)
     except UsageError as exc:
         return EXIT_USAGE, f"error: {exc}\n"
     except (GroupFileError, MalformedPermError) as exc:

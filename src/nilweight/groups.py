@@ -7,7 +7,10 @@ suite cross-checks against brute-force closure on small groups.
 
 Conjugacy classes, centralizers and normalizers are computed by explicit
 orbit/stabilizer runs at desk scale; resource bounds guard against inputs
-far beyond the intended corpus. Subgroup orbits under conjugation, and the
+far beyond the intended corpus. Stabilizers of points, elements and class
+functions come from one walk, `PermGroup.stabilizer`, and the action of a
+normalizing element on the classes from one memoized map,
+`PermGroup.class_image`. Subgroup orbits under conjugation, and the
 normalizers read off them, all come from one memoized walk,
 `PermGroup.subgroup_orbit`.
 
@@ -325,11 +328,12 @@ class PermGroup:
 
     # --- orbit/stabilizer machinery ----------------------------------------
 
-    def _stabilizer_of_action(self, start, act):
-        """Schreier generators for the stabilizer of `start` under action `act`.
+    def stabilizer(self, start, act) -> "PermGroup":
+        """The stabilizer of `start` under the right action `act(point, g)`.
 
-        `act(point, g)` must define a right action of the group on hashable
-        points. Returns (orbit dict point -> transversal element, stab gens).
+        The orbit walk collects Schreier generators of the stabilizer, and
+        the orbit-stabilizer theorem certifies their span. The group itself
+        is returned when it fixes `start`.
         """
         trans = {start: self.identity}
         frontier = [start]
@@ -348,15 +352,29 @@ class PermGroup:
                         if not sg.is_identity() and sg not in stab_gens:
                             stab_gens.append(sg)
             frontier = nxt
-        return trans, stab_gens
+        if len(trans) == 1:
+            return self
+        T = self.subgroup(stab_gens)
+        assert len(trans) * T.order == self.order
+        return T
 
-    def centralizer(self, g: Perm, check_membership: bool = True) -> "Subgroup":
-        if check_membership and not self.contains(g):
+    @memoized()
+    def class_image(self, g: Perm) -> tuple[int, ...]:
+        """Entry i is the class of g x g^-1 for x in class i.
+
+        `g` must normalize the group; it need not lie in it. Reading a class
+        function through this map gives its conjugate by g.
+        """
+        gi = g.inverse()
+        return tuple(
+            self.class_index_of(g * c.representative * gi)
+            for c in self.conjugacy_classes()
+        )
+
+    def centralizer(self, g: Perm) -> "PermGroup":
+        if not self.contains(g):
             raise ValueError("element is not in the group")
-        trans, stab = self._stabilizer_of_action(g, lambda x, s: x.conjugate(s))
-        C = self.subgroup(stab)
-        assert len(trans) * C.order == self.order
-        return C
+        return self.stabilizer(g, Perm.conjugate)
 
     def centralizer_of_subgroup(self, H: "PermGroup") -> "Subgroup":
         """C_self(H) = elements commuting with every generator of H.
@@ -366,10 +384,7 @@ class PermGroup:
         """
         current: PermGroup = self
         for s in H.generators:
-            trans, stab = current._stabilizer_of_action(s, lambda x, g: x.conjugate(g))
-            current = current.subgroup(stab)
-        if current is self:
-            return self.subgroup(self.generators)
+            current = current.stabilizer(s, Perm.conjugate)
         return self.subgroup(current.generators)
 
     def center(self) -> "Subgroup":
@@ -639,14 +654,13 @@ class PermGroup:
 
 
 class Subgroup(PermGroup):
-    """A PermGroup remembering the parent it was created in."""
+    """A PermGroup whose generators are checked to lie in a parent group."""
 
     def __init__(self, parent: PermGroup, generators):
         gens = tuple(generators)
         for g in gens:
             if not parent.contains(g):
                 raise ValueError(f"{g!r} is not an element of the parent group")
-        self.parent = parent
         super().__init__(parent.degree, gens)
         if parent.order % self.order != 0:
             raise AssertionError("Lagrange violation; stabilizer chain is broken")

@@ -193,25 +193,14 @@ def partial_character_stabilizer(G: PermGroup, N: PermGroup, theta: PartialChara
     """G_theta for theta in Iso(N), N normal in G."""
     members = sigma_partial_characters(N, theta.sigma)
     lookup = {mu.values: i for i, mu in enumerate(members)}
-    n_classes = N.conjugacy_classes()
     sidx = N.sigma_class_indices(theta.sigma)
 
     def act(idx, g):
-        gi = g.inverse()
         vals = members[idx].values
-        moved = tuple(
-            vals[sidx.index(N.class_index_of(g * n_classes[i].representative * gi))]
-            for i in sidx
-        )
-        return lookup[moved]
+        image = N.class_image(g)
+        return lookup[tuple(vals[sidx.index(image[i])] for i in sidx)]
 
-    start = lookup[theta.values]
-    trans, stab = G._stabilizer_of_action(start, act)
-    if len(trans) == 1:
-        return G
-    T = G.subgroup(stab)
-    assert len(trans) * T.order == G.order
-    return T
+    return G.stabilizer(lookup[theta.values], act)
 
 
 def clifford_correspondent(
@@ -333,15 +322,10 @@ def _fixed_points(acted: PermGroup, acting: PermGroup) -> PermGroup:
 
 
 def is_invariant_character(chi: Character, acting: PermGroup) -> bool:
-    G = chi.group
-    for s in acting.generators:
-        si = s.inverse()
-        for c in G.conjugacy_classes():
-            if chi.values[G.class_index_of(s * c.representative * si)] != chi.values[
-                G.class_index_of(c.representative)
-            ]:
-                return False
-    return True
+    return all(
+        tuple(chi.values[k] for k in chi.group.class_image(s)) == chi.values
+        for s in acting.generators
+    )
 
 
 def _largest_proper_normal(S: PermGroup) -> PermGroup:

@@ -482,12 +482,10 @@ def _prop_lemma_intersection_counts(corpus, heavy_bound):
 
 def _is_q_invariant_partial(tau, N, Q) -> bool:
     sidx = N.sigma_class_indices(tau.sigma)
-    classes = N.conjugacy_classes()
     for q in Q.generators:
-        qi = q.inverse()
+        image = N.class_image(q)
         for pos, i in enumerate(sidx):
-            moved = N.class_index_of(q * classes[i].representative * qi)
-            if tau.values[sidx.index(moved)] != tau.values[pos]:
+            if tau.values[sidx.index(image[i])] != tau.values[pos]:
                 return False
     return True
 

@@ -35,7 +35,6 @@ from .lattice import (
     carter_fiber,
     conjugates_containing,
     is_carter_in,
-    nilpotent_sigma_subgroup_classes,
     subgroup_class_of,
     subgroup_classes,
 )
@@ -497,28 +496,13 @@ def sigma_subsets(G: PermGroup):
     return out
 
 
-def scan_corpus(corpus, mode: str = "weight-count", sigma_sets=None):
-    """One report per (group, sigma[, R-class]); deterministic order."""
-    reports = []
-    for name, G in corpus:
-        sigmas = sigma_sets if sigma_sets is not None else sigma_subsets(G)
-        for sigma in sigmas:
-            if mode == "weight-count":
-                reports.append(check_weight_count(G, sigma, name))
-            elif mode == "carter-refinement":
-                coprime = sigma.complement_within(G.order)
-                if not (G.is_sigma_separable(sigma)):
-                    reports.append(
-                        check_carter_refinement(G, sigma, G.subgroup([]), name)
-                    )
-                    continue
-                for cls in nilpotent_sigma_subgroup_classes(G, coprime):
-                    reports.append(
-                        check_carter_refinement(G, sigma, cls.representative, name)
-                    )
-            else:
-                raise ValueError(f"unknown scan mode {mode!r}")
-    return reports
+def scan_corpus(corpus):
+    """One weight-count report per (group, sigma); deterministic order."""
+    return [
+        check_weight_count(G, sigma, name)
+        for name, G in corpus
+        for sigma in sigma_subsets(G)
+    ]
 
 
 def scan_summary(reports):

@@ -1,4 +1,5 @@
 import functools
+import json
 import multiprocessing
 import os
 import threading
@@ -278,6 +279,45 @@ class TestErrors:
         code, text = run_command(["frobnicate"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-a", "--group", "S4", "--pi", "2", "--cache-dir", "d"],
+            ["chartab", "--group", "S3", "--seed", "7"],
+            ["classes", "--group", "S3", "--pi", "2"],
+        ],
+    )
+    def test_flag_the_command_does_not_read(self, argv):
+        assert run_command(argv) == (2, "")
+
+    def test_jobs_below_one(self):
+        code, text = run_command(["scan", "--group", "S3", "--jobs", "0"])
+        assert (code, text) == (2, "error: --jobs must be positive\n")
+
+    def test_carter_of_nonsolvable_group(self):
+        code, text = run_command(["carter", "--group", "A5"])
+        assert code == 2
+        assert text.startswith("error:") and "A5" in text
+
+    def test_cache_dir_is_a_file(self, tmp_path):
+        path = tmp_path / "plain-file"
+        path.write_text("")
+        code, text = run_command(["chartab", "--group", "S3", "--cache-dir", str(path)])
+        assert code == 2
+        assert text.startswith("error:") and str(path) in text
+
+
+def _negate_last_row(rows):
+    rows[-1] = [[v[0]] + [[e, -num, den] for e, num, den in v[1:]] for v in rows[-1]]
+
+
+def _alter_last_value(rows):
+    rows[-1][-1] = [rows[-1][-1][0], [0, 1, 1]]
+
+
+def _swap_first_rows(rows):
+    rows[0], rows[1] = rows[1], rows[0]
+
 
 class TestCache:
     def test_cold_then_warm_identical_output(self, tmp_path):
@@ -301,6 +341,25 @@ class TestCache:
             f.write_text('{"version": 999}')
         code, text = run_command(argv)
         assert code == 0 and "cache\tcold" in text
+
+    @pytest.mark.parametrize(
+        "group, edit, source",
+        [
+            ("S3", _negate_last_row, "cold"),
+            ("S3", _alter_last_value, "cold"),
+            ("S4", _swap_first_rows, "warm"),
+        ],
+        ids=["negated-row", "altered-value", "swapped-rows"],
+    )
+    def test_edited_entry_gives_the_cold_report(self, tmp_path, group, edit, source):
+        # a bad entry is recomputed; reordered rows are accepted and sorted
+        argv = ["chartab", "--group", group, "--format", "machine", "--cache-dir", str(tmp_path)]
+        cold = run_command(argv)[1]
+        (path,) = tmp_path.glob("chartab-*.json")
+        data = json.loads(path.read_text())
+        edit(data["characters"])
+        path.write_text(json.dumps(data))
+        assert run_command(argv) == (0, cold.replace("cache\tcold", f"cache\t{source}"))
 
     def test_concurrent_writers_of_one_entry(self, tmp_path, monkeypatch):
         # both writers finish their temp file before either renames it

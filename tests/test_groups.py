@@ -152,6 +152,18 @@ class TestCentralizer:
                 assert c.size * C.order == G.order
 
 
+class TestClassImage:
+    def test_matches_bruteforce_conjugation(self, s4):
+        # S4 acts on each of its normal subgroups; g x g^-1 = conj(x, g^-1)
+        for N in s4.normal_subgroups():
+            classes = N.conjugacy_classes()
+            for g in s4.elements():
+                image = N.class_image(g)
+                for i, c in enumerate(classes):
+                    for x in c.members:
+                        assert bf.conj(x, bf.inv(g.images)) in classes[image[i]].members
+
+
 class TestNormalizer:
     def test_v4_normal_in_s4(self, s4):
         H = s4.subgroup([perm("(1,2)(3,4)", 4), perm("(1,3)(2,4)", 4)])

@@ -182,11 +182,11 @@ class TestCanonicalBijection:
 class TestScan:
     def test_solvable_corpus_all_hold(self, s3, s4, a4, d8):
         corpus = [("S3", s3), ("S4", s4), ("A4", a4), ("D8", d8)]
-        reports = scan_corpus(corpus, mode="weight-count")
+        reports = scan_corpus(corpus)
         assert all(r.verdict == HOLDS for r in reports)
 
     def test_a5_scan_has_known_failures(self, a5):
-        reports = scan_corpus([("A5", a5)], mode="weight-count")
+        reports = scan_corpus([("A5", a5)])
         by_sigma = {str(r.sigma): r.verdict for r in reports}
         assert by_sigma["-"] == HOLDS  # empty sigma
         assert by_sigma["2"] == UNMET
@@ -198,25 +198,18 @@ class TestScan:
         assert by_sigma["2,3,5"] == FAILS
 
     def test_summary_counts(self, a5):
-        reports = scan_corpus([("A5", a5)], mode="weight-count")
+        reports = scan_corpus([("A5", a5)])
         counts = scan_summary(reports)
         assert counts == {HOLDS: 1, FAILS: 4, UNMET: 3}
 
     def test_trivial_scan(self):
         G = bsgs_construct([], degree=1)
-        reports = scan_corpus([("1", G)], mode="weight-count")
+        reports = scan_corpus([("1", G)])
         assert len(reports) == 1 and reports[0].verdict == HOLDS
 
     def test_sigma_subsets(self, s4):
         subsets = sigma_subsets(s4)
         assert [str(s) for s in subsets] == ["-", "2", "3", "2,3"]
-
-    def test_refinement_scan_s4(self, s4):
-        reports = scan_corpus([("S4", s4)], mode="carter-refinement",
-                              sigma_sets=[PrimeSet([3])])
-        assert len(reports) == 7  # the seven nilpotent 2-subgroup classes
-        assert all(r.verdict == HOLDS for r in reports)
-        assert sum(r.lhs for r in reports) == 2
 
 
 class TestRowSums:
