@@ -49,10 +49,24 @@ def _value_to_json(v: Cyclotomic):
     ]
 
 
+def _is_int(x) -> bool:
+    return type(x) is int
+
+
 def _value_from_json(data) -> Cyclotomic:
-    conductor = data[0]
+    """[conductor, [e, num, den], ...] with integer entries, den != 0."""
+    if not (
+        isinstance(data, list)
+        and data
+        and _is_int(data[0])
+        and all(
+            isinstance(t, list) and len(t) == 3 and all(map(_is_int, t)) and t[2]
+            for t in data[1:]
+        )
+    ):
+        raise ValueError("malformed cache value")
     terms = {e: Fraction(num, den) for e, num, den in data[1:]}
-    return Cyclotomic(conductor, terms)
+    return Cyclotomic(data[0], terms)
 
 
 def serialize_table(tab: CharacterTable) -> dict:
@@ -66,16 +80,20 @@ def serialize_table(tab: CharacterTable) -> dict:
     }
 
 
-def deserialize_table(G: PermGroup, data: dict) -> CharacterTable:
+def deserialize_table(G: PermGroup, data) -> CharacterTable:
+    """The table of G stored in a cache entry; ValueError on any bad entry."""
+    if not isinstance(data, dict):
+        raise ValueError("cache entry is not an object")
     if data.get("version") != ALGORITHM_VERSION:
         raise ValueError("stale cache version")
     if data.get("key") != table_cache_key(G):
         raise ValueError("cache key mismatch")
     if data.get("classes") != _class_fingerprint(G):
         raise ValueError("class order mismatch")
-    chars = [
-        Character(G, [_value_from_json(v) for v in row]) for row in data["characters"]
-    ]
+    rows = data.get("characters")
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ValueError("cache characters are not a list of rows")
+    chars = [Character(G, [_value_from_json(v) for v in row]) for row in rows]
     return CharacterTable(G, chars)
 
 

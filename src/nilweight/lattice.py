@@ -2,7 +2,9 @@
 
 Subgroup classes are enumerated bottom-up by cyclic extension: a known
 class representative H is extended by elements z of its normalizer with
-z^p in H, so that <H, z> contains H with prime index. That reaches every
+z^p in H, so that <H, z> contains H with prime index. Each such overgroup
+K = <H, z> is built once per H: every z' in K outside H also has prime
+order modulo H, so <H, z'> = K, and those z' are skipped. That reaches every
 solvable subgroup; for a non-solvable ambient group a join-closure pass
 with prime-power cyclic subgroups picks up the perfect overgroups.
 Conjugacy of candidates is decided by the canonical key of their orbit.
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from .groups import PermGroup, Subgroup, memoized
 from .perms import Perm
-from .sigma import PrimeSet, factorize
+from .sigma import PrimeSet, factorize, is_prime
 
 
 @dataclass(frozen=True)
@@ -83,16 +85,17 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
         cls = frontier.pop()
         H = cls.representative
         N = G.normalizer(H)
-        h_set = H.element_set()
+        covered = set(H.element_set())
         for images in sorted(N.element_set()):
-            if images in h_set:
-                continue
+            if images in covered:
+                continue  # in H, or in a K = <H, z> built for an earlier z
             z = Perm(images)
             coset_order = _coset_order(z, H)
-            if len(factorize(coset_order)) != 1 or factorize(coset_order)[0][1] != 1:
+            if not is_prime(coset_order):
                 continue  # z must have prime order modulo H
             K = G.subgroup(tuple(H.generators) + (z,))
             assert K.order == coset_order * H.order
+            covered |= K.element_set()
             new_cls = collector.add(K)
             if new_cls is not None:
                 frontier.append(new_cls)

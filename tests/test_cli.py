@@ -45,6 +45,66 @@ row\tsubgroup\t12\t5\t-\tsolvable\t(2,3)(4,5),(2,4)(3,5),(3,4,5)
 row\tsubgroup\t60\t1\t-\t-\t(3,4,5),(1,2)(4,5),(1,3)(4,5)
 """
 
+GOLDEN_SUBGROUPS_S3xS3 = """nilweight-report 1
+command\tsubgroups
+group\tS3xS3
+order\t36
+subgroup-classes\t22
+total-subgroups\t60
+row\tsubgroup\t1\t1\tnilpotent\tsolvable\t()
+row\tsubgroup\t2\t3\tnilpotent\tsolvable\t(5,6)
+row\tsubgroup\t2\t3\tnilpotent\tsolvable\t(2,3)
+row\tsubgroup\t2\t9\tnilpotent\tsolvable\t(2,3)(5,6)
+row\tsubgroup\t3\t1\tnilpotent\tsolvable\t(4,5,6)
+row\tsubgroup\t3\t1\tnilpotent\tsolvable\t(1,2,3)
+row\tsubgroup\t3\t2\tnilpotent\tsolvable\t(1,2,3)(4,5,6)
+row\tsubgroup\t4\t9\tnilpotent\tsolvable\t(2,3)(5,6),(5,6)
+row\tsubgroup\t6\t1\t-\tsolvable\t(4,5,6),(5,6)
+row\tsubgroup\t6\t3\tnilpotent\tsolvable\t(1,2,3),(5,6)
+row\tsubgroup\t6\t3\tnilpotent\tsolvable\t(2,3),(4,5,6)
+row\tsubgroup\t6\t3\t-\tsolvable\t(4,5,6),(2,3)(5,6)
+row\tsubgroup\t6\t1\t-\tsolvable\t(1,2,3),(2,3)
+row\tsubgroup\t6\t3\t-\tsolvable\t(1,2,3),(2,3)(5,6)
+row\tsubgroup\t6\t6\t-\tsolvable\t(1,2,3)(4,5,6),(2,3)(5,6)
+row\tsubgroup\t9\t1\tnilpotent\tsolvable\t(1,2,3)(4,5,6),(4,5,6)
+row\tsubgroup\t12\t3\t-\tsolvable\t(2,3),(4,5,6),(5,6)
+row\tsubgroup\t12\t3\t-\tsolvable\t(1,2,3),(2,3)(5,6),(5,6)
+row\tsubgroup\t18\t1\t-\tsolvable\t(1,2,3)(4,5,6),(4,5,6),(5,6)
+row\tsubgroup\t18\t1\t-\tsolvable\t(1,2,3)(4,5,6),(4,5,6),(2,3)
+row\tsubgroup\t18\t1\t-\tsolvable\t(1,2,3)(4,5,6),(4,5,6),(2,3)(5,6)
+row\tsubgroup\t36\t1\t-\tsolvable\t(1,2,3)(4,5,6),(4,5,6),(2,3)(5,6),(5,6)
+"""
+
+GOLDEN_SUBGROUPS_S4xC5 = """nilweight-report 1
+command\tsubgroups
+group\tS4xC5
+order\t120
+subgroup-classes\t22
+total-subgroups\t60
+row\tsubgroup\t1\t1\tnilpotent\tsolvable\t()
+row\tsubgroup\t2\t6\tnilpotent\tsolvable\t(3,4)
+row\tsubgroup\t2\t3\tnilpotent\tsolvable\t(1,2)(3,4)
+row\tsubgroup\t3\t4\tnilpotent\tsolvable\t(2,3,4)
+row\tsubgroup\t4\t3\tnilpotent\tsolvable\t(1,2)(3,4),(3,4)
+row\tsubgroup\t4\t1\tnilpotent\tsolvable\t(1,2)(3,4),(1,3)(2,4)
+row\tsubgroup\t4\t3\tnilpotent\tsolvable\t(1,2)(3,4),(1,3,2,4)
+row\tsubgroup\t5\t1\tnilpotent\tsolvable\t(5,6,7,8,9)
+row\tsubgroup\t6\t4\t-\tsolvable\t(2,3,4),(3,4)
+row\tsubgroup\t8\t3\tnilpotent\tsolvable\t(1,2)(3,4),(1,3,2,4),(3,4)
+row\tsubgroup\t10\t6\tnilpotent\tsolvable\t(3,4),(5,6,7,8,9)
+row\tsubgroup\t10\t3\tnilpotent\tsolvable\t(1,2)(3,4),(5,6,7,8,9)
+row\tsubgroup\t12\t1\t-\tsolvable\t(1,2)(3,4),(1,3)(2,4),(2,3,4)
+row\tsubgroup\t15\t4\tnilpotent\tsolvable\t(2,3,4),(5,6,7,8,9)
+row\tsubgroup\t20\t3\tnilpotent\tsolvable\t(1,2)(3,4),(3,4),(5,6,7,8,9)
+row\tsubgroup\t20\t1\tnilpotent\tsolvable\t(1,2)(3,4),(1,3)(2,4),(5,6,7,8,9)
+row\tsubgroup\t20\t3\tnilpotent\tsolvable\t(1,2)(3,4),(1,3,2,4),(5,6,7,8,9)
+row\tsubgroup\t24\t1\t-\tsolvable\t(1,2)(3,4),(1,3)(2,4),(2,3,4),(3,4)
+row\tsubgroup\t30\t4\t-\tsolvable\t(2,3,4),(3,4),(5,6,7,8,9)
+row\tsubgroup\t40\t3\tnilpotent\tsolvable\t(1,2)(3,4),(1,3,2,4),(3,4),(5,6,7,8,9)
+row\tsubgroup\t60\t1\t-\tsolvable\t(1,2)(3,4),(1,3)(2,4),(2,3,4),(5,6,7,8,9)
+row\tsubgroup\t120\t1\t-\tsolvable\t(1,2)(3,4),(1,3)(2,4),(2,3,4),(3,4),(5,6,7,8,9)
+"""
+
 GOLDEN_VERIFY_B_S4 = """nilweight-report 1
 command\tverify-b
 check\tcarter-refinement
@@ -210,6 +270,18 @@ class TestOtherCommands:
         assert code == 0
         assert text == GOLDEN_SUBGROUPS_A5
 
+    @pytest.mark.parametrize(
+        "name, golden",
+        [("S3xS3", GOLDEN_SUBGROUPS_S3xS3), ("S4xC5", GOLDEN_SUBGROUPS_S4xC5)],
+        ids=["S3xS3", "S4xC5"],
+    )
+    def test_subgroups_machine_golden(self, name, golden):
+        # each representative's generators come from the first candidate
+        # that reached its class, so these pin the candidate order
+        code, text = run_command(["subgroups", "--group", name, "--format", "machine"])
+        assert code == 0
+        assert text == golden
+
     def test_carter(self):
         code, text = run_command(["carter", "--group", "S4"])
         assert code == 0
@@ -307,16 +379,35 @@ class TestErrors:
         assert text.startswith("error:") and str(path) in text
 
 
-def _negate_last_row(rows):
+def _negate_last_row(entry):
+    rows = entry["characters"]
     rows[-1] = [[v[0]] + [[e, -num, den] for e, num, den in v[1:]] for v in rows[-1]]
+    return entry
 
 
-def _alter_last_value(rows):
+def _alter_last_value(entry):
+    rows = entry["characters"]
     rows[-1][-1] = [rows[-1][-1][0], [0, 1, 1]]
+    return entry
 
 
-def _swap_first_rows(rows):
+def _swap_first_rows(entry):
+    rows = entry["characters"]
     rows[0], rows[1] = rows[1], rows[0]
+    return entry
+
+
+def _set_last_value(value):
+    def edit(entry):
+        entry["characters"][-1][-1] = value
+        return entry
+
+    return edit
+
+
+def _set_characters(entry):
+    entry["characters"] = 5
+    return entry
 
 
 class TestCache:
@@ -348,17 +439,23 @@ class TestCache:
             ("S3", _negate_last_row, "cold"),
             ("S3", _alter_last_value, "cold"),
             ("S4", _swap_first_rows, "warm"),
+            ("S3", lambda entry: [entry], "cold"),
+            ("S3", _set_characters, "cold"),
+            ("S3", _set_last_value([]), "cold"),
+            ("S3", _set_last_value(3), "cold"),
+            ("S3", _set_last_value([1, [0, 1, 0]]), "cold"),
         ],
-        ids=["negated-row", "altered-value", "swapped-rows"],
+        ids=[
+            "negated-row", "altered-value", "swapped-rows", "top-level-list",
+            "characters-not-a-list", "empty-value", "value-not-a-list", "zero-denominator",
+        ],
     )
     def test_edited_entry_gives_the_cold_report(self, tmp_path, group, edit, source):
         # a bad entry is recomputed; reordered rows are accepted and sorted
         argv = ["chartab", "--group", group, "--format", "machine", "--cache-dir", str(tmp_path)]
         cold = run_command(argv)[1]
         (path,) = tmp_path.glob("chartab-*.json")
-        data = json.loads(path.read_text())
-        edit(data["characters"])
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         assert run_command(argv) == (0, cold.replace("cache\tcold", f"cache\t{source}"))
 
     def test_concurrent_writers_of_one_entry(self, tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 import pytest
 
 from nilweight import bruteforce as bf
-from nilweight.groups import bsgs_construct
+from nilweight.groups import PermGroup, bsgs_construct
 from nilweight.lattice import (
     carter_fiber,
     carter_subgroups,
@@ -29,18 +29,17 @@ class TestSubgroupClasses:
         assert len(subgroup_classes(s4)) == 11
 
     def test_matches_bruteforce(self, s4, a4, d8, q8, c3xc3_c2):
-        for G in (s4, a4, d8, q8, c3xc3_c2):
+        # S3xS3 and A4xC3 have non-cyclic quotients N(H)/H, where several
+        # z give the same overgroup <H, z>
+        s3xs3 = group(6, "(1,2)", "(1,2,3)", "(4,5)", "(4,5,6)")
+        a4xc3 = group(7, "(1,2,3)", "(1,2)(3,4)", "(5,6,7)")
+        for G in (s4, a4, d8, q8, c3xc3_c2, s3xs3, a4xc3):
             elems = bf.closure([g.images for g in G.generators], G.degree)
             expected = bf.subgroups_up_to_conjugacy(elems, G.degree)
             classes = subgroup_classes(G)
-            assert len(classes) == len(expected)
-            assert sum(c.class_size for c in classes) == sum(
-                len(orbit) for orbit in expected
-            )
-            got = {
-                (c.order, c.class_size) for c in classes
-            }
-            want = {(len(next(iter(o))), len(o)) for o in expected}
+            got = {c.canonical_key: c.class_size for c in classes}
+            want = {min(tuple(sorted(s)) for s in o): len(o) for o in expected}
+            assert len(got) == len(classes)
             assert got == want
 
     def test_nonsolvable_lattice_a5(self, a5):
@@ -50,6 +49,50 @@ class TestSubgroupClasses:
         elems = bf.closure([g.images for g in a5.generators], 5)
         expected = bf.subgroups_up_to_conjugacy(elems, 5)
         assert len(classes) == len(expected)
+
+
+class TestCyclicExtension:
+    @pytest.mark.parametrize(
+        "degree, gens",
+        [(4, ["(1,2)", "(1,2,3,4)"]), (6, ["(1,2)", "(1,2,3)", "(4,5)", "(4,5,6)"])],
+        ids=["S4", "S3xS3"],
+    )
+    def test_one_construction_per_prime_index_overgroup(self, monkeypatch, degree, gens):
+        G = group(degree, *gens)  # a fresh group, so the lattice is not memoized
+        G.is_solvable()  # memoize the derived series before counting
+        built = []  # (H, K) element sets, one per subgroup built in H's loop
+        current = []
+        real_normalizer, real_subgroup = PermGroup.normalizer, PermGroup.subgroup
+
+        def normalizer(self, H):
+            # each representative's loop starts with its normalizer
+            current.clear()
+            N = real_normalizer(self, H)
+            current.append(H.element_set())
+            return N
+
+        def subgroup(self, generators):
+            K = real_subgroup(self, generators)
+            if current and self is G:
+                built.append((current[0], K.element_set()))
+            return K
+
+        monkeypatch.setattr(PermGroup, "normalizer", normalizer)
+        monkeypatch.setattr(PermGroup, "subgroup", subgroup)
+        classes = subgroup_classes(G)
+        monkeypatch.undo()
+
+        elems = bf.closure([g.images for g in G.generators], degree)
+        pairs = set()
+        for cls in classes:
+            h_set = cls.representative.element_set()
+            for z in bf.normalizer(elems, h_set) - h_set:
+                K = frozenset(bf.closure(h_set | {z}, degree))
+                index = len(K) // len(h_set)
+                if all(index % d for d in range(2, index)):
+                    pairs.add((h_set, K))
+        assert len(built) == len(set(built))
+        assert set(built) == pairs
 
 
 class TestNilpotentSigmaClasses:
