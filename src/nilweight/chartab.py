@@ -299,22 +299,28 @@ def restrict_character(chi: Character, H: PermGroup) -> Character:
     )
 
 
+def _induced_values(H: PermGroup, values, h_indices, G: PermGroup, g_indices):
+    """theta^G on G's classes g_indices, from theta's values on H's classes h_indices."""
+    h_classes = H.conjugacy_classes()
+    by_target: dict[int, Cyclotomic] = {}
+    for i, v in zip(h_indices, values):
+        c = h_classes[i]
+        j = G.class_index_of(c.representative)
+        by_target[j] = by_target.get(j, Cyclotomic.zero()) + v * c.size
+    g_classes = G.conjugacy_classes()
+    return [
+        by_target.get(j, Cyclotomic.zero()) * (G.order // g_classes[j].size) / H.order
+        for j in g_indices
+    ]
+
+
 def induce_character(theta: Character, G: PermGroup) -> Character:
     """The induced class function theta^G from a subgroup to G."""
     H = theta.group
     if not H.is_subset(G):
         raise ValueError("theta does not live on a subgroup of G")
-    h_classes = H.conjugacy_classes()
-    fused = [G.class_index_of(c.representative) for c in h_classes]
-    values = []
-    for j, cj in enumerate(G.conjugacy_classes()):
-        total = Cyclotomic.zero()
-        for i, ci in enumerate(h_classes):
-            if fused[i] == j:
-                total = total + theta.values[i] * ci.size
-        centralizer_order = G.order // cj.size
-        values.append(total * centralizer_order / H.order)
-    return Character(G, values)
+    every_h, every_g = range(len(theta.values)), range(len(G.conjugacy_classes()))
+    return Character(G, _induced_values(H, theta.values, every_h, G, every_g))
 
 
 def conjugate_character(chi: Character, g: Perm, target: PermGroup) -> Character:

@@ -174,14 +174,13 @@ def cmd_subgroups(args, out: Output) -> int:
     out.put("subgroup-classes", len(classes))
     out.put("total-subgroups", sum(c.class_size for c in classes))
     for cls in classes:
-        gens = ",".join(g.cycle_string() for g in cls.representative.generators) or "()"
         out.row(
             "subgroup",
             cls.order,
             cls.class_size,
             "nilpotent" if cls.is_nilpotent() else "-",
             "solvable" if cls.is_solvable() else "-",
-            gens,
+            cls.representative.generator_label(),
         )
     return EXIT_OK
 
@@ -196,10 +195,7 @@ def cmd_carter(args, out: Output) -> int:
     out.put("group", args.group)
     out.put("carter-order", cls.order)
     out.put("carter-class-size", cls.class_size)
-    out.put(
-        "carter-generators",
-        ",".join(g.cycle_string() for g in cls.representative.generators) or "()",
-    )
+    out.put("carter-generators", cls.representative.generator_label())
     return EXIT_OK
 
 
@@ -233,10 +229,7 @@ def cmd_weights(args, out: Output) -> int:
     out.put("pi", _sigma_label(sigma))
     out.put("count", len(ws))
     for w in ws:
-        gens = (
-            ",".join(g.cycle_string() for g in w.subgroup_class.representative.generators)
-            or "()"
-        )
+        gens = w.subgroup_class.representative.generator_label()
         out.row("weight", w.q_order, w.character.degree, gens)
     return EXIT_OK
 
@@ -350,7 +343,8 @@ def cmd_scan(args, out: Output) -> int:
         definitions = list(builtin_corpus())
     payloads = [(d.name, d.to_text(), args.bound) for d in definitions]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the fork start method starts every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
             chunks = list(pool.map(_scan_one, payloads))
     else:
         chunks = [_scan_one(p) for p in payloads]

@@ -648,6 +648,10 @@ class PermGroup:
     def primes(self) -> tuple[int, ...]:
         return prime_divisors(self.order)
 
+    def generator_label(self) -> str:
+        """The generators in cycle notation, comma-separated; "()" if there are none."""
+        return ",".join(g.cycle_string() for g in self.generators) or "()"
+
     def __repr__(self) -> str:
         gens = ", ".join(g.cycle_string() for g in self.generators) or "()"
         return f"PermGroup(degree={self.degree}, order={self.order}, <{gens}>)"

@@ -44,7 +44,7 @@ class SubgroupClass:
         return sigma.is_sigma_number(self.order)
 
     def __repr__(self) -> str:
-        gens = ",".join(g.cycle_string() for g in self.representative.generators) or "()"
+        gens = self.representative.generator_label()
         return f"SubgroupClass(order={self.order}, size={self.class_size}, <{gens}>)"
 
 

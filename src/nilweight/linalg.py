@@ -1,55 +1,61 @@
-"""Small exact linear algebra: rationals for decompositions, F_q for tables.
+"""Small exact linear algebra over F_q, with one elimination routine, `rref_mod`.
 
-Everything is dense lists; the matrices here never exceed a few dozen rows.
+Tables split the class-sum algebra with it, and decompositions solve with it
+modulo a large prime, certified by one exact integer product. Everything is
+dense lists; the matrices here never exceed a few dozen rows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from .sigma import is_prime
 
-# --- rational solving -------------------------------------------------------
+# --- certified integer solving ----------------------------------------------
 
 
-def solve_unique_rational(columns: list[list[Fraction]], target: list[Fraction]):
-    """Solve sum_j x_j * columns[j] = target for independent columns.
+def solve_unique_rational(columns: list[list[int]], target: list[int]):
+    """The integer solution of sum_j x_j * columns[j] = target, or None.
 
-    Returns the coefficient list, or None if the system is inconsistent.
-    Raises if the columns are linearly dependent (no unique solution).
+    Every column's first entry (a degree) is at least 1, so a nonnegative
+    solution has x_j <= target[0] < p/2: solving mod the prime p and lifting to
+    the symmetric range finds it, and one exact integer product certifies it.
+    None means no integer solution in the symmetric range, which holds every
+    nonnegative one. While the columns are rank-deficient mod p, the next
+    prime below p is tried; once the primes tried exceed the Hadamard bound on
+    the maximal minors, the columns are dependent and ValueError is raised.
     """
-    n_rows = len(target)
-    n_cols = len(columns)
-    aug = [[Fraction(col[i]) for col in columns] + [Fraction(target[i])] for i in range(n_rows)]
-    pivots = []
-    row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(row, n_rows) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("columns are linearly dependent")
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        pv = aug[row][col]
-        aug[row] = [v / pv for v in aug[row]]
-        for r in range(n_rows):
-            if r != row and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, n_rows):
-        if aug[r][n_cols]:
-            return None
-    return [aug[i][n_cols] for i in range(n_cols)]
+    n = len(columns)
+    if any(col[0] < 1 for col in columns):
+        raise ValueError("a column has a first entry below 1")
+    rows = [[col[i] for col in columns] + [t] for i, t in enumerate(target)]
+    hadamard = math.prod(math.isqrt(sum(v * v for v in col)) + 1 for col in columns)
+    p, tried = 2**31 - 1, 1
+    while tried <= hadamard:
+        if 2 * target[0] >= p:
+            raise ValueError(f"target degree {target[0]} is too large for modulus {p}")
+        reduced, pivots = rref_mod(rows, p)
+        if pivots[:n] == list(range(n)):
+            if n in pivots:
+                return None  # inconsistent mod p, so no integer solution
+            x = [v if 2 * v < p else v - p for v in (row[n] for row in reduced[:n])]
+            for i, t in enumerate(target):
+                if sum(xj * col[i] for xj, col in zip(x, columns)) != t:
+                    return None
+            return x
+        tried *= p
+        p -= 2
+        while not is_prime(p):
+            p -= 2
+    raise ValueError("columns are linearly dependent")
 
 
 def nonneg_integer_solution(columns, target):
-    """Unique rational solution if it is a nonnegative integer vector, else None."""
+    """The unique solution if it is a nonnegative integer vector, else None."""
     sol = solve_unique_rational(columns, target)
-    if sol is None:
+    if sol is None or any(x < 0 for x in sol):
         return None
-    if all(x.denominator == 1 and x >= 0 for x in sol):
-        return [int(x) for x in sol]
-    return None
+    return sol
 
 
 # --- F_q helpers -------------------------------------------------------
@@ -57,8 +63,6 @@ def nonneg_integer_solution(columns, target):
 
 def find_splitting_prime(exponent: int, order: int, cap: int = 10_000_000) -> int:
     """Least prime q = 1 (mod exponent) with q > 2*sqrt(order)."""
-    import math
-
     low = 2 * math.isqrt(order) + 1
     q = exponent + 1
     while q <= cap:

@@ -15,13 +15,14 @@ all hits must produce one conjugacy class of Hall sigma'-subgroups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 import math
 
 from .chartab import (
     Character,
+    _induced_values,
     character_table,
     decompose_into_irreducibles,
+    has_sigma_defect_zero,
     restrict_character,
 )
 from .cyclotomic import Cyclotomic
@@ -34,7 +35,7 @@ from .lattice import (
 )
 from .linalg import nonneg_integer_solution
 from .perms import Perm
-from .sigma import PrimeSet, factorize, sigma_part
+from .sigma import PrimeSet, factorize
 
 
 class InternalConsistencyError(AssertionError):
@@ -94,10 +95,14 @@ class PartialCharacter:
         return f"PartialCharacter(deg={self.values[0]}, [{', '.join(map(str, self.values))}])"
 
 
-def _flatten(values, conductor) -> list[Fraction]:
-    out: list[Fraction] = []
+def _flatten(values, conductor) -> list[int]:
+    """Power-basis coordinates in Q(zeta_conductor); integers for values in Z[zeta]."""
+    out: list[int] = []
     for v in values:
-        out.extend(v.sort_key(conductor))
+        for c in v.sort_key(conductor):
+            if c.denominator != 1:
+                raise InternalConsistencyError(f"character value {v} is not an algebraic integer")
+            out.append(c.numerator)
     return out
 
 
@@ -116,16 +121,12 @@ def sigma_partial_characters(G: PermGroup, sigma: PrimeSet) -> tuple[PartialChar
     ordered = sorted(
         restrictions, key=lambda v: (v[0].to_int(), [x.sort_key(e) for x in v])
     )
+    flat = {v: _flatten(v, e) for v in ordered}
     accepted: list[tuple] = []
     for v in ordered:
-        deg = v[0].to_int()
-        smaller = [u for u in accepted if u[0].to_int() < deg]
-        if smaller:
-            sol = nonneg_integer_solution(
-                [_flatten(u, e) for u in smaller], _flatten(v, e)
-            )
-            if sol is not None:
-                continue  # a sum of smaller members, hence reducible
+        smaller = [flat[u] for u in accepted if u[0].to_int() < v[0].to_int()]
+        if smaller and nonneg_integer_solution(smaller, flat[v]) is not None:
+            continue  # a sum of smaller members, hence reducible
         accepted.append(v)
     if len(accepted) != len(sidx):
         raise InternalConsistencyError(
@@ -133,9 +134,9 @@ def sigma_partial_characters(G: PermGroup, sigma: PrimeSet) -> tuple[PartialChar
             f"expected {len(sidx)} (the sigma-class count)"
         )
     # every restriction must decompose nonnegative-integrally in the basis
-    columns = [_flatten(u, e) for u in accepted]
+    columns = [flat[u] for u in accepted]
     for v in ordered:
-        if nonneg_integer_solution(columns, _flatten(v, e)) is None:
+        if nonneg_integer_solution(columns, flat[v]) is None:
             raise InternalConsistencyError(
                 "a restriction does not decompose over the irreducible set"
             )
@@ -171,22 +172,9 @@ def lies_over(phi: PartialCharacter, theta: PartialCharacter) -> bool:
 
 def induced_partial_values(alpha: PartialCharacter, G: PermGroup):
     """Values of the induced partial character alpha^G on G's sigma-classes."""
-    H = alpha.group
-    sigma = alpha.sigma
-    h_classes = H.conjugacy_classes()
-    by_target: dict[int, Cyclotomic] = {}
-    for pos, i in enumerate(H.sigma_class_indices(sigma)):
-        c = h_classes[i]
-        j = G.class_index_of(c.representative)
-        acc = by_target.get(j, Cyclotomic.zero())
-        by_target[j] = acc + alpha.values[pos] * c.size
-    g_classes = G.conjugacy_classes()
-    out = []
-    for j in G.sigma_class_indices(sigma):
-        total = by_target.get(j, Cyclotomic.zero())
-        centralizer_order = G.order // g_classes[j].size
-        out.append(total * centralizer_order / H.order)
-    return tuple(out)
+    H, sigma = alpha.group, alpha.sigma
+    h_indices, g_indices = H.sigma_class_indices(sigma), G.sigma_class_indices(sigma)
+    return tuple(_induced_values(H, alpha.values, h_indices, G, g_indices))
 
 
 def partial_character_stabilizer(G: PermGroup, N: PermGroup, theta: PartialCharacter):
@@ -416,28 +404,25 @@ def weight_quotient(G: PermGroup, cls: SubgroupClass):
     return G.normalizer(Q).quotient(Q)
 
 
+def _weights_on(G: PermGroup, sigma: PrimeSet, cls: SubgroupClass) -> list[Weight]:
+    """The weights (Q, gamma) for Q in cls: the sigma-defect-zero Irr(N_G(Q)/Q)."""
+    quo, proj = weight_quotient(G, cls)
+    return [
+        Weight(cls, gamma, quo, proj)
+        for gamma in character_table(quo).irreducibles
+        if has_sigma_defect_zero(gamma, sigma)
+    ]
+
+
 def enumerate_weights(G: PermGroup, sigma: PrimeSet) -> tuple[Weight, ...]:
     """All weight classes (Q, gamma) for nilpotent sigma-subgroups Q."""
-    out = []
-    for cls in nilpotent_sigma_subgroup_classes(G, sigma):
-        quo, proj = weight_quotient(G, cls)
-        tab = character_table(quo)
-        quo_sigma_part = sigma_part(quo.order, sigma)
-        for gamma in tab.irreducibles:
-            if sigma_part(gamma.degree, sigma) == quo_sigma_part:
-                out.append(Weight(cls, gamma, quo, proj))
-    return tuple(out)
+    return tuple(
+        w
+        for cls in nilpotent_sigma_subgroup_classes(G, sigma)
+        for w in _weights_on(G, sigma, cls)
+    )
 
 
 def weights_with_first_component(G: PermGroup, sigma: PrimeSet, R: PermGroup):
-    """Weights (R, gamma) for one fixed subgroup R: the defect-zero count of N(R)/R."""
-    N = G.normalizer(R)
-    quo, proj = N.quotient(R)
-    tab = character_table(quo)
-    quo_sigma_part = sigma_part(quo.order, sigma)
-    cls = subgroup_class_of(G, R)
-    return tuple(
-        Weight(cls, gamma, quo, proj)
-        for gamma in tab.irreducibles
-        if sigma_part(gamma.degree, sigma) == quo_sigma_part
-    )
+    """Weights (R, gamma) for one fixed subgroup R, built on R's class representative."""
+    return tuple(_weights_on(G, sigma, subgroup_class_of(G, R)))

@@ -104,8 +104,7 @@ def _class_label(c) -> str:
 
 
 def _subgroup_label(cls: SubgroupClass) -> str:
-    gens = ",".join(g.cycle_string() for g in cls.representative.generators) or "()"
-    return f"|Q|={cls.order} reps={cls.class_size} <{gens}>"
+    return f"|Q|={cls.order} reps={cls.class_size} <{cls.representative.generator_label()}>"
 
 
 # --- global weight count ------------------------------------------------------
@@ -162,7 +161,7 @@ def check_carter_refinement(
         ("solvable Hall complement", hallc_solvable),
         ("R nilpotent sigma'-subgroup", r_ok),
     )
-    detail = f"R=<{','.join(g.cycle_string() for g in R.generators) or '()'}> |R|={R.order}"
+    detail = f"R=<{R.generator_label()}> |R|={R.order}"
     if not (separable and r_ok):
         return VerificationReport(
             check="carter-refinement",
@@ -310,7 +309,7 @@ def check_canonical_bijection(
         ),
         ("R nilpotent subgroup of complement", R.is_subset(H) and R.is_nilpotent()),
     )
-    detail = f"R=<{','.join(g.cycle_string() for g in R.generators) or '()'}> |R|={R.order}"
+    detail = f"R=<{R.generator_label()}> |R|={R.order}"
     if not all(ok for _, ok in hypotheses):
         return VerificationReport(
             check="canonical-bijection",

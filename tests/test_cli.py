@@ -504,3 +504,26 @@ class TestJobs:
         code, text = run_command(["scan", "--group", "S4", "--jobs", "2", "--bound", "5"])
         assert code == 2
         assert "resource error" in text
+
+    def test_workers_never_outnumber_tasks(self, monkeypatch):
+        # a fork pool starts all max_workers at the first submit, so record
+        # the request in a serial stand-in that starts no process
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        argv = ["scan", "--group", "S4", "--format", "machine"]
+        assert run_command(argv + ["--jobs", "5000"]) == run_command(argv)
+        assert requested == [1]

@@ -1,0 +1,102 @@
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nilweight.cyclotomic import Cyclotomic
+from nilweight.linalg import nonneg_integer_solution, solve_unique_rational
+from nilweight.pipartial import InternalConsistencyError, _flatten
+
+P = 2**31 - 1  # the first modulus the solver tries
+
+
+def _det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def _independent(columns) -> bool:
+    """Some maximal minor is nonzero (Laplace expansion, independent of linalg)."""
+    n = len(columns)
+    return any(
+        _det([[col[i] for col in columns] for i in rows])
+        for rows in itertools.combinations(range(len(columns[0])), n)
+    )
+
+
+class TestSolver:
+    def test_rank_deficient_mod_first_prime_reaches_the_next(self):
+        # the two columns agree mod P but are independent over Q
+        assert nonneg_integer_solution([[1, 0], [1, P]], [5, 2 * P]) == [3, 2]
+
+    def test_true_dependence_raises(self):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            solve_unique_rational([[1, 2], [2, 4]], [3, 6])
+
+    def test_inconsistent_system(self):
+        assert solve_unique_rational([[1, 0]], [1, 1]) is None
+        assert nonneg_integer_solution([[1, 0]], [1, 1]) is None
+
+    def test_non_integral_solution(self):
+        # x = 1/2 over Q
+        assert solve_unique_rational([[2, 2]], [1, 1]) is None
+
+    def test_negative_solution(self):
+        assert solve_unique_rational([[1, 0], [1, 1]], [0, 1]) == [-1, 1]
+        assert nonneg_integer_solution([[1, 0], [1, 1]], [0, 1]) is None
+
+    def test_first_entry_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="first entry"):
+            solve_unique_rational([[0, 1]], [0, 1])
+
+    def test_target_degree_beyond_the_modulus_is_refused(self):
+        with pytest.raises(ValueError, match="too large"):
+            solve_unique_rational([[1]], [P])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_exhaustive_search(self, data):
+        n = data.draw(st.integers(1, 3))
+        m = data.draw(st.integers(n, 4))
+        entry = st.integers(-4, 4)
+        columns = [
+            [data.draw(st.integers(1, 4))] + [data.draw(entry) for _ in range(m - 1)]
+            for _ in range(n)
+        ]
+
+        def combination(x):
+            return [sum(xj * col[i] for xj, col in zip(x, columns)) for i in range(m)]
+
+        if not _independent(columns):
+            with pytest.raises(ValueError):
+                solve_unique_rational(columns, [0] * m)
+            return
+        if data.draw(st.booleans()):
+            target = combination([data.draw(st.integers(0, 5)) for _ in range(n)])
+        else:
+            target = [data.draw(st.integers(-2, 20))] + [data.draw(entry) for _ in range(m - 1)]
+        # a nonnegative solution has x_j <= target[0], since every column starts >= 1
+        hits = [
+            list(x)
+            for x in itertools.product(range(max(target[0] + 1, 0)), repeat=n)
+            if combination(x) == target
+        ]
+        assert len(hits) <= 1
+        assert nonneg_integer_solution(columns, target) == (hits[0] if hits else None)
+
+
+class TestFlatten:
+    def test_integer_coordinates(self):
+        z3 = Cyclotomic(3, {1: Fraction(1)})
+        assert _flatten([Cyclotomic.from_rational(2), z3], 3) == [2, 0, 0, 1]
+
+    def test_rejects_a_denominator(self):
+        half = Cyclotomic.from_rational(Fraction(1, 2))
+        with pytest.raises(InternalConsistencyError, match="1/2"):
+            _flatten([half], 1)
