@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 from .chartab import Character, CharacterTable, character_table
@@ -44,17 +44,24 @@ def table_cache_key(G: PermGroup) -> str:
 
 
 def _value_to_json(v: Cyclotomic):
-    return [v.conductor] + [
-        [e, c.numerator, c.denominator] for e, c in sorted(v.terms.items())
-    ]
+    """[conductor, [e, num, den], ...]: each term as a reduced fraction, by exponent."""
+    out = [v.conductor]
+    for e, n in sorted(v.nums.items()):
+        g = math.gcd(n, v.den)
+        out.append([e, n // g, v.den // g])
+    return out
 
 
 def _is_int(x) -> bool:
     return type(x) is int
 
 
-def _value_from_json(data) -> Cyclotomic:
-    """[conductor, [e, num, den], ...] with integer entries, den != 0."""
+def _value_from_json(data, exponent: int) -> Cyclotomic:
+    """The inverse of _value_to_json, for a value in Q(zeta_exponent); ValueError otherwise.
+
+    Entries must be integers with nonzero denominators, and the conductor
+    must divide the group exponent, the conductor a table is certified at.
+    """
     if not (
         isinstance(data, list)
         and data
@@ -65,8 +72,14 @@ def _value_from_json(data) -> Cyclotomic:
         )
     ):
         raise ValueError("malformed cache value")
-    terms = {e: Fraction(num, den) for e, num, den in data[1:]}
-    return Cyclotomic(data[0], terms)
+    terms = {e: (num, den) for e, num, den in data[1:]}
+    common = math.lcm(*(abs(den) for _, den in terms.values()))
+    value = Cyclotomic(
+        data[0], {e: num * (common // den) for e, (num, den) in terms.items()}, common
+    )
+    if exponent % value.conductor:
+        raise ValueError("cache value conductor does not divide the group exponent")
+    return value
 
 
 def serialize_table(tab: CharacterTable) -> dict:
@@ -93,7 +106,8 @@ def deserialize_table(G: PermGroup, data) -> CharacterTable:
     rows = data.get("characters")
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ValueError("cache characters are not a list of rows")
-    chars = [Character(G, [_value_from_json(v) for v in row]) for row in rows]
+    e = G.exponent()
+    chars = [Character(G, [_value_from_json(v, e) for v in row]) for row in rows]
     return CharacterTable(G, chars)
 
 

@@ -16,7 +16,7 @@ import math
 import random
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, weighted_conjugate_dot
+from .cyclotomic import Cyclotomic, conjugate_dot, weighted_conjugate_dot
 from .groups import PermGroup, memoized
 from .linalg import (
     charpoly_mod,
@@ -28,7 +28,7 @@ from .linalg import (
     rref_mod,
 )
 from .perms import Perm
-from .sigma import PrimeSet, sigma_part
+from .sigma import PrimeSet, euler_phi, sigma_part
 
 _MAX_SPLIT_ROUNDS = 500
 # the table does not depend on this seed, only the splitting work does
@@ -118,6 +118,11 @@ class CharacterTable:
         X D X* = I, so X^-1 = D X* and X* X = D^-1: column orthogonality
         follows, and the sum of the squared degrees, its identity entry,
         equals |G| (Isaacs, Character Theory of Finite Groups, Thm 2.18).
+
+        The check runs over int in Z[zeta_e], e = exp(G): with every value
+        written over the table's common denominator d, the pair (i, j) is
+        accepted only if sum_k |C_k| * d chi_i(g_k) * conj(d chi_j(g_k))
+        reduces to the power-basis coordinates (|G| d^2 delta_ij, 0, ..., 0).
         """
         G = self.group
         irr = self.irreducibles
@@ -126,9 +131,15 @@ class CharacterTable:
         for chi in irr:
             if chi.degree < 1 or G.order % chi.degree:
                 raise AssertionError("character degree is not a positive divisor of |G|")
-        for i, chi in enumerate(irr):
-            for j in range(i, len(irr)):
-                if inner_product(chi, irr[j]) != (1 if i == j else 0):
+        e = self.conductor
+        den = math.lcm(*(v.den for chi in irr for v in chi.values))
+        rows = [[v.numerators_at(e, den) for v in chi.values] for chi in irr]
+        sizes = [c.size for c in G.conjugacy_classes()]
+        unit = [G.order * den * den] + [0] * (euler_phi(e) - 1)
+        zero = [0] * len(unit)
+        for i, x in enumerate(rows):
+            for j in range(i, len(rows)):
+                if conjugate_dot(sizes, x, rows[j], e) != (unit if i == j else zero):
                     raise AssertionError("row orthogonality fails")
 
     def __repr__(self) -> str:
@@ -266,7 +277,7 @@ def character_table(G: PermGroup) -> CharacterTable:
                 mt = (mt * minv) % q
                 total += mt
                 if mt:
-                    terms[(e // m) * t] = Fraction(mt)
+                    terms[(e // m) * t] = mt
             if total != degree:
                 raise AssertionError("eigenvalue multiplicities do not sum to the degree")
             values.append(Cyclotomic(e, terms))

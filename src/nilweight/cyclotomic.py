@@ -1,10 +1,16 @@
 """Exact arithmetic in cyclotomic fields.
 
-Values are finite Q-linear combinations of m-th roots of unity, stored as
-sparse exponent -> Fraction maps. Arithmetic happens in the group ring
-Q[x]/(x^m - 1); equality, hashing and ordering go through the canonical
-form obtained by reducing modulo the m-th cyclotomic polynomial, which
-quotients out exactly the vanishing sums of p-th roots of unity.
+A value of conductor m is a finite Q-linear combination of m-th roots of
+unity, stored as integer numerators by exponent over one positive common
+denominator, in lowest terms. Arithmetic happens on the numerators in the
+group ring Z[x]/(x^m - 1); equality, hashing and ordering go through the
+canonical form: the integer power-basis coordinates left after reducing
+modulo the m-th cyclotomic polynomial, which quotients out exactly the
+vanishing sums of p-th roots of unity, over the same denominator.
+
+`conjugate_dot` is the one kernel for sums of w * a * conj(b), the products
+behind inner products and table orthogonality: it runs over int and returns
+power-basis coordinates.
 """
 
 from __future__ import annotations
@@ -14,8 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .sigma import euler_phi, mobius
-
-_ZERO = Fraction(0)
 
 
 @lru_cache(maxsize=None)
@@ -46,43 +50,60 @@ def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
+def _reduce_mod_phi(dense: list[int], m: int) -> list[int]:
+    """Power-basis coordinates of sum dense[i] x^i modulo the m-th cyclotomic polynomial.
+
+    dense has length m and is reduced in place."""
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    for i in range(m - 1, deg - 1, -1):
+        n = dense[i]
+        if n:
+            dense[i] = 0
+            for j in range(deg):
+                dense[i - deg + j] -= n * phi[j]
+    return dense[:deg]
+
+
 @lru_cache(maxsize=None)
-def _trace_table(m: int) -> tuple[Fraction, ...]:
-    """trace(zeta_m^j) over Q, for j in 0..m-1."""
+def _trace_table(m: int) -> tuple[int, ...]:
+    """trace(zeta_m^j) over Q, for j in 0..m-1; integers, as phi(d) divides phi(m)."""
     out = []
     for j in range(m):
         d = m // math.gcd(j, m)  # zeta_m^j is a primitive d-th root
-        out.append(Fraction(mobius(d) * euler_phi(m), euler_phi(d)))
+        out.append(mobius(d) * euler_phi(m) // euler_phi(d))
     return tuple(out)
 
 
 class Cyclotomic:
-    __slots__ = ("conductor", "terms", "_canon", "_hash", "_ff")
+    """sum over nums of (n / den) * zeta_conductor^e; den > 0, and gcd(den, *nums) is 1."""
 
-    def __init__(self, conductor: int, terms: dict):
+    __slots__ = ("conductor", "nums", "den", "_canon", "_hash")
+
+    def __init__(self, conductor: int, terms: dict, den: int = 1):
+        """The value sum of (c / den) * zeta_conductor^e over terms {e: c}.
+
+        Coefficients may be any rationals; den must be a positive int."""
         if conductor < 1:
             raise ValueError("conductor must be positive")
-        clean = {}
-        for e, c in terms.items():
-            c = Fraction(c)
-            if c:
-                clean[e % conductor] = clean.get(e % conductor, _ZERO) + c
-        clean = {e: c for e, c in clean.items() if c}
+        if not all(type(c) is int for c in terms.values()):
+            fracs = {e: Fraction(c) for e, c in terms.items()}
+            scale = math.lcm(*(c.denominator for c in fracs.values()))
+            terms = {e: c.numerator * (scale // c.denominator) for e, c in fracs.items()}
+            den *= scale
+        nums: dict[int, int] = {}
+        for e, n in terms.items():
+            nums[e % conductor] = nums.get(e % conductor, 0) + n
+        nums = {e: n for e, n in nums.items() if n}
+        g = math.gcd(den, *nums.values())
+        if g > 1:
+            nums = {e: n // g for e, n in nums.items()}
+            den //= g
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_canon", {})
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_ff", None)
-
-    def _fraction_free(self):
-        """(integer numerators by exponent, common denominator); cached."""
-        if self._ff is None:
-            den = 1
-            for c in self.terms.values():
-                den = math.lcm(den, c.denominator)
-            nums = {e: c.numerator * (den // c.denominator) for e, c in self.terms.items()}
-            object.__setattr__(self, "_ff", (nums, den))
-        return self._ff
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclotomic is immutable")
@@ -91,7 +112,7 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, value) -> "Cyclotomic":
-        return cls(1, {0: Fraction(value)})
+        return cls(1, {0: value})
 
     @classmethod
     def zero(cls) -> "Cyclotomic":
@@ -104,56 +125,64 @@ class Cyclotomic:
     @classmethod
     def root_of_unity(cls, m: int, k: int = 1) -> "Cyclotomic":
         """zeta_m^k."""
-        return cls(m, {k % m: Fraction(1)})
+        return cls(m, {k: 1})
 
     # --- canonical form -------------------------------------------------------
 
-    def canonical(self) -> tuple[Fraction, ...]:
-        """Coefficients in the power basis 1, z, .., z^(phi(m)-1), zero-padded."""
-        return self._canonical_at(self.conductor)
-
-    def _canonical_at(self, m: int) -> tuple[Fraction, ...]:
+    def _coords_at(self, m: int) -> tuple[int, ...]:
+        """Power-basis numerators in Q(zeta_m) over self.den; m a multiple of the conductor."""
         cached = self._canon.get(m)
         if cached is not None:
             return cached
-        if m % self.conductor:
-            raise ValueError("conductor does not divide target")
-        nums, den = self._fraction_free()
-        scale = m // self.conductor
         dense = [0] * m
-        for e, n in nums.items():
-            dense[(e * scale) % m] += n
-        phi = cyclotomic_polynomial(m)
-        deg = len(phi) - 1
-        for i in range(m - 1, deg - 1, -1):
-            n = dense[i]
-            if n:
-                dense[i] = 0
-                for j in range(deg):
-                    dense[i - deg + j] -= n * phi[j]
-        out = tuple(Fraction(n, den) for n in dense[:deg])
+        for e, n in self.numerators_at(m, self.den):
+            dense[e] += n
+        out = tuple(_reduce_mod_phi(dense, m))
         self._canon[m] = out
         return out
+
+    def numerators_at(self, m: int, den: int) -> list[tuple[int, int]]:
+        """(exponent, numerator) pairs of self at conductor m over denominator den.
+
+        m must be a multiple of the conductor and den of self.den."""
+        if m % self.conductor:
+            raise ValueError("conductor does not divide target")
+        if den % self.den:
+            raise ValueError("denominator does not divide target")
+        s, k = m // self.conductor, den // self.den
+        return [(e * s, n * k) for e, n in self.nums.items()]
+
+    def canonical(self) -> tuple:
+        """Coefficients in the power basis 1, z, .., z^(phi(m)-1), zero-padded."""
+        return self.sort_key()
+
+    def sort_key(self, conductor: int | None = None) -> tuple:
+        """Power-basis coefficients in Q(zeta_conductor); ints when den is 1, else Fractions."""
+        coords = self._coords_at(conductor if conductor is not None else self.conductor)
+        if self.den == 1:
+            return coords
+        return tuple(Fraction(n, self.den) for n in coords)
 
     # --- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.canonical())
+        return not any(self._coords_at(self.conductor))
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.canonical()[1:])
+        return not any(self._coords_at(self.conductor)[1:])
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        canon = self.canonical()
-        return canon[0] if canon else _ZERO
+        return Fraction(self._coords_at(self.conductor)[0], self.den)
 
     def to_int(self) -> int:
-        q = self.to_fraction()
-        if q.denominator != 1:
+        if not self.is_rational():
+            raise ValueError(f"{self} is not rational")
+        n, r = divmod(self._coords_at(self.conductor)[0], self.den)
+        if r:
             raise ValueError(f"{self} is not an integer")
-        return q.numerator
+        return n
 
     # --- arithmetic -------------------------------------------------------
 
@@ -168,8 +197,7 @@ class Cyclotomic:
             return self
         if m % self.conductor:
             raise ValueError("conductor must grow to a multiple")
-        scale = m // self.conductor
-        return Cyclotomic(m, {e * scale: c for e, c in self.terms.items()})
+        return Cyclotomic(m, dict(self.numerators_at(m, self.den)), self.den)
 
     @staticmethod
     def _coerce(value) -> "Cyclotomic":
@@ -179,15 +207,16 @@ class Cyclotomic:
 
     def __add__(self, other) -> "Cyclotomic":
         a, b = self._aligned(self._coerce(other))
-        terms = dict(a.terms)
-        for e, c in b.terms.items():
-            terms[e] = terms.get(e, _ZERO) + c
-        return Cyclotomic(a.conductor, terms)
+        den = math.lcm(a.den, b.den)
+        nums = dict(a.numerators_at(a.conductor, den))
+        for e, n in b.numerators_at(a.conductor, den):
+            nums[e] = nums.get(e, 0) + n
+        return Cyclotomic(a.conductor, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.conductor, {e: -c for e, c in self.terms.items()})
+        return Cyclotomic(self.conductor, {e: -n for e, n in self.nums.items()}, self.den)
 
     def __sub__(self, other) -> "Cyclotomic":
         return self + (-self._coerce(other))
@@ -198,41 +227,44 @@ class Cyclotomic:
     def __mul__(self, other) -> "Cyclotomic":
         other = self._coerce(other)
         if other.conductor == 1:  # scalar fast path
-            if not other.terms:
+            if not other.nums:
                 return Cyclotomic.zero()
-            s = other.terms[0]
-            return Cyclotomic(self.conductor, {e: c * s for e, c in self.terms.items()})
+            s = other.nums[0]
+            return Cyclotomic(
+                self.conductor, {e: n * s for e, n in self.nums.items()}, self.den * other.den
+            )
         if self.conductor == 1:
             return other * self
         a, b = self._aligned(other)
         m = a.conductor
-        terms: dict[int, Fraction] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
+        nums: dict[int, int] = {}
+        for e1, n1 in a.nums.items():
+            for e2, n2 in b.nums.items():
                 e = (e1 + e2) % m
-                terms[e] = terms.get(e, _ZERO) + c1 * c2
-        return Cyclotomic(m, terms)
+                nums[e] = nums.get(e, 0) + n1 * n2
+        return Cyclotomic(m, nums, a.den * b.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Cyclotomic":
-        q = Fraction(other)  # division only by rationals
-        return Cyclotomic(self.conductor, {e: c / q for e, c in self.terms.items()})
+        q = 1 / Fraction(other)  # division only by rationals
+        nums = {e: n * q.numerator for e, n in self.nums.items()}
+        return Cyclotomic(self.conductor, nums, self.den * q.denominator)
 
     def conjugate(self) -> "Cyclotomic":
-        return Cyclotomic(self.conductor, {-e: c for e, c in self.terms.items()})
+        return Cyclotomic(self.conductor, {-e: n for e, n in self.nums.items()}, self.den)
 
     def galois(self, k: int) -> "Cyclotomic":
         """Apply zeta -> zeta^k; k must be invertible modulo the conductor."""
         if math.gcd(k, self.conductor) != 1:
             raise ValueError("galois exponent not coprime to conductor")
-        return Cyclotomic(self.conductor, {e * k: c for e, c in self.terms.items()})
+        return Cyclotomic(self.conductor, {e * k: n for e, n in self.nums.items()}, self.den)
 
     def normalized_trace(self) -> Fraction:
         """trace over Q divided by the field degree; conductor-independent."""
         table = _trace_table(self.conductor)
-        tr = sum((c * table[e] for e, c in self.terms.items()), _ZERO)
-        return tr / euler_phi(self.conductor)
+        tr = sum(n * table[e] for e, n in self.nums.items())
+        return Fraction(tr, self.den * euler_phi(self.conductor))
 
     # --- comparisons -------------------------------------------------------
 
@@ -241,19 +273,16 @@ class Cyclotomic:
             other = Cyclotomic.from_rational(other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        if self.conductor == other.conductor:
-            return self.canonical() == other.canonical()
         m = math.lcm(self.conductor, other.conductor)
-        return self._canonical_at(m) == other._canonical_at(m)
+        a, b = self._coords_at(m), other._coords_at(m)
+        if self.den == other.den:
+            return a == b
+        return all(x * other.den == y * self.den for x, y in zip(a, b))
 
     def __hash__(self) -> int:
         if self._hash is None:
             object.__setattr__(self, "_hash", hash(("cyc", self.normalized_trace())))
         return self._hash
-
-    def sort_key(self, conductor: int | None = None) -> tuple:
-        m = conductor if conductor is not None else self.conductor
-        return self._canonical_at(m)
 
     # --- display -------------------------------------------------------
 
@@ -261,9 +290,9 @@ class Cyclotomic:
         return f"Cyclotomic({self})"
 
     def __str__(self) -> str:
-        canon = self.canonical()
+        canon = [Fraction(n, self.den) for n in self._coords_at(self.conductor)]
         if all(c == 0 for c in canon[1:]):
-            return str(canon[0] if canon else 0)
+            return str(canon[0])
         bits = []
         for e, c in enumerate(canon):
             if c == 0:
@@ -284,34 +313,38 @@ class Cyclotomic:
         return out
 
 
-def weighted_conjugate_dot(triples) -> Cyclotomic:
-    """sum of w * a * conj(b) over (w, a, b), accumulated in one pass.
+def conjugate_dot(weights, xs, ys, m: int) -> list[int]:
+    """Power-basis coordinates of sum_k weights[k] * xs[k] * conj(ys[k]) in Z[zeta_m].
 
-    Semantically identical to the naive loop of Cyclotomic operations but
-    avoids building an intermediate object per term, which matters inside
-    the table orthogonality checks.
+    Each value is a list of integer (exponent, numerator) pairs at conductor
+    m, as `Cyclotomic.numerators_at` gives them. The sum accumulates over int
+    in Z[x]/(x^m - 1) and is then reduced modulo the m-th cyclotomic
+    polynomial.
     """
-    triples = list(triples)
-    M = 1
-    D = 1
-    parts = []
-    for w, a, b in triples:
-        if not w:
-            continue
-        M = math.lcm(M, a.conductor, b.conductor)
-        na, da = a._fraction_free()
-        nb, db = b._fraction_free()
-        parts.append((w, a.conductor, na, b.conductor, nb, da * db))
-        D = math.lcm(D, da * db)
-    acc: dict[int, int] = {}
-    for w, ca, na, cb, nb, dab in parts:
-        sa = M // ca
-        sb = M // cb
-        mult = w * (D // dab)
-        for e1, n1 in na.items():
-            wn1 = mult * n1
-            base = e1 * sa
-            for e2, n2 in nb.items():
-                e = (base - e2 * sb) % M
-                acc[e] = acc.get(e, 0) + wn1 * n2
-    return Cyclotomic(M, {e: Fraction(n, D) for e, n in acc.items() if n})
+    acc = [0] * m
+    for w, x, y in zip(weights, xs, ys):
+        for e1, n1 in x:
+            wn = w * n1
+            for e2, n2 in y:
+                # e1 - e2 lies in (-m, m): a negative index wraps to (e1 - e2) mod m
+                acc[e1 - e2] += wn * n2
+    return _reduce_mod_phi(acc, m)
+
+
+def weighted_conjugate_dot(triples) -> Cyclotomic:
+    """sum of w * a * conj(b) over (w, a, b), by one call of `conjugate_dot`.
+
+    Every value is brought to the lcm of the conductors and over the lcm D of
+    the denominators; the kernel's coordinates are then the sum times D^2.
+    """
+    triples = [t for t in triples if t[0]]
+    values = [v for _, a, b in triples for v in (a, b)]
+    m = math.lcm(1, *(v.conductor for v in values))
+    den = math.lcm(1, *(v.den for v in values))
+    coords = conjugate_dot(
+        [w for w, _, _ in triples],
+        [a.numerators_at(m, den) for _, a, _ in triples],
+        [b.numerators_at(m, den) for _, _, b in triples],
+        m,
+    )
+    return Cyclotomic(m, dict(enumerate(coords)), den * den)

@@ -540,6 +540,8 @@ class PermGroup:
         return tuple(sorted(_composition_factors(self)))
 
     def is_sigma_separable(self, sigma: PrimeSet) -> bool:
+        if self.is_solvable():
+            return True  # every composition factor has prime order
         return all(
             sigma.is_sigma_number(f) or sigma.is_coprime_number(f)
             for f in self.composition_factor_orders()

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from nilweight.chartab import (
     inner_product,
     restrict_character,
 )
+from nilweight.cli import run_command
+from nilweight.corpus import builtin_corpus
 from nilweight.cyclotomic import Cyclotomic
 from nilweight.groups import bsgs_construct
 from nilweight.sigma import PrimeSet
@@ -230,3 +233,85 @@ class TestAlgebraicIntegrality:
 
         with pytest.raises(RuntimeError):
             find_splitting_prime(6, 36, cap=10)
+
+
+class TestCertificate:
+    """verify accepts a value rewritten as the same element of Q(zeta_e), and only that."""
+
+    @staticmethod
+    def _rewritten(tab, row, change):
+        chars = list(tab.irreducibles)
+        chi = chars[row]
+        chars[row] = Character(tab.group, [change(k, v) for k, v in enumerate(chi.values)])
+        return chars
+
+    @pytest.mark.parametrize(
+        "row, change",
+        [
+            (-1, lambda k, v: v + (1 + zeta(3) + zeta(3, 2)) / 2),
+            (-1, lambda k, v: Cyclotomic(2, {1: -v.to_int()})),
+        ],
+        ids=["vanishing-sum-added", "rational-value-times-minus-z2"],
+    )
+    def test_equivalent_rewrite_certifies(self, s3, row, change):
+        tab = character_table(s3)
+        again = chartab.CharacterTable(s3, self._rewritten(tab, row, change))
+        assert again.irreducibles == tab.irreducibles
+
+    @pytest.mark.parametrize(
+        "row, change",
+        [
+            (-1, lambda k, v: v + zeta(3) - zeta(3, 2) if k == 2 else v),
+            # the row (2, 0, z3^2) keeps every diagonal entry 1, and its sums
+            # against the two linear rows are 2*z6 / 6, zero in the constant
+            # coordinate
+            (-1, lambda k, v: v + 1 + zeta(3, 2) if k == 2 else v),
+            (0, lambda k, v: 2 * v),
+        ],
+        ids=["changed-by-z3-minus-z3-squared", "changed-by-1-plus-z3-squared", "row-scaled-by-2"],
+    )
+    def test_changed_value_is_rejected(self, s3, row, change):
+        chars = self._rewritten(character_table(s3), row, change)
+        with pytest.raises(AssertionError, match="row orthogonality fails"):
+            chartab.CharacterTable(s3, chars)
+
+
+# sha256 of `chartab --group NAME --format machine` for every builtin, as the
+# Fraction-based cyclotomic arithmetic printed it
+CHARTAB_SHA256 = {
+    "triv": "f255f33e5bc6c35f926600af9522fab587139eb8b46f8082728eab14ad31c1c5",
+    "C2": "48b7dd7a1ecefda02ec8d8e6afede06a9e91fcab78a10a7f307f64d9acb1841e",
+    "C3": "ed93e8eeecd5a217b57fc839450b0746c33f8626a040485bc7aa169860077b2e",
+    "C4": "5c54cf4dd6043aebabe1c6d00fca1f037a991001cff6e3fdd1c631f9bc1f6dba",
+    "C5": "bedf532a27c0b42d6bbce9456b84b41317a903cda8bcddc854bf5e09cb4519cc",
+    "C6": "d4dcaaf773b8c1212838fec589ebdd03a7e0ad2e5bd8917df66a226276767cf3",
+    "C7": "f05e8d81bb6fa53d4f08e71bef253635e35d4c19ef07befc2c9cd3277eee9b07",
+    "C8": "0170e0c01d182d59db1d21aba90f617176148af40a18a82c22698c796ad01f20",
+    "C9": "300c0137737c34d70c1ba779a03dc26fee81cea405ebf2db972f8ed80a68422f",
+    "C10": "91b4292c3075ca620f3640afc09a0bd21e0c0d5f4a20ab70b94abc07e1aeb1cc",
+    "C11": "668b689e1d95b5ff69d9473375a894e2d65c78861e1a0ff7a87fa4791b9e5da8",
+    "C12": "20f6a0adbd010a1970f02f5e1791f159eebfd44b04f0f5b0b607aa3023a9cdd1",
+    "V4": "3767b59ea1638f8ac0fcd26808bda4790255495139e1cb2fee531d40041d0c52",
+    "S3": "1004bb9afa478c223c36fcd09d4c393975f7de6fe089bda2e6c3f8126dd6144a",
+    "D8": "8e283c92f5727f98c4cf2f0889a6efdd6842b02a219f81c7f3131022761bdd70",
+    "Q8": "445949334ce8e450fa811d73f733bc5726f262b32324ca646c598be2cb63d70c",
+    "D10": "6f05ff4a29f885a8f4ad7d3f90d562490cc3840b4b180113c3c184746e37008c",
+    "A4": "f9da8941864d4d947e51b2d9b1ebdc021b0cf3f6792d87b1cddaa06a0b6f7430",
+    "D12": "2c03420fe27a71e2008403682159b03cf3e19eaf4a8605f290038c2efb88fc74",
+    "C3:C4": "272dd0eb78e6ca33b1ef7110e12634cca1cd7470e447458d963b6de9ece91b07",
+    "C3xC3:C2": "4b5621befe6e15f7df6c1cf39cd5147a5e945533f3d96319baa0f2c1b970809c",
+    "C7:C3": "6514824764b3fe005975de0008c94f83ebb12a3f7e492d7c1acf828cda6bde02",
+    "S4": "71a59cd0a8478537d37165b7506fca7cb73b51d410812e9afb0e550f0e41f93c",
+    "S3xS3": "b35f013e5d7055ca222ed08176ace2c426202ba835734502c38d5e6e8cc254fb",
+    "A4xC3": "2cc1fdfd857628cc94736069749b7788f0250ef39597ec3d24ad0bfa92cda32f",
+    "A5": "80ac8d009d555dbdd3a690fb040eeb26bee90aa8b0f6ef04d2ed5f3d9164dc24",
+    "S4xC5": "0904313b60fe81e47a9c069515ebb5d79e49be50e08b48b6b7cb36e1d9eaf6de",
+    "W216": "82115aad298c2a5a81375aea667eeed25036986f1c333bcaa29aa92705fbf671",
+}
+
+
+@pytest.mark.parametrize("name", [d.name for d in builtin_corpus()])
+def test_machine_report_digest(name):
+    code, text = run_command(["chartab", "--group", name, "--format", "machine"])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == CHARTAB_SHA256[name]

@@ -1,9 +1,11 @@
 import functools
 import json
+import math
 import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -347,6 +349,16 @@ class TestErrors:
         assert code == 2
         assert text.startswith("error:") and "A5" in text and "pi=2" in text
 
+    def test_non_separable_direct_product(self, tmp_path):
+        f = tmp_path / "a5xc5.grp"
+        f.write_text(
+            "name: A5xC5\ndegree: 10\norder: 300\n"
+            "gen: (1,2,3,4,5)\ngen: (3,4,5)\ngen: (6,7,8,9,10)\n"
+        )
+        code, text = run_command(["ipi", "--group", str(f), "--pi", "5"])
+        assert code == 2
+        assert text.startswith("error:") and str(f) in text and "pi=5" in text
+
     def test_unknown_subcommand(self):
         code, text = run_command(["frobnicate"])
         assert code == 2
@@ -379,9 +391,47 @@ class TestErrors:
         assert text.startswith("error:") and str(path) in text
 
 
-def _negate_last_row(entry):
-    rows = entry["characters"]
-    rows[-1] = [[v[0]] + [[e, -num, den] for e, num, den in v[1:]] for v in rows[-1]]
+def _scale_row(index, k):
+    def edit(entry):
+        rows = entry["characters"]
+        rows[index] = [[v[0]] + [[e, k * num, den] for e, num, den in v[1:]] for v in rows[index]]
+        return entry
+
+    return edit
+
+
+def _add_thirds_to_last_value(addend):
+    """Add sum of c * z3^k over addend {k: c} to the last value of the last row."""
+
+    def edit(entry):
+        m, *terms = entry["characters"][-1][-1]
+        value = {e: Fraction(num, den) for e, num, den in terms}
+        for k, c in addend.items():
+            value[k * m // 3] = value.get(k * m // 3, 0) + c
+        entry["characters"][-1][-1] = [m] + [
+            [e, c.numerator, c.denominator] for e, c in sorted(value.items()) if c
+        ]
+        return entry
+
+    return edit
+
+
+def _lift_to_twice_the_element_order(entry):
+    # a value on a class of element order o lies in Q(zeta_o); store it at
+    # conductor 2o wherever 2o still divides the group exponent
+    orders = [order for order, _, _ in entry["classes"]]
+    exponent = math.lcm(*orders)
+    for row in entry["characters"]:
+        for k, o in enumerate(orders):
+            if exponent % (2 * o) == 0:
+                m, *terms = row[k]
+                row[k] = [2 * o] + [[e * 2 * o // m, num, den] for e, num, den in terms]
+    return entry
+
+
+def _lift_last_value_past_the_exponent(entry):
+    m, *terms = entry["characters"][-1][-1]
+    entry["characters"][-1][-1] = [2 * m] + [[2 * e, num, den] for e, num, den in terms]
     return entry
 
 
@@ -436,7 +486,7 @@ class TestCache:
     @pytest.mark.parametrize(
         "group, edit, source",
         [
-            ("S3", _negate_last_row, "cold"),
+            ("S3", _scale_row(-1, -1), "cold"),
             ("S3", _alter_last_value, "cold"),
             ("S4", _swap_first_rows, "warm"),
             ("S3", lambda entry: [entry], "cold"),
@@ -444,10 +494,18 @@ class TestCache:
             ("S3", _set_last_value([]), "cold"),
             ("S3", _set_last_value(3), "cold"),
             ("S3", _set_last_value([1, [0, 1, 0]]), "cold"),
+            ("S3", _lift_last_value_past_the_exponent, "cold"),
+            ("S3", _add_thirds_to_last_value(dict.fromkeys([0, 1, 2], Fraction(1, 2))), "warm"),
+            ("S4", _lift_to_twice_the_element_order, "warm"),
+            ("S3", _add_thirds_to_last_value({1: 1, 2: -1}), "cold"),
+            ("S3", _scale_row(0, 2), "cold"),
         ],
         ids=[
             "negated-row", "altered-value", "swapped-rows", "top-level-list",
             "characters-not-a-list", "empty-value", "value-not-a-list", "zero-denominator",
+            "conductor-not-dividing-exponent", "vanishing-sum-added",
+            "lifted-to-twice-the-element-order", "changed-by-z3-minus-z3-squared",
+            "row-scaled-by-2",
         ],
     )
     def test_edited_entry_gives_the_cold_report(self, tmp_path, group, edit, source):
@@ -457,6 +515,12 @@ class TestCache:
         (path,) = tmp_path.glob("chartab-*.json")
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         assert run_command(argv) == (0, cold.replace("cache\tcold", f"cache\t{source}"))
+
+    def test_value_outside_the_table_field_is_refused(self):
+        s3 = builtin_by_name("S3").build()
+        entry = cache.serialize_table(cache.character_table(s3))
+        with pytest.raises(ValueError, match="does not divide the group exponent"):
+            cache.deserialize_table(s3, _lift_last_value_past_the_exponent(entry))
 
     def test_concurrent_writers_of_one_entry(self, tmp_path, monkeypatch):
         # both writers finish their temp file before either renames it

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilweight.cyclotomic import Cyclotomic, cyclotomic_polynomial
+from nilweight.cyclotomic import (
+    Cyclotomic,
+    cyclotomic_polynomial,
+    weighted_conjugate_dot,
+)
+from nilweight.sigma import euler_phi, mobius
 
 
 def zeta(m, k=1):
@@ -137,3 +142,111 @@ def test_galois_orbit_fixes_rationals(a):
         if math.gcd(k, m) == 1:
             total = total + a.galois(k)
     assert total.is_rational()
+
+
+# --- the integer representation against a Fraction-based reference ----------
+
+
+def ref_canonical(m, terms, target):
+    """Power-basis coefficients in Q(zeta_target) of sum c * zeta_m^e, over Fraction."""
+    dense = [Fraction(0)] * target
+    for e, c in terms.items():
+        dense[e * (target // m) % target] += Fraction(c)
+    phi = cyclotomic_polynomial(target)
+    deg = len(phi) - 1
+    for i in range(target - 1, deg - 1, -1):
+        c, dense[i] = dense[i], Fraction(0)
+        for j in range(deg):
+            dense[i - deg + j] -= c * phi[j]
+    return tuple(dense[:deg])
+
+
+def ref_str(m, canon):
+    if all(c == 0 for c in canon[1:]):
+        return str(canon[0])
+    bits = []
+    for e, c in enumerate(canon):
+        if c == 0:
+            continue
+        z = f"z{m}" + (f"^{e}" if e > 1 else "")
+        bits.append(str(c) if e == 0 else z if c == 1 else f"-{z}" if c == -1 else f"{c}*{z}")
+    return bits[0] + "".join(b if b.startswith("-") else "+" + b for b in bits[1:])
+
+
+def ref_hash(m, terms):
+    # trace(zeta_m^e) / phi(m) = mobius(d) / phi(d), d the order of zeta_m^e
+    trace = Fraction(0)
+    for e, c in terms.items():
+        d = m // math.gcd(e, m)
+        trace += Fraction(c) * Fraction(mobius(d), euler_phi(d))
+    return hash(("cyc", trace))
+
+
+def ref_dot(triples):
+    """sum of w * a * conj(b) over (w, (m_a, terms_a), (m_b, terms_b)), canonical."""
+    M = math.lcm(1, *(m for w, a, b in triples if w for m in (a[0], b[0])))
+    acc = {}
+    for w, (ma, ta), (mb, tb) in triples:
+        for ea, ca in ta.items():
+            for eb, cb in tb.items():
+                e = (ea * (M // ma) - eb * (M // mb)) % M
+                acc[e] = acc.get(e, 0) + w * Fraction(ca) * Fraction(cb)
+    return M, ref_canonical(M, acc, M)
+
+
+@st.composite
+def rational_terms(draw):
+    """(conductor, {exponent: rational}) with mixed conductors, exponents past m and denominators."""
+    m = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12]))
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    return m, draw(st.dictionaries(st.integers(0, 2 * m - 1), coefficient, max_size=4))
+
+
+@settings(max_examples=150)
+@given(rational_terms())
+def test_representation_matches_fraction_reference(data):
+    m, terms = data
+    v = Cyclotomic(m, terms)
+    assert v.den > 0 and math.gcd(v.den, *v.nums.values()) == 1
+    assert v.canonical() == ref_canonical(m, terms, m)
+    assert v.sort_key(2 * m) == ref_canonical(m, terms, 2 * m)
+    assert v.sort_key(12 * m) == ref_canonical(m, terms, 12 * m)
+    assert str(v) == ref_str(m, ref_canonical(m, terms, m))
+    assert hash(v) == ref_hash(m, terms)
+
+
+@settings(max_examples=150)
+@given(rational_terms(), rational_terms(), st.fractions(max_denominator=5))
+def test_equality_matches_fraction_reference(a, b, q):
+    (ma, ta), (mb, tb) = a, b
+    x, y = Cyclotomic(ma, ta), Cyclotomic(mb, tb)
+    M = math.lcm(ma, mb)
+    assert (x == y) == (ref_canonical(ma, ta, M) == ref_canonical(mb, tb, M))
+    # the same value written differently: plus q * (1 + z3 + z3^2), then lifted
+    same = (x + q * (1 + zeta(3) + zeta(3, 2))).to_conductor(2 * math.lcm(ma, 3))
+    assert same == x and hash(same) == hash(x)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.integers(-3, 3), rational_terms(), rational_terms()), max_size=4))
+def test_kernel_matches_naive_loop_and_reference(triples):
+    values = [(w, Cyclotomic(*a), Cyclotomic(*b)) for w, a, b in triples]
+    dot = weighted_conjugate_dot(values)
+    assert dot == sum((w * a * b.conjugate() for w, a, b in values), Cyclotomic.zero())
+    assert (dot.conductor, dot.canonical()) == ref_dot(triples)
+
+
+def test_half_z3_plus_a_third():
+    v = Cyclotomic(3, {1: Fraction(1, 2), 0: Fraction(1, 3)})
+    assert (v.nums, v.den) == ({0: 2, 1: 3}, 6)
+    assert str(v) == "1/3+1/2*z3"
+    # zeta_3 = zeta_6^2 = zeta_6 - 1 in Q(zeta_6)
+    assert v.sort_key(6) == (Fraction(-1, 6), Fraction(1, 2))
+    assert v == Cyclotomic(6, {2: Fraction(1, 2), 0: Fraction(1, 3)})
+    assert hash(v) == ref_hash(3, {1: Fraction(1, 2), 0: Fraction(1, 3)})
+
+
+def test_numerators_only_at_a_multiple_of_the_conductor():
+    assert zeta(4).numerators_at(12, 2) == [(3, 2)]
+    with pytest.raises(ValueError, match="conductor does not divide"):
+        zeta(4).numerators_at(6, 1)

@@ -309,6 +309,14 @@ class TestNormalStructure:
         assert a5.is_sigma_separable(PrimeSet([2, 3, 5]))
         assert a5.is_sigma_separable(PrimeSet())
 
+    def test_solvable_group_skips_composition_factors(self, monkeypatch):
+        def refuse(G):
+            raise AssertionError("composition factors of a solvable group")
+
+        monkeypatch.setattr(PermGroup, "composition_factor_orders", refuse)
+        d10 = group(5, "(1,2,3,4,5)", "(2,5)(3,4)")
+        assert all(d10.is_sigma_separable(PrimeSet(p)) for p in ([], [2], [5], [2, 5]))
+
 
 class TestHallAndSigmaClasses:
     def test_hall_2_of_s4(self, s4):
