@@ -150,17 +150,21 @@ class CharacterTable:
 
 
 def _class_matrices(G: PermGroup):
+    """M_i[j][k] counts the x in class i with x^-1 g_k in class j, g_k the k-th representative.
+
+    x^-1 runs over the inverse class as x runs over class i, so the sum
+    goes over the members y of the inverse class with y g_k in class j.
+    """
     classes = G.conjugacy_classes()
     r = len(classes)
     reps = [c.representative for c in classes]
     mats = []
-    for i, ci in enumerate(classes):
+    for i in G.inverse_class_map():
         M = [[0] * r for _ in range(r)]
-        members = [Perm(im) for im in ci.members]
+        members = [Perm(im) for im in classes[i].members]
         for k, gk in enumerate(reps):
-            for x in members:
-                j = G.class_index_of(x.inverse() * gk)
-                M[j][k] += 1
+            for y in members:
+                M[G.class_index_of(y * gk)][k] += 1
         mats.append(M)
     return mats
 

@@ -13,6 +13,7 @@ resource errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -72,7 +73,9 @@ class Output:
         return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser every call of `run_command` shares; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nilweight",
         description="count nilpotent weights and partial characters of finite groups",

@@ -290,27 +290,34 @@ class Cyclotomic:
         return f"Cyclotomic({self})"
 
     def __str__(self) -> str:
-        canon = [Fraction(n, self.den) for n in self._coords_at(self.conductor)]
-        if all(c == 0 for c in canon[1:]):
-            return str(canon[0])
+        den = self.den
+        coords = self._coords_at(self.conductor)
+        if not any(coords[1:]):
+            return _ratio_text(coords[0], den)
         bits = []
-        for e, c in enumerate(canon):
-            if c == 0:
+        for e, n in enumerate(coords):
+            if n == 0:
                 continue
             if e == 0:
-                bits.append(str(c))
+                bits.append(_ratio_text(n, den))
                 continue
             z = f"z{self.conductor}" + (f"^{e}" if e > 1 else "")
-            if c == 1:
+            if n == den:
                 bits.append(z)
-            elif c == -1:
+            elif n == -den:
                 bits.append(f"-{z}")
             else:
-                bits.append(f"{c}*{z}")
+                bits.append(f"{_ratio_text(n, den)}*{z}")
         out = bits[0]
         for b in bits[1:]:
             out += b if b.startswith("-") else "+" + b
         return out
+
+
+def _ratio_text(n: int, den: int) -> str:
+    """n/den in lowest terms as `str(Fraction(n, den))` writes it; den > 0."""
+    g = math.gcd(n, den)
+    return str(n // g) if den == g else f"{n // g}/{den // g}"
 
 
 def conjugate_dot(weights, xs, ys, m: int) -> list[int]:

@@ -5,6 +5,15 @@ points picked greedily by largest orbit, ties broken by smallest point.
 The group order is the product of the basic orbit lengths, which the test
 suite cross-checks against brute-force closure on small groups.
 
+A caller that has proved an upper bound on the order of the group its
+generators span passes it as `order=`, and the chain stops growing once
+the product of its basic orbit lengths reaches that bound. That product
+never exceeds the order of the group, so when it reaches an upper bound
+the chain is already a complete base and strong generating set, every
+Schreier generator the full run would still sift gives the identity, and
+the chain is the one the full run builds. If the product stays short of
+the bound, the run completes as without it.
+
 Conjugacy classes, centralizers and normalizers are computed by explicit
 orbit/stabilizer runs at desk scale; resource bounds guard against inputs
 far beyond the intended corpus. Stabilizers of points, elements and class
@@ -147,7 +156,7 @@ def _greedy_point(perms: list[Perm], degree: int) -> int:
 class PermGroup:
     """A finite permutation group acting on {1..degree} (0-based inside)."""
 
-    def __init__(self, degree: int, generators):
+    def __init__(self, degree: int, generators, order: int | None = None):
         gens = []
         for g in generators:
             if g.degree != degree:
@@ -160,13 +169,13 @@ class PermGroup:
         self.generators: tuple[Perm, ...] = tuple(gens)
         self.identity = Perm.identity(degree)
         self._levels: list[_ChainLevel] = []
-        self._schreier_sims()
+        self._schreier_sims(order)
         self.order: int = math.prod(len(l.transversal) for l in self._levels) or 1
         self._memo: dict = {}
 
     # --- stabilizer chain -------------------------------------------------
 
-    def _schreier_sims(self) -> None:
+    def _schreier_sims(self, order: int | None) -> None:
         if not self.generators:
             return
         levels = self._levels
@@ -220,7 +229,7 @@ class PermGroup:
             return None
 
         i = len(levels) - 1
-        while i >= 0:
+        while i >= 0 and math.prod(len(l.transversal) for l in levels) != order:
             j = process(i)
             i = i - 1 if j is None else j
 
@@ -256,8 +265,9 @@ class PermGroup:
 
     # --- subgroups --------------------------------------------------------
 
-    def subgroup(self, generators) -> "Subgroup":
-        return Subgroup(self, generators)
+    def subgroup(self, generators, order: int | None = None) -> "Subgroup":
+        """The subgroup spanned by `generators`; `order` bounds its order from above."""
+        return Subgroup(self, generators, order)
 
     def is_subset(self, other: "PermGroup") -> bool:
         """True if every generator of self lies in other."""
@@ -354,7 +364,7 @@ class PermGroup:
             frontier = nxt
         if len(trans) == 1:
             return self
-        T = self.subgroup(stab_gens)
+        T = self.subgroup(stab_gens, order=self.order // len(trans))
         assert len(trans) * T.order == self.order
         return T
 
@@ -408,7 +418,11 @@ class PermGroup:
         if not H.is_subset(self):
             raise ValueError("H is not a subgroup of the group")
         orbit = self.subgroup_orbit(H.element_set())
-        N = self.subgroup(orbit.stabilizer(H.element_set()) + list(H.generators))
+        # every generator normalizes H, so |N| is at most |G| over the orbit
+        N = self.subgroup(
+            orbit.stabilizer(H.element_set()) + list(H.generators),
+            order=self.order // len(orbit.members),
+        )
         assert len(orbit.members) * N.order == self.order
         return N
 
@@ -662,12 +676,12 @@ class PermGroup:
 class Subgroup(PermGroup):
     """A PermGroup whose generators are checked to lie in a parent group."""
 
-    def __init__(self, parent: PermGroup, generators):
+    def __init__(self, parent: PermGroup, generators, order: int | None = None):
         gens = tuple(generators)
         for g in gens:
             if not parent.contains(g):
                 raise ValueError(f"{g!r} is not an element of the parent group")
-        super().__init__(parent.degree, gens)
+        super().__init__(parent.degree, gens, order)
         if parent.order % self.order != 0:
             raise AssertionError("Lagrange violation; stabilizer chain is broken")
 

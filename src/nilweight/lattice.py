@@ -93,7 +93,8 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
             coset_order = _coset_order(z, H)
             if not is_prime(coset_order):
                 continue  # z must have prime order modulo H
-            K = G.subgroup(tuple(H.generators) + (z,))
+            # z normalizes H, so |<H, z>| = coset_order * |H| exactly
+            K = G.subgroup(tuple(H.generators) + (z,), order=coset_order * H.order)
             assert K.order == coset_order * H.order
             covered |= K.element_set()
             new_cls = collector.add(K)

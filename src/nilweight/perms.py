@@ -4,30 +4,48 @@ Composition is left-to-right: a point moved by p*q is first moved by p,
 then by q. Conjugation x^g means g^-1 * x * g, a right action.
 Cycle notation in text always uses 1-based points and commas, e.g.
 "(1,2)(3,4,5)"; fixed points are omitted.
+
+The images are a tuple of int on purpose. Composition builds the product
+tuple in C with `operator.itemgetter`, and each permutation computes its
+inverse once and keeps it. A tuple of int hashes the same in every
+process, whereas `bytes` and `str` hashes change with PYTHONHASHSEED; the
+iteration order of the frozensets of images that subgroup orbits walk
+reaches the machine reports through their generator lists, so images of
+another type would make reports depend on the seed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
+from operator import index, itemgetter
 
 
 class MalformedPermError(ValueError):
     """Raised for images that are not a bijection or bad cycle text."""
 
 
+@functools.cache
+def _identity_images(degree: int) -> tuple[int, ...]:
+    return tuple(range(degree))
+
+
 class Perm:
-    __slots__ = ("images",)
+    # `_inverse` is filled by the first call of `inverse()`
+    __slots__ = ("images", "_inverse")
 
     def __init__(self, images):
         imgs = tuple(images)
-        n = len(imgs)
-        seen = [False] * n
-        for i in imgs:
-            if not isinstance(i, int) or not 0 <= i < n or seen[i]:
-                raise MalformedPermError(f"images {imgs!r} are not a bijection of 0..{n - 1}")
-            seen[i] = True
-        object.__setattr__(self, "images", imgs)
+        try:
+            points = tuple(map(index, imgs))
+        except TypeError:
+            points = None
+        if points is None or sorted(points) != list(range(len(points))):
+            raise MalformedPermError(
+                f"images {imgs!r} are not a bijection of 0..{len(imgs) - 1}"
+            )
+        _set_images(self, points)
 
     def __setattr__(self, *a):
         raise AttributeError("Perm is immutable")
@@ -78,16 +96,24 @@ class Perm:
         a, b = self.images, other.images
         if len(a) != len(b):
             raise MalformedPermError("degree mismatch in product")
-        p = object.__new__(Perm)
-        object.__setattr__(p, "images", tuple(b[i] for i in a))
+        if len(a) < 2:
+            return other  # the only permutation of degree < 2 is the identity
+        p = _new(Perm)
+        _set_images(p, itemgetter(*a)(b))
         return p
 
     def inverse(self) -> "Perm":
+        # kept on self only: a link back from the inverse would make a cycle
+        try:
+            return self._inverse
+        except AttributeError:
+            pass
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        p = object.__new__(Perm)
-        object.__setattr__(p, "images", tuple(inv))
+        p = _new(Perm)
+        _set_images(p, tuple(inv))
+        _set_inverse(self, p)
         return p
 
     def __pow__(self, n: int) -> "Perm":
@@ -104,20 +130,18 @@ class Perm:
 
     def conjugate(self, g: "Perm") -> "Perm":
         """self^g = g^-1 * self * g."""
-        gi = g.images
-        inv = [0] * len(gi)
-        for i, j in enumerate(gi):
-            inv[j] = i
         s = self.images
-        p = object.__new__(Perm)
-        object.__setattr__(p, "images", tuple(gi[s[inv[i]]] for i in range(len(gi))))
+        if len(s) < 2:
+            return self
+        p = _new(Perm)
+        _set_images(p, itemgetter(*itemgetter(*g.inverse().images)(s))(g.images))
         return p
 
     def commutes_with(self, other: "Perm") -> bool:
         return (self * other).images == (other * self).images
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == _identity_images(len(self.images))
 
     def order(self) -> int:
         out = 1
@@ -158,3 +182,10 @@ class Perm:
 
     def __repr__(self) -> str:
         return f"Perm[{self.cycle_string()}]"
+
+
+# Perm forbids attribute assignment, so its constructors fill the slots
+# through their descriptors.
+_new = object.__new__
+_set_images = Perm.images.__set__
+_set_inverse = Perm._inverse.__set__

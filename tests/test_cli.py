@@ -1,8 +1,11 @@
+import argparse
 import functools
 import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from fractions import Fraction
@@ -10,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import nilweight
 from nilweight import cache, cli, groups
 from nilweight.cli import run_command
 from nilweight.corpus import builtin_by_name
@@ -374,6 +378,21 @@ class TestErrors:
     def test_flag_the_command_does_not_read(self, argv):
         assert run_command(argv) == (2, "")
 
+    def test_calls_share_one_parser(self, monkeypatch):
+        parsers = []
+        real_parse = argparse.ArgumentParser.parse_args
+
+        def parse_args(self, *args, **kwargs):
+            parsers.append(self)
+            return real_parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_args)
+        first = run_command(["classes", "--group", "S3", "--format", "machine"])
+        assert run_command(["classes", "--group", "S3", "--nope"]) == (2, "")
+        assert run_command(["classes", "--group", "S3", "--format", "machine"]) == first
+        assert first[0] == 0
+        assert len(parsers) == 3 and parsers[0] is parsers[1] is parsers[2]
+
     def test_jobs_below_one(self):
         code, text = run_command(["scan", "--group", "S3", "--jobs", "0"])
         assert (code, text) == (2, "error: --jobs must be positive\n")
@@ -591,3 +610,31 @@ class TestJobs:
         argv = ["scan", "--group", "S4", "--format", "machine"]
         assert run_command(argv + ["--jobs", "5000"]) == run_command(argv)
         assert requested == [1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vertices", "--group", "S4", "--pi", "2"],
+        ["verify-a", "--group", "S4", "--pi", "2"],
+        # these two change with the hash seed when images are bytes
+        ["verify-b", "--group", "S3", "--pi", "2"],
+        ["subgroups", "--group", "A5"],
+    ],
+    ids=lambda argv: "-".join(argv[::2]),
+)
+def test_reports_do_not_depend_on_the_hash_seed(argv):
+    """Report bytes must not follow PYTHONHASHSEED; images that hash by seed break this."""
+    src = str(Path(nilweight.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "nilweight.cli", *argv, "--format", "machine"],
+            env=env,
+            capture_output=True,
+            timeout=120,
+            check=True,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1

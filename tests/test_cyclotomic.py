@@ -72,6 +72,11 @@ class TestBasics:
         assert str(Cyclotomic.from_rational(-2)) == "-2"
         assert str(zeta(4)) == "z4"
         assert str(zeta(3) * 2 + 1) == "1+2*z3"
+        assert str(Cyclotomic(1, {0: Fraction(-1, 2)})) == "-1/2"
+        assert str(Cyclotomic(4, {0: 6}, 2)) == "3"
+        assert str(zeta(5, 2)) == "z5^2"
+        assert str(-zeta(3)) == "-z3"
+        assert str(Cyclotomic(3, {1: 2}, 4)) == "1/2*z3"
 
 
 class TestEqualityHash:

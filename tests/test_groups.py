@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from nilweight import bruteforce as bf
+from nilweight.corpus import builtin_corpus
 from nilweight.perms import MalformedPermError, Perm
 from nilweight import groups
 from nilweight.groups import PermGroup, ResourceLimitError, bsgs_construct, resource_bound
@@ -54,6 +55,42 @@ class TestConstruction:
         assert s4.order == math.prod(
             len(lvl.transversal) for lvl in s4._levels
         )
+
+
+def chain(G):
+    """Base, transversals and elements: everything the stabilizer chain determines."""
+    transversals = [
+        {p: u.images for p, u in lvl.transversal.items()} for lvl in G._levels
+    ]
+    return G.base, transversals, G.elements()
+
+
+class TestKnownOrder:
+    def test_stopping_at_the_order_gives_the_full_chain(self, monkeypatch):
+        products = [0]
+        real_mul = Perm.__mul__
+
+        def mul(a, b):
+            products[0] += 1
+            return real_mul(a, b)
+
+        monkeypatch.setattr(Perm, "__mul__", mul)
+        saved = 0
+        for definition in builtin_corpus():
+            gens = [Perm.parse(s, definition.degree) for s in definition.generators]
+            products[0] = 0
+            full = PermGroup(definition.degree, gens)
+            full_products = products[0]
+            products[0] = 0
+            known = PermGroup(definition.degree, gens, order=full.order)
+            assert products[0] <= full_products, definition.name
+            saved += full_products - products[0]
+            assert known.order == full.order == definition.expected_order
+            assert chain(known) == chain(full), definition.name
+            # a bound above the true order is never reached: the run completes
+            loose = PermGroup(definition.degree, gens, order=2 * full.order)
+            assert chain(loose) == chain(full), definition.name
+        assert saved > 0  # the stop skips work somewhere in the corpus
 
 
 class TestMembership:

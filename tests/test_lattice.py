@@ -71,8 +71,8 @@ class TestCyclicExtension:
             current.append(H.element_set())
             return N
 
-        def subgroup(self, generators):
-            K = real_subgroup(self, generators)
+        def subgroup(self, generators, order=None):
+            K = real_subgroup(self, generators, order)
             if current and self is G:
                 built.append((current[0], K.element_set()))
             return K

@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from nilweight.perms import MalformedPermError, Perm
 
@@ -90,3 +92,54 @@ def test_pow():
     assert p**2 == Perm.parse("(1,3)(2,4)", 4)
     assert p**-1 == p.inverse()
     assert (p**0).is_identity()
+
+
+@pytest.mark.parametrize(
+    "images",
+    [(0, 1.0), (1, 1), (-1, 0), (0, 2), ("0", 1)],
+    ids=["float", "repeated", "negative", "out-of-range", "str"],
+)
+def test_rejects_images_that_are_not_a_bijection(images):
+    message = f"images {images!r} are not a bijection of 0..1"
+    with pytest.raises(MalformedPermError, match=re.escape(message)):
+        Perm(images)
+
+
+def test_images_are_a_tuple_of_int():
+    for p in (Perm([True, False]), Perm(range(3))):
+        assert type(p.images) is tuple and all(type(i) is int for i in p.images)
+
+
+def naive_inverse(a):
+    inv = [0] * len(a)
+    for i, j in enumerate(a):
+        inv[j] = i
+    return tuple(inv)
+
+
+def naive_product(a, b):
+    return tuple(b[a[i]] for i in range(len(a)))
+
+
+same_degree_pairs = st.integers(min_value=0, max_value=12).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+)
+
+
+@given(same_degree_pairs)
+@example(((), ()))
+@example(((0,), (0,)))
+def test_kernel_matches_naive_definitions(pair):
+    a, b = map(tuple, pair)
+    p, q = Perm(a), Perm(b)
+    n = len(a)
+    assert (p * q).images == naive_product(a, b)
+    assert q.inverse().images == naive_inverse(b)
+    assert p.conjugate(q).images == naive_product(naive_product(naive_inverse(b), a), b)
+    assert p.is_identity() == all(i == j for i, j in enumerate(a))
+    assert Perm.identity(n).is_identity() and (p * p.inverse()).is_identity()
+    assert p.inverse().inverse() == p
+    assert p.inverse() is p.inverse()
+    for r in (p * q, p.inverse(), p.conjugate(q)):
+        assert type(r.images) is tuple and all(type(i) is int for i in r.images)
+        assert hash(r) == hash(r.images)
