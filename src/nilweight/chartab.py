@@ -4,24 +4,24 @@ Tables are computed by the classical finite-field method: common
 eigenvectors of the class-sum matrices over F_q (q = 1 mod exp(G),
 q > 2*sqrt(|G|)) give the central characters, degrees are recovered from
 the orthogonality relations, and values are lifted to exact cyclotomics
-from the eigenvalue multiplicities of each power map. The splitting uses
-pseudo-random linear combinations of class matrices drawn from a fixed
-seed. The `CharacterTable` constructor sorts every table, computed or read
-from disk, by (degree, values) and certifies it before it is used.
+from the eigenvalue multiplicities of each power map. The class matrices
+split the space one at a time, in class order, each acting only on the
+eigenspaces that are not yet lines (Schneider's refinement of Dixon's
+method). The `CharacterTable` constructor sorts every table, computed or
+read from disk, by (degree, values) and certifies it before it is used.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
+from operator import mul
 
 from .cyclotomic import Cyclotomic, conjugate_dot, weighted_conjugate_dot
 from .groups import PermGroup, memoized
 from .linalg import (
     charpoly_mod,
     find_splitting_prime,
-    mat_vec_mod,
     nullspace_mod,
     poly_roots_mod,
     primitive_root,
@@ -29,11 +29,6 @@ from .linalg import (
 )
 from .perms import Perm
 from .sigma import PrimeSet, euler_phi, sigma_part
-
-_MAX_SPLIT_ROUNDS = 500
-# the table does not depend on this seed, only the splitting work does
-_SPLIT_SEED = 0
-
 
 class Character:
     """A class function on a group, given by its values on the ordered classes."""
@@ -154,71 +149,64 @@ def _class_matrices(G: PermGroup):
 
     x^-1 runs over the inverse class as x runs over class i, so the sum
     goes over the members y of the inverse class with y g_k in class j.
+    The matrices are yielded in class order, each built only when asked for.
     """
     classes = G.conjugacy_classes()
+    lookup = G._class_lookup()
     r = len(classes)
-    reps = [c.representative for c in classes]
-    mats = []
+    reps = [c.representative.images for c in classes]
     for i in G.inverse_class_map():
         M = [[0] * r for _ in range(r)]
-        members = [Perm(im) for im in classes[i].members]
-        for k, gk in enumerate(reps):
-            for y in members:
-                M[G.class_index_of(y * gk)][k] += 1
-        mats.append(M)
-    return mats
+        for k, g in enumerate(reps):
+            for y in classes[i].members:
+                M[lookup[tuple(map(g.__getitem__, y))]][k] += 1
+        yield M
 
 
 def _split_to_common_eigenvectors(mats, q, r):
-    rng = random.Random(_SPLIT_SEED)
+    """The common eigenvectors of the class matrices over F_q, one per irreducible.
+
+    Each matrix in turn splits the invariant subspaces that are not yet
+    lines, until all are. q does not divide |G|, so the class sums span a
+    split semisimple centre whose common eigenspaces are lines.
+    """
     # start from the full space, given by the identity basis (already in RREF)
-    spaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
-    rounds = 0
-    while any(len(B) > 1 for B in spaces) and rounds < _MAX_SPLIT_ROUNDS:
-        rounds += 1
-        coeffs = [rng.randrange(q) for _ in range(len(mats))]
-        M = [
-            [sum(c * mat[j][k] for c, mat in zip(coeffs, mats)) % q for k in range(r)]
-            for j in range(r)
-        ]
-        new_spaces = []
-        for B in spaces:
-            if len(B) == 1:
-                new_spaces.append(B)
-                continue
-            new_spaces.extend(_split_space(B, M, q))
-        spaces = new_spaces
+    spaces = [[[int(i == j) for j in range(r)] for i in range(r)]]
+    for M in mats:
+        if all(len(B) == 1 for B in spaces):
+            break
+        spaces = [part for B in spaces for part in (_split_space(B, M, q) if len(B) > 1 else [B])]
     if any(len(B) > 1 for B in spaces):
-        raise RuntimeError("class-matrix splitting did not converge")
+        raise AssertionError("the class matrices leave a common eigenspace of dimension > 1")
     return [B[0] for B in spaces]
 
 
 def _split_space(B, M, q):
     """Split an invariant subspace (rows of B in RREF) by eigenvalues of M."""
-    _, pivots = rref_mod(B, q)
+    # each RREF row has its leading 1 at its pivot column
+    pivots = [next(c for c, x in enumerate(b) if x) for b in B]
+    columns = list(zip(*B))
     d = len(B)
     A = []
     for b in B:
-        w = mat_vec_mod(M, b, q)
-        coords = [w[pc] % q for pc in pivots]
+        w = [sum(map(mul, row, b)) % q for row in M]
+        coords = [w[pc] for pc in pivots]
         # verify w really lies in the span (it must: the space is invariant)
-        check = [
-            sum(coords[s] * B[s][c] for s in range(d)) % q for c in range(len(b))
-        ]
-        assert check == [x % q for x in w], "subspace not invariant"
+        assert [sum(map(mul, coords, col)) % q for col in columns] == w, "subspace not invariant"
         A.append(coords)
+    # M acts as a scalar on the space: it is one eigenspace
+    if A == [[A[0][0] * (i == j) for j in range(d)] for i in range(d)]:
+        return [B]
     # eigenvalues of the restriction; the operator on coordinates is A^T
-    At = [[A[i][j] for i in range(d)] for j in range(d)]
-    poly = charpoly_mod(At, q)
+    At = [list(col) for col in zip(*A)]
     out = []
     found = 0
-    for lam in poly_roots_mod(poly, q):
-        shifted = [[(At[i][j] - (lam if i == j else 0)) % q for j in range(d)] for i in range(d)]
-        vecs = []
-        for kv in nullspace_mod(shifted, q):
-            vecs.append(
-                [sum(kv[s] * B[s][c] for s in range(d)) % q for c in range(len(B[0]))]
-            )
+    for lam in poly_roots_mod(charpoly_mod(At, q), q):
+        shifted = [
+            [(x - lam) % q if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(At)
+        ]
+        vecs = [[sum(map(mul, kv, col)) % q for col in columns] for kv in nullspace_mod(shifted, q)]
         if vecs:
             found += len(vecs)
             out.append(rref_mod(vecs, q)[0])
@@ -235,21 +223,23 @@ def character_table(G: PermGroup) -> CharacterTable:
     q = find_splitting_prime(e, G.order)
     z = pow(primitive_root(q), (q - 1) // e, q)
 
-    mats = _class_matrices(G)
-    vectors = _split_to_common_eigenvectors(mats, q, r)
+    vectors = _split_to_common_eigenvectors(_class_matrices(G), q, r)
 
     inv = G.inverse_class_map()
-    sizes = [c.size for c in classes]
+    inv_sizes = [pow(c.size, -1, q) for c in classes]
     # power maps: class of rep_j^s
     powmap = []
     for c in classes:
-        m = c.element_order
-        row = []
-        x = G.identity
-        for _ in range(m):
+        x, row = G.identity, []
+        for _ in range(c.element_order):
             row.append(G.class_index_of(x))
             x = x * c.representative
         powmap.append(row)
+    # dft[m][t][s] = zeta_m^(-s t) mod q, zeta_m = z^(e/m), one table per element order
+    dft = {}
+    for m in {c.element_order for c in classes}:
+        roots = [pow(z, (e // m) * k, q) for k in range(m)]
+        dft[m] = [[roots[-s * t % m] for s in range(m)] for t in range(m)]
 
     chars = []
     for u in vectors:
@@ -258,7 +248,7 @@ def character_table(G: PermGroup) -> CharacterTable:
         scale = pow(u[0], -1, q)
         u = [(x * scale) % q for x in u]
         # degree from the first orthogonality relation
-        s = sum(u[j] * u[inv[j]] * pow(sizes[j], -1, q) for j in range(r)) % q
+        s = sum(u[j] * u[inv[j]] * inv_sizes[j] for j in range(r)) % q
         d2 = (G.order * pow(s, -1, q)) % q
         degree = next(
             (d for d in range(1, math.isqrt(G.order) + 1) if (d * d) % q == d2), None
@@ -266,19 +256,16 @@ def character_table(G: PermGroup) -> CharacterTable:
         if degree is None:
             raise AssertionError("no valid degree below sqrt(|G|)")
         # character values mod q on every class
-        chi_mod = [(degree * u[j] * pow(sizes[j], -1, q)) % q for j in range(r)]
+        chi_mod = [(degree * u[j] * inv_sizes[j]) % q for j in range(r)]
         values = []
         for j, c in enumerate(classes):
             m = c.element_order
-            zm = pow(z, e // m, q)
             minv = pow(m, -1, q)
+            on_powers = [chi_mod[k] for k in powmap[j]]
             terms = {}
             total = 0
-            for t in range(m):
-                mt = 0
-                for s_ in range(m):
-                    mt += chi_mod[powmap[j][s_]] * pow(zm, -s_ * t % (q - 1), q)
-                mt = (mt * minv) % q
+            for t, row in enumerate(dft[m]):
+                mt = (sum(map(mul, on_powers, row)) * minv) % q
                 total += mt
                 if mt:
                     terms[(e // m) * t] = mt

@@ -34,6 +34,7 @@ import functools
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .perms import MalformedPermError, Perm
 from .sigma import PrimeSet, factorize, prime_divisors, sigma_part
@@ -250,18 +251,25 @@ class PermGroup:
     __contains__ = contains
 
     @memoized()
-    def elements(self) -> tuple[Perm, ...]:
-        """All group elements, materialized once and cached."""
-        out = [self.identity]
+    def _element_images(self) -> tuple[tuple[int, ...], ...]:
+        """The image tuples of all elements h * u, composed in C along the chain.
+
+        Levels exist only for degree >= 2, where `itemgetter` returns a tuple."""
+        out = [self.identity.images]
         for lvl in reversed(self._levels):
-            trans = [lvl.transversal[p] for p in sorted(lvl.transversal)]
-            out = [h * u for h in out for u in trans]
+            trans = [lvl.transversal[p].images for p in sorted(lvl.transversal)]
+            out = [x for h in out for x in map(itemgetter(*h), trans)]  # (h*u)(x) = u(h(x))
         assert len(out) == self.order
         return tuple(out)
 
     @memoized()
+    def elements(self) -> tuple[Perm, ...]:
+        """All group elements, materialized once and cached."""
+        return tuple(map(Perm, self._element_images()))
+
+    @memoized()
     def element_set(self) -> frozenset:
-        return frozenset(g.images for g in self.elements())
+        return frozenset(self._element_images())
 
     # --- subgroups --------------------------------------------------------
 

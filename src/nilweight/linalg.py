@@ -82,10 +82,6 @@ def primitive_root(q: int) -> int:
     raise RuntimeError(f"no primitive root modulo {q}")
 
 
-def mat_vec_mod(M, v, q):
-    return [sum(Mrow[k] * v[k] for k in range(len(v))) % q for Mrow in M]
-
-
 def rref_mod(rows, q):
     """Reduced row echelon form mod q; returns (rows, pivot column list)."""
     rows = [list(r) for r in rows]
@@ -98,16 +94,18 @@ def rref_mod(rows, q):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = pow(rows[r][c], -1, q)
-        rows[r] = [(x * inv) % q for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % q:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[r])]
+        # left of c the pivot row is zero mod q, so only columns c.. change
+        tail = [(x * inv) % q for x in rows[r][c:]]
+        rows[r] = [0] * c + tail
+        for i, row in enumerate(rows):
+            if i != r and row[c] % q:
+                f = row[c]
+                row[c:] = [(a - f * b) % q for a, b in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return [row for row in rows[:r]], pivots
+    return rows[:r], pivots
 
 
 def nullspace_mod(M, q):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from nilweight.cli import run_command
 from nilweight.corpus import builtin_corpus
 from nilweight.cyclotomic import Cyclotomic
 from nilweight.groups import bsgs_construct
+from nilweight.linalg import find_splitting_prime
 from nilweight.sigma import PrimeSet
 
 from conftest import group, perm
@@ -81,15 +83,37 @@ class TestTableConstruction:
         assert golden_plus in five_cycle_values
         assert golden_minus in five_cycle_values
 
-    def test_determinism_across_seeds(self, s4, monkeypatch):
-        # the sorted table must not depend on the splitting seed
-        t1 = character_table(s4)
-        monkeypatch.setattr(chartab, "_SPLIT_SEED", 12345)
-        G2 = group(4, "(1,2)", "(1,2,3,4)")
-        t2 = character_table(G2)
-        v1 = [[str(v) for v in chi.values] for chi in t1.irreducibles]
-        v2 = [[str(v) for v in chi.values] for chi in t2.irreducibles]
-        assert v1 == v2
+    def test_table_does_not_depend_on_the_splitting_path(self, monkeypatch):
+        # the split fed the class matrices in another order must give the
+        # same sorted table, also with irrational values (A5)
+        split = chartab._split_to_common_eigenvectors
+
+        def values(tab):
+            return [[str(v) for v in chi.values] for chi in tab.irreducibles]
+
+        def shuffled(mats):
+            mats = list(mats)
+            random.Random(7).shuffle(mats)
+            return mats
+
+        orders = {"reversed": lambda mats: list(mats)[::-1], "shuffled": shuffled}
+        for gens in [(4, "(1,2)", "(1,2,3,4)"), (5, "(1,2,3,4,5)", "(3,4,5)")]:
+            want = values(character_table(group(*gens)))
+            for name, reorder in orders.items():
+                monkeypatch.setattr(
+                    chartab,
+                    "_split_to_common_eigenvectors",
+                    lambda mats, q, r, reorder=reorder: split(reorder(mats), q, r),
+                )
+                assert values(character_table(group(*gens))) == want, name
+                monkeypatch.undo()
+
+    def test_identity_matrix_alone_leaves_a_space_unsplit(self, s3):
+        # the identity class acts as the identity: one eigenspace of dimension 3
+        identity = next(chartab._class_matrices(s3))
+        q = find_splitting_prime(s3.exponent(), s3.order)
+        with pytest.raises(AssertionError, match="dimension > 1"):
+            chartab._split_to_common_eigenvectors([identity], q, len(identity))
 
     def test_abelian_tables(self):
         for cycles, n in [(("(1,2,3,4,5,6)",), 6), (("(1,2)", "(3,4)"), 2)]:

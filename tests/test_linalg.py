@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilweight.chartab import _class_matrices
+from nilweight.corpus import builtin_corpus
 from nilweight.cyclotomic import Cyclotomic
-from nilweight.linalg import nonneg_integer_solution, solve_unique_rational
+from nilweight.linalg import nonneg_integer_solution, rref_mod, solve_unique_rational
+from nilweight.perms import Perm
 from nilweight.pipartial import InternalConsistencyError, _flatten
 
 P = 2**31 - 1  # the first modulus the solver tries
@@ -28,6 +31,66 @@ def _independent(columns) -> bool:
         _det([[col[i] for col in columns] for i in rows])
         for rows in itertools.combinations(range(len(columns[0])), n)
     )
+
+
+def _reference_rref(rows, q):
+    """Gauss-Jordan elimination mod q that rewrites every whole row."""
+    rows = [[x % q for x in row] for row in rows]
+    pivots = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], -1, q)
+        rows[r] = [x * inv % q for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+class TestRref:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_whole_row_elimination(self, data):
+        q = data.draw(st.sampled_from([2, 3, 5, 13, P]))
+        m = data.draw(st.integers(1, 6))
+        entry = st.integers(-2 * q - 3, 2 * q + 3)
+        n = data.draw(st.integers(1, 4))
+        base = [[data.draw(entry) for _ in range(m)] for _ in range(n)]
+        # rows that are integer combinations of the others make it rank-deficient
+        coefficients = st.lists(st.integers(-q, q), min_size=n, max_size=n)
+        combos = [
+            [sum(c * row[j] for c, row in zip(coeffs, base)) for j in range(m)]
+            for coeffs in data.draw(st.lists(coefficients, max_size=3))
+        ]
+        rows = data.draw(st.permutations(base + combos))
+        assert rref_mod(rows, q) == _reference_rref(rows, q)
+
+    def test_rank_deficient_example(self):
+        rows = [[2, -4, 6], [1, -2, 3], [0, 0, 7]]
+        assert rref_mod(rows, 5) == ([[1, 3, 0], [0, 0, 1]], [0, 2])
+
+
+class TestClassMatrices:
+    def test_match_the_perm_product_definition(self):
+        # M_i[j][k] counts the x in class i with x^-1 g_k in class j
+        groups = [d.build() for d in builtin_corpus()]
+        checked = [G for G in groups if G.order <= 120]
+        assert any(G.degree == 1 for G in checked)
+        for G in checked:
+            classes = G.conjugacy_classes()
+            r = len(classes)
+            want = [[[0] * r for _ in range(r)] for _ in range(r)]
+            for i, c in enumerate(classes):
+                for x in map(Perm, c.members):
+                    for k, d in enumerate(classes):
+                        want[i][G.class_index_of(x.inverse() * d.representative)][k] += 1
+            assert list(_class_matrices(G)) == want, G
 
 
 class TestSolver:

@@ -2,9 +2,12 @@
 
 `bench/run.py --trace 1` wraps every (module, owner, attribute) listed in
 `bench/tracing.py`; a renamed or removed engine function would break it
-without failing any engine test, so these tests resolve every entry.
+without failing any engine test, so these tests resolve every entry. A
+last test keeps the engine free of `random`, as the README's determinism
+note says.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -47,3 +50,20 @@ def test_install_wraps_every_entry_and_uninstall_restores_it():
         wrapped = [name for name, fn in _current().items() if fn is not originals[name]]
     assert sorted(wrapped) == sorted(ENTRIES)
     assert _current() == originals
+
+
+def _imports(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_only_the_property_suite_imports_random():
+    # the engine is deterministic: randomness is for the property suite's samples
+    src = TRACING_PATH.parent.parent / "src" / "nilweight"
+    users = sorted(p.name for p in src.rglob("*.py") if "random" in _imports(p))
+    assert users == ["properties.py"]
