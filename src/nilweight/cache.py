@@ -131,7 +131,8 @@ def load_or_compute_table(G: PermGroup, cache_dir):
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            json.dump(serialize_table(tab), f, separators=(",", ":"))
+            # json.dumps runs the C encoder; json.dump always runs the Python one
+            f.write(json.dumps(serialize_table(tab), separators=(",", ":")))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -79,7 +79,8 @@ def memoized(key=None, bound: str | None = None):
     name followed by its positional arguments. With `bound`, the group's
     order is checked against that bound before the memo is read. The
     decorated function's `remember(G, value, *args)` stores a value under
-    the key the function reads.
+    the key the function reads, and `peek(G, *args)` reads that key without
+    computing, giving None when nothing is stored there.
     """
 
     def decorate(fn):
@@ -99,7 +100,11 @@ def memoized(key=None, bound: str | None = None):
         def remember(G, value, *args):
             G._memo[key_of(G, *args)] = value
 
+        def peek(G, *args):
+            return G._memo.get(key_of(G, *args))
+
         cached.remember = remember
+        cached.peek = peek
         return cached
 
     return decorate
@@ -631,10 +636,14 @@ class PermGroup:
         """
         if not H.is_subset(self):
             raise ValueError("H is not a subgroup of the group")
-        h_elems = [Perm(im) for im in sorted(H.element_set())]
+        # (h * x).images is itemgetter(*h.images)(x.images); below degree 2
+        # the identity is the only element and labels its own coset
+        small = self.degree < 2
+        h_getters = [] if small else [itemgetter(*h) for h in sorted(H.element_set())]
 
         def label(x: Perm):
-            return min((h * x).images for h in h_elems)
+            images = x.images
+            return images if small else min([h(images) for h in h_getters])
 
         labels = {label(self.identity): 0}
         reps = [self.identity]
@@ -701,19 +710,22 @@ class SubgroupOrbit:
     from, in that set's iteration order, and goes into `members` when found.
     Set iteration depends on insertion order, and reports show generator
     lists read from these sets, so the walk order is part of the output.
+    Members are conjugated as image tuples: x^g has images g[x[g^-1[i]]],
+    the tuple `Perm.conjugate` builds.
     """
 
     def __init__(self, G: PermGroup, start: frozenset):
         self.members = {start}
         self._conjugators = {start: G.identity}
         self._schreier: list[Perm] = []
+        # generators exist only for degree >= 2, where `itemgetter` returns a tuple
+        actions = [(g, itemgetter(*g.inverse().images), g.images) for g in G.generators]
         frontier = [start]
         while frontier:
             current = frontier.pop()
             u = self._conjugators[current]
-            perms = [Perm(im) for im in current]
-            for g in G.generators:
-                image = frozenset(x.conjugate(g).images for x in perms)
+            for g, pre, post in actions:
+                image = frozenset(itemgetter(*pre(x))(post) for x in current)
                 if image not in self.members:
                     self.members.add(image)
                     self._conjugators[image] = u * g

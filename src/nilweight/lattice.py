@@ -2,20 +2,28 @@
 
 Subgroup classes are enumerated bottom-up by cyclic extension: a known
 class representative H is extended by elements z of its normalizer with
-z^p in H, so that <H, z> contains H with prime index. Each such overgroup
-K = <H, z> is built once per H: every z' in K outside H also has prime
-order modulo H, so <H, z'> = K, and those z' are skipped. That reaches every
-solvable subgroup; for a non-solvable ambient group a join-closure pass
-with prime-power cyclic subgroups picks up the perfect overgroups.
+z^p in H, so that <H, z> contains H with prime index. Each candidate
+K = <H, z> is first formed as an element set, the union of the cosets
+z^i H, from image tuples; the order of z modulo H comes from membership in
+H's element set. K is formed once per H: every z' in K outside H also has
+prime order modulo H, so <H, z'> = K, and those z' are skipped. That
+reaches every solvable subgroup; for a non-solvable ambient group a
+join-closure pass with prime-power cyclic subgroups picks up the perfect
+overgroups, again forming each join <H, Z> as an element set first.
+
 Conjugacy of candidates is decided by the canonical key of their orbit.
 `PermGroup.subgroup_orbit` walks each class's orbit once and memoizes it
 under every member, so the lattice, normalizers and Carter fibers all read
-the same walk.
+the same walk. A candidate whose orbit is already walked and collected is
+dropped without a stabilizer chain; only a candidate of a new class is
+built as a `Subgroup`, from H's generators and z (or Z), and its orbit is
+walked from that subgroup's element set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from .groups import PermGroup, Subgroup, memoized
 from .perms import Perm
@@ -55,16 +63,23 @@ class _ClassCollector:
         self.G = G
         self.by_key: dict[tuple, SubgroupClass] = {}
 
-    def add(self, H: Subgroup) -> SubgroupClass | None:
-        """Register H; returns its new class, or None if already known.
+    def knows(self, elems: frozenset) -> bool:
+        """True if the subgroup with element set `elems` is in a collected class.
 
-        The walk of a known class is memoized under every member, so only
-        a new class costs a walk.
+        Every collected class has its walk memoized under every member, so a
+        subgroup whose walk is missing is in a new class; no orbit is walked.
+        """
+        orbit = PermGroup.subgroup_orbit.peek(self.G, elems)
+        return orbit is not None and orbit.canonical_key in self.by_key
+
+    def add(self, H: Subgroup) -> SubgroupClass:
+        """Register H, which `knows` does not place in a collected class.
+
+        This walks H's orbit unless some other caller has walked it already.
         """
         orbit = self.G.subgroup_orbit(H.element_set())
         key = orbit.canonical_key
-        if key in self.by_key:
-            return None
+        assert key not in self.by_key
         cls = SubgroupClass(
             representative=H, class_size=len(orbit.members), canonical_key=key
         )
@@ -85,21 +100,24 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
         cls = frontier.pop()
         H = cls.representative
         N = G.normalizer(H)
-        covered = set(H.element_set())
+        h_set = H.element_set()
+        covered = set(h_set)
         for images in sorted(N.element_set()):
             if images in covered:
-                continue  # in H, or in a K = <H, z> built for an earlier z
-            z = Perm(images)
-            coset_order = _coset_order(z, H)
+                continue  # in H, or in a K = <H, z> formed for an earlier z
+            coset_order = _coset_order(images, h_set)
             if not is_prime(coset_order):
                 continue  # z must have prime order modulo H
-            # z normalizes H, so |<H, z>| = coset_order * |H| exactly
+            # z normalizes H, so K = <H, z> is the union of the cosets z^i H
+            k_set = _span(h_set, [images])
+            assert len(k_set) == coset_order * H.order
+            covered |= k_set
+            if collector.knows(k_set):
+                continue
+            z = Perm(images)
             K = G.subgroup(tuple(H.generators) + (z,), order=coset_order * H.order)
-            assert K.order == coset_order * H.order
-            covered |= K.element_set()
-            new_cls = collector.add(K)
-            if new_cls is not None:
-                frontier.append(new_cls)
+            assert K.element_set() == k_set
+            frontier.append(collector.add(K))
     if not G.is_solvable():
         _nonsolvable_completion(G, collector)
     classes = collector.classes()
@@ -107,13 +125,34 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
     return tuple(classes)
 
 
-def _coset_order(z: Perm, H: PermGroup) -> int:
+def _coset_order(z: tuple, h_set: frozenset) -> int:
+    """The least k >= 1 with z^k in H, for z given by its image tuple."""
+    times_z = itemgetter(*z)  # x -> z * x on image tuples
     k = 1
     x = z
-    while not H.contains(x):
-        x = x * z
+    while x not in h_set:
+        x = times_z(x)
         k += 1
     return k
+
+
+def _span(h_set: frozenset, gens: list[tuple]) -> frozenset:
+    """The union of the cosets x H reached from H by left multiplication by `gens`.
+
+    It is <H, gens> when `gens` holds generators of H, or when it is one z
+    normalizing H. Elements and generators are image tuples of degree >= 2.
+    """
+    elems = set(h_set)
+    frontier = [min(h_set)]  # the identity, the least image tuple
+    times = [itemgetter(*g) for g in gens]  # x -> g * x
+    while frontier:
+        x = frontier.pop()
+        for g in times:
+            y = g(x)
+            if y not in elems:
+                elems.update(map(itemgetter(*y), h_set))  # the coset y H
+                frontier.append(y)
+    return frozenset(elems)
 
 
 def _nonsolvable_completion(G: PermGroup, collector: _ClassCollector) -> None:
@@ -123,7 +162,7 @@ def _nonsolvable_completion(G: PermGroup, collector: _ClassCollector) -> None:
     order, so closing the solvable layer under these joins reaches every
     remaining class.
     """
-    cyclics = []
+    cyclics = []  # the nonidentity elements of each conjugate Z, as image tuples
     seen = set()
     for c in G.conjugacy_classes():
         if len(factorize(c.element_order)) == 1:
@@ -131,21 +170,22 @@ def _nonsolvable_completion(G: PermGroup, collector: _ClassCollector) -> None:
             for conj_set in G.subgroup_orbit(Z.element_set()).members:
                 if conj_set not in seen:
                     seen.add(conj_set)
-                    cyclics.append([Perm(im) for im in conj_set if not Perm(im).is_identity()])
+                    cyclics.append([im for im in conj_set if im != G.identity.images])
     frontier = list(collector.by_key.values())
     while frontier:
         cls = frontier.pop()
         H = cls.representative
         h_set = H.element_set()
+        h_gens = [h.images for h in H.generators]
         for zgens in cyclics:
-            if all(z.images in h_set for z in zgens):
+            if all(z in h_set for z in zgens):
                 continue
-            K = G.subgroup(tuple(H.generators) + tuple(zgens))
-            if K.order == H.order:
+            k_set = _span(h_set, h_gens + zgens)
+            if collector.knows(k_set):
                 continue
-            new_cls = collector.add(K)
-            if new_cls is not None:
-                frontier.append(new_cls)
+            K = G.subgroup(tuple(H.generators) + tuple(map(Perm, zgens)))
+            assert K.element_set() == k_set
+            frontier.append(collector.add(K))
 
 
 def nilpotent_sigma_subgroup_classes(

@@ -1,6 +1,10 @@
+import hashlib
+
 import pytest
 
 from nilweight import bruteforce as bf
+from nilweight import lattice
+from nilweight.corpus import builtin_corpus
 from nilweight.groups import PermGroup, bsgs_construct
 from nilweight.lattice import (
     carter_fiber,
@@ -10,7 +14,7 @@ from nilweight.lattice import (
     subgroup_class_of,
     subgroup_classes,
 )
-from nilweight.sigma import PrimeSet
+from nilweight.sigma import PrimeSet, factorize
 
 from conftest import group, perm
 
@@ -48,7 +52,39 @@ class TestSubgroupClasses:
         assert [c.order for c in classes] == [1, 2, 3, 4, 5, 6, 10, 12, 60]
         elems = bf.closure([g.images for g in a5.generators], 5)
         expected = bf.subgroups_up_to_conjugacy(elems, 5)
-        assert len(classes) == len(expected)
+        got = {c.canonical_key: c.class_size for c in classes}
+        want = {min(tuple(sorted(s)) for s in o): len(o) for o in expected}
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "degree, gens, count, digest",
+        [
+            (
+                5,
+                ["(1,2)", "(1,2,3,4,5)"],
+                19,
+                "179cc15cf162e2684fbb277066d1d8622088b03a84586b87f766b978d876176b",
+            ),
+            (
+                7,
+                ["(1,2,3,4,5)", "(3,4,5)", "(6,7)"],
+                22,
+                "f9e9bffc18ef7e56976f99d3549e91bd27b3f2e81221bebf276176769e74bbf5",
+            ),
+        ],
+        ids=["S5", "A5xC2"],
+    )
+    def test_nonsolvable_lattice_order_120(self, degree, gens, count, digest):
+        # the brute-force oracle takes many seconds at order 120, so the class
+        # list is pinned by a digest of the cyclic-extension lattice that
+        # built every candidate as a subgroup
+        G = group(degree, *gens)
+        rows = [
+            (c.order, c.class_size, c.canonical_key, c.representative.generator_label())
+            for c in subgroup_classes(G)
+        ]
+        assert len(rows) == count
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 class TestCyclicExtension:
@@ -57,12 +93,14 @@ class TestCyclicExtension:
         [(4, ["(1,2)", "(1,2,3,4)"]), (6, ["(1,2)", "(1,2,3)", "(4,5)", "(4,5,6)"])],
         ids=["S4", "S3xS3"],
     )
-    def test_one_construction_per_prime_index_overgroup(self, monkeypatch, degree, gens):
+    def test_one_candidate_set_per_prime_index_overgroup(self, monkeypatch, degree, gens):
         G = group(degree, *gens)  # a fresh group, so the lattice is not memoized
         G.is_solvable()  # memoize the derived series before counting
-        built = []  # (H, K) element sets, one per subgroup built in H's loop
+        formed = []  # (H, K) element sets, one per candidate formed in H's loop
+        built = []  # element sets of the subgroups built in the loops
         current = []
         real_normalizer, real_subgroup = PermGroup.normalizer, PermGroup.subgroup
+        real_span = lattice._span
 
         def normalizer(self, H):
             # each representative's loop starts with its normalizer
@@ -71,14 +109,20 @@ class TestCyclicExtension:
             current.append(H.element_set())
             return N
 
+        def span(h_set, gens):
+            K = real_span(h_set, gens)
+            formed.append((current[0], K))
+            return K
+
         def subgroup(self, generators, order=None):
             K = real_subgroup(self, generators, order)
             if current and self is G:
-                built.append((current[0], K.element_set()))
+                built.append(K.element_set())
             return K
 
         monkeypatch.setattr(PermGroup, "normalizer", normalizer)
         monkeypatch.setattr(PermGroup, "subgroup", subgroup)
+        monkeypatch.setattr(lattice, "_span", span)
         classes = subgroup_classes(G)
         monkeypatch.undo()
 
@@ -91,8 +135,37 @@ class TestCyclicExtension:
                 index = len(K) // len(h_set)
                 if all(index % d for d in range(2, index)):
                     pairs.add((h_set, K))
-        assert len(built) == len(set(built))
-        assert set(built) == pairs
+        assert len(formed) == len(set(formed))
+        assert set(formed) == pairs
+        # a subgroup is built only for a candidate of a new class, once each
+        keys = [G.subgroup_orbit(k).canonical_key for k in built]
+        assert sorted(keys) == sorted(c.canonical_key for c in classes[1:])
+
+
+class TestSubgroupBuilds:
+    @pytest.mark.parametrize("definition", builtin_corpus(), ids=lambda d: d.name)
+    def test_builds_per_class(self, monkeypatch, definition):
+        G = definition.build()  # a fresh group, so the lattice is not memoized
+        solvable = G.is_solvable()  # memoize the derived series before counting
+        builds = []
+        real_subgroup = PermGroup.subgroup
+
+        def subgroup(self, generators, order=None):
+            builds.append(self)
+            return real_subgroup(self, generators, order)
+
+        monkeypatch.setattr(PermGroup, "subgroup", subgroup)
+        classes = subgroup_classes(G)
+        monkeypatch.undo()
+        if solvable:
+            # a representative and its normalizer per class
+            assert len(builds) == 2 * len(classes)
+        else:
+            # plus one cyclic subgroup per prime-power element class
+            prime_power = [
+                c for c in G.conjugacy_classes() if len(factorize(c.element_order)) == 1
+            ]
+            assert len(builds) <= 2 * len(classes) + len(prime_power)
 
 
 class TestNilpotentSigmaClasses:
