@@ -414,6 +414,11 @@ class PermGroup:
         return self.centralizer_of_subgroup(self)
 
     @memoized()
+    def _conjugations(self) -> list[tuple[Perm, object]]:
+        """For each generator g, the map x -> x^g on image tuples, filled as read."""
+        return [(g, _Conjugation(g).__getitem__) for g in self.generators]
+
+    @memoized()
     def subgroup_orbit(self, elems: frozenset) -> "SubgroupOrbit":
         """The conjugates of the element set `elems` under this group.
 
@@ -512,6 +517,7 @@ class PermGroup:
             derived_length=derived_length if solvable else None,
         )
 
+    @memoized()
     def is_solvable(self) -> bool:
         return self.structure_flags().is_solvable
 
@@ -701,6 +707,29 @@ class Subgroup(PermGroup):
         super().__init__(parent.degree, gens, order)
         if parent.order % self.order != 0:
             raise AssertionError("Lagrange violation; stabilizer chain is broken")
+        if PermGroup.is_solvable.peek(parent):
+            # every subgroup of a solvable group is solvable
+            PermGroup.is_solvable.remember(self, True)
+
+
+class _Conjugation(dict):
+    """x -> x^g on image tuples, computed on a miss and kept.
+
+    x^g has images g[x[g^-1[i]]], the tuple `Perm.conjugate` builds. Sets
+    conjugated through one map share its image tuples. Generators exist only
+    for degree >= 2, where `itemgetter` returns a tuple.
+    """
+
+    __slots__ = ("_pre", "_post")
+
+    def __init__(self, g: Perm):
+        super().__init__()
+        self._pre = itemgetter(*g.inverse().images)
+        self._post = g.images
+
+    def __missing__(self, x: tuple) -> tuple:
+        y = self[x] = itemgetter(*self._pre(x))(self._post)
+        return y
 
 
 class SubgroupOrbit:
@@ -708,6 +737,9 @@ class SubgroupOrbit:
 
     Each new member is built by conjugating the member it was first reached
     from, in that set's iteration order, and goes into `members` when found.
+    The walk only records its steps; the conjugating elements and the
+    Schreier generators of the stabilizer are multiplied out when first
+    asked for, so an orbit read only for its members costs no products.
     Set iteration depends on insertion order, and reports show generator
     lists read from these sets, so the walk order is part of the output.
     Members are conjugated as image tuples: x^g has images g[x[g^-1[i]]],
@@ -717,32 +749,69 @@ class SubgroupOrbit:
     def __init__(self, G: PermGroup, start: frozenset):
         self.members = {start}
         self._conjugators = {start: G.identity}
-        self._schreier: list[Perm] = []
-        # generators exist only for degree >= 2, where `itemgetter` returns a tuple
-        actions = [(g, itemgetter(*g.inverse().images), g.images) for g in G.generators]
+        self._tree: dict[frozenset, tuple] = {}  # member -> (member reached from, g)
+        self._closing: list[tuple] = []  # (member, g, x -> x^g) of each step to a known member
         frontier = [start]
         while frontier:
             current = frontier.pop()
-            u = self._conjugators[current]
-            for g, pre, post in actions:
-                image = frozenset(itemgetter(*pre(x))(post) for x in current)
+            for g, conjugate in G._conjugations():
+                image = frozenset(map(conjugate, current))
                 if image not in self.members:
                     self.members.add(image)
-                    self._conjugators[image] = u * g
+                    self._tree[image] = (current, g)
                     frontier.append(image)
                 else:
-                    sg = u * g * self._conjugators[image].inverse()
-                    if not sg.is_identity() and sg not in self._schreier:
-                        self._schreier.append(sg)
+                    self._closing.append((current, g, conjugate))
+
+    def _reach(self, member: frozenset) -> Perm:
+        """The element taking the start to `member`: the product of its tree path.
+
+        Products are formed on first use and kept for every member on the path.
+        """
+        path = []
+        while member not in self._conjugators:
+            parent, g = self._tree[member]
+            path.append((member, g))
+            member = parent
+        u = self._conjugators[member]
+        for member, g in reversed(path):
+            u = u * g
+            self._conjugators[member] = u
+        return u
+
+    @functools.cached_property
+    def _schreier(self) -> list[Perm]:
+        """Schreier generators of the start's stabilizer, one per closing step."""
+        out: list[Perm] = []
+        for current, g, conjugate in self._closing:
+            image = frozenset(map(conjugate, current))
+            sg = self._reach(current) * g * self._reach(image).inverse()
+            if not sg.is_identity() and sg not in out:
+                out.append(sg)
+        # `stabilizer` conjugates these by a member's conjugator, so every
+        # conjugator is formed now and the walk's records are dropped
+        for member in self.members:
+            self._reach(member)
+        del self._closing, self._tree
+        return out
 
     @functools.cached_property
     def canonical_key(self) -> tuple:
         """The least sorted member: equal exactly for conjugate element sets."""
         return min(tuple(sorted(s)) for s in self.members)
 
+    def conjugator(self, source: frozenset, target: frozenset) -> Perm:
+        """An element g with source^g = target, for two members.
+
+        The walk may have started at any member, so g is composed from the
+        conjugators of both: the one reaching `source`, inverted, then the
+        one reaching `target`.
+        """
+        return self._reach(source).inverse() * self._reach(target)
+
     def stabilizer(self, member: frozenset) -> list[Perm]:
         """Generators of the stabilizer of `member`, the normalizer of a subgroup."""
-        t = self._conjugators[member]
+        t = self._reach(member)
         if t.is_identity():
             return list(self._schreier)
         return [s.conjugate(t) for s in self._schreier]

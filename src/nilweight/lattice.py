@@ -18,6 +18,16 @@ the same walk. A candidate whose orbit is already walked and collected is
 dropped without a stabilizer chain; only a candidate of a new class is
 built as a `Subgroup`, from H's generators and z (or Z), and its orbit is
 walked from that subgroup's element set.
+
+The lattice of a subgroup N of G is read from G's lattice instead of being
+built afresh (`subgroup_classes_within`): every subgroup of N is a subgroup
+of G, so the N-classes are the N-orbits on the members of G's classes that
+lie inside N. A member's subgroup is built from its class representative's
+generators, conjugated by the element `SubgroupOrbit.conjugator` composes.
+
+A conjugate Q of a class contains a nilpotent R as a Carter subgroup when
+N_Q(R) = N_G(R) ∩ Q has |R| elements, one set intersection per conjugate
+(`carter_members`).
 """
 
 from __future__ import annotations
@@ -93,6 +103,7 @@ class _ClassCollector:
 @memoized(bound="subgroup-lattice")
 def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
     """All subgroup conjugacy classes of G."""
+    solvable = G.is_solvable()  # known before the representatives are built
     collector = _ClassCollector(G)
     trivial = collector.add(G.subgroup([]))
     frontier = [trivial]
@@ -118,7 +129,7 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
             K = G.subgroup(tuple(H.generators) + (z,), order=coset_order * H.order)
             assert K.element_set() == k_set
             frontier.append(collector.add(K))
-    if not G.is_solvable():
+    if not solvable:
         _nonsolvable_completion(G, collector)
     classes = collector.classes()
     assert classes[0].order == 1 and classes[-1].order == G.order
@@ -160,24 +171,26 @@ def _nonsolvable_completion(G: PermGroup, collector: _ClassCollector) -> None:
 
     Every subgroup is generated by its cyclic subgroups of prime-power
     order, so closing the solvable layer under these joins reaches every
-    remaining class.
+    remaining class. For n in N_G(H), <H, Z^n> = <H, Z>^n, so H is joined
+    with the first Z of each N_G(H)-orbit only.
     """
-    cyclics = []  # the nonidentity elements of each conjugate Z, as image tuples
-    seen = set()
+    cyclics: dict[frozenset, list] = {}  # each conjugate Z -> its nonidentity elements
+    cyclic_of: dict[tuple, frozenset] = {}  # each element x of prime-power order -> <x>
     for c in G.conjugacy_classes():
         if len(factorize(c.element_order)) == 1:
             Z = G.subgroup([c.representative])
             for conj_set in G.subgroup_orbit(Z.element_set()).members:
-                if conj_set not in seen:
-                    seen.add(conj_set)
-                    cyclics.append([im for im in conj_set if im != G.identity.images])
+                if conj_set not in cyclics:
+                    cyclics[conj_set] = [im for im in conj_set if im != G.identity.images]
+                cyclic_of.update((x, conj_set) for x in conj_set & c.members)
+    generator = {Z: x for x, Z in cyclic_of.items()}
     frontier = list(collector.by_key.values())
     while frontier:
         cls = frontier.pop()
         H = cls.representative
         h_set = H.element_set()
         h_gens = [h.images for h in H.generators]
-        for zgens in cyclics:
+        for zgens in _orbit_firsts(G.normalizer(H), cyclics, generator, cyclic_of):
             if all(z in h_set for z in zgens):
                 continue
             k_set = _span(h_set, h_gens + zgens)
@@ -186,6 +199,29 @@ def _nonsolvable_completion(G: PermGroup, collector: _ClassCollector) -> None:
             K = G.subgroup(tuple(H.generators) + tuple(map(Perm, zgens)))
             assert K.element_set() == k_set
             frontier.append(collector.add(K))
+
+
+def _orbit_firsts(N: PermGroup, cyclics: dict, generator: dict, cyclic_of: dict):
+    """The values of `cyclics` at the first key of each N-orbit on its keys, in order.
+
+    An element n carries <x> to <x^n>, so only `generator[Z]` is conjugated,
+    and `cyclic_of` names the cyclic subgroup that its conjugate generates.
+    """
+    actions = [(itemgetter(*g.inverse().images), g.images) for g in N.generators]
+    seen = set()
+    for start, value in cyclics.items():
+        if start in seen:
+            continue
+        seen.add(start)
+        frontier = [start]
+        while frontier:
+            x = generator[frontier.pop()]
+            for pre, post in actions:
+                Y = cyclic_of[itemgetter(*pre(x))(post)]
+                if Y not in seen:
+                    seen.add(Y)
+                    frontier.append(Y)
+        yield value
 
 
 def nilpotent_sigma_subgroup_classes(
@@ -211,6 +247,56 @@ def subgroup_class_of(G: PermGroup, H: PermGroup) -> SubgroupClass:
     by_key = _classes_by_key(G)
     # the lattice walked every class, so the walk of H is memoized
     return by_key[G.subgroup_orbit(H.element_set()).canonical_key]
+
+
+def subgroup_classes_within(G: PermGroup, N: PermGroup) -> tuple[SubgroupClass, ...]:
+    """All subgroup conjugacy classes of a subgroup N of G, read from G's lattice.
+
+    The classes of N are the N-orbits on the members of G's classes that lie
+    inside N; each is walked by `N.subgroup_orbit`, so the canonical keys and
+    class sizes are those a fresh `subgroup_classes(N)` finds. A class keeps
+    G's representative when that lies in it, and N's top class is N itself;
+    any other is carried by a conjugate of G's representative.
+    """
+    n_set = N.element_set()
+    out = []
+    for cls in subgroup_classes(G):
+        if N.order % cls.order:
+            continue
+        rep_set = cls.representative.element_set()
+        placed: set = set()
+        for member in G.subgroup_orbit(rep_set).members:
+            if member in placed or not member <= n_set:
+                continue
+            orbit = N.subgroup_orbit(member)
+            placed |= orbit.members
+            if cls.order == N.order:
+                H = N
+            elif rep_set in orbit.members:
+                H = cls.representative
+            else:
+                H = conjugate_member(G, cls, member, N)
+            out.append(SubgroupClass(H, len(orbit.members), orbit.canonical_key))
+    out.sort(key=lambda c: (c.order, c.canonical_key))
+    return tuple(out)
+
+
+def conjugate_member(
+    G: PermGroup, cls: SubgroupClass, member: frozenset, parent: PermGroup
+) -> Subgroup:
+    """The conjugate of cls's representative with element set `member`.
+
+    It is a subgroup of `parent`, generated by the representative's
+    generators conjugated by an element taking its element set to `member`.
+    """
+    rep = cls.representative
+    g = G.subgroup_orbit(rep.element_set()).conjugator(rep.element_set(), member)
+    gens = [x.conjugate(g) for x in rep.generators]
+    # generators inside `member` and |H| = |member| give H = member
+    assert all(x.images in member for x in gens)
+    H = parent.subgroup(gens, order=rep.order)
+    assert H.order == len(member)
+    return H
 
 
 def carter_subgroups(G: PermGroup) -> SubgroupClass:
@@ -241,7 +327,9 @@ def is_carter_in(R: PermGroup, Q: PermGroup) -> bool:
 def carter_fiber(G: PermGroup, sigma: PrimeSet, R: PermGroup) -> tuple[SubgroupClass, ...]:
     """Classes of sigma'-subgroups with a conjugate containing R as Carter subgroup.
 
-    Each returned class carries a representative that actually contains R.
+    Each returned class carries a representative that actually contains R:
+    the first such conjugate in order of sorted element sets. Reports print
+    its generators, so it is built from all of its elements.
     """
     coprimes = sigma.complement_within(G.order)
     if not coprimes.is_sigma_number(R.order):
@@ -250,26 +338,25 @@ def carter_fiber(G: PermGroup, sigma: PrimeSet, R: PermGroup) -> tuple[SubgroupC
         raise ValueError("R is not nilpotent")
     out = []
     for cls in subgroup_classes(G):
-        if not coprimes.is_sigma_number(cls.order):
+        if not coprimes.is_sigma_number(cls.order) or cls.order % R.order:
             continue
-        if cls.order < R.order or cls.order % R.order:
-            continue
-        for Q in conjugates_containing(G, cls, R):
-            if is_carter_in(R, Q):
-                out.append(replace(cls, representative=Q))
-                break
+        member = next(carter_members(G, cls, R), None)
+        if member is not None:
+            Q = G.subgroup([Perm(im) for im in member if im != G.identity.images])
+            out.append(replace(cls, representative=Q))
     return tuple(out)
 
 
-def conjugates_containing(G: PermGroup, cls: SubgroupClass, R: PermGroup):
-    """The conjugates of a subgroup class of G that contain R, as subgroups.
+def carter_members(G: PermGroup, cls: SubgroupClass, R: PermGroup):
+    """The conjugates in a class of G that contain a nilpotent R as Carter subgroup.
 
-    They are yielded lazily, in order of their sorted element sets.
+    They are yielded lazily as element sets, in order of their sorted
+    elements. For R <= Q <= G, N_Q(R) = N_G(R) ∩ Q, so R is self-normalizing
+    in Q exactly when that intersection has |R| elements.
     """
     r_set = R.element_set()
-    for conj_set in sorted(
-        G.subgroup_orbit(cls.representative.element_set()).members,
-        key=lambda s: tuple(sorted(s)),
-    ):
-        if r_set <= conj_set:
-            yield G.subgroup([Perm(im) for im in conj_set if not Perm(im).is_identity()])
+    nr_set = G.normalizer(R).element_set()
+    members = G.subgroup_orbit(cls.representative.element_set()).members
+    for member in sorted((m for m in members if r_set <= m), key=sorted):
+        if len(nr_set & member) == len(r_set):
+            yield member

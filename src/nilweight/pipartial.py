@@ -9,7 +9,9 @@ forces to match, so a wrong set cannot survive construction.
 
 Vertices are located by exhaustive search over pairs (U, alpha) of a
 subgroup class and a sigma-degree member of Iso(U) inducing the target;
-all hits must produce one conjugacy class of Hall sigma'-subgroups.
+all hits must produce one conjugacy class of Hall sigma'-subgroups. The
+Hall sigma'-subgroups of U are read from the group's own lattice: they
+form the one class of order |U|_{sigma'} with a member inside U.
 """
 
 from __future__ import annotations
@@ -99,10 +101,13 @@ def _flatten(values, conductor) -> list[int]:
     """Power-basis coordinates in Q(zeta_conductor); integers for values in Z[zeta]."""
     out: list[int] = []
     for v in values:
-        for c in v.sort_key(conductor):
-            if c.denominator != 1:
+        coords = v._coords_at(conductor)
+        if v.den != 1:
+            # den is reduced against the terms, not the coordinates
+            if any(c % v.den for c in coords):
                 raise InternalConsistencyError(f"character value {v} is not an algebraic integer")
-            out.append(c.numerator)
+            coords = [c // v.den for c in coords]
+        out.extend(coords)
     return out
 
 
@@ -218,13 +223,14 @@ def vertices(phi: PartialCharacter) -> SubgroupClass:
     if phi._vertex is not None:
         return phi._vertex
     G, sigma = phi.group, phi.sigma
+    where = f"in a group of order {G.order}, sigma={{{sigma}}}"
     coprime_in_g = sigma.complement_within(G.order)
     target_coorder = coprime_in_g.part(G.order) // coprime_in_g.part(phi.degree)
     hits = []
     for cls in sorted(
         subgroup_classes(G), key=lambda c: (-sigma.copart(c.order), -c.order)
     ):
-        U = cls.representative
+        U = G if cls.order == G.order else cls.representative
         index = G.order // U.order
         if phi.degree % index:
             continue
@@ -240,22 +246,46 @@ def vertices(phi: PartialCharacter) -> SubgroupClass:
                 hits.append(U)
                 break
     if not hits:
-        raise InternalConsistencyError("no inducing pair found for a vertex")
-    vertex_classes = []
-    for U in hits:
-        Q = U.find_hall_sigma_subgroup(sigma.complement_within(U.order))
-        if Q is None:
-            raise InternalConsistencyError("inducing subgroup has no Hall complement")
-        vertex_classes.append(subgroup_class_of(G, Q))
-    keys = {cls.canonical_key for cls in vertex_classes}
-    if len(keys) != 1:
-        raise InternalConsistencyError("non-conjugate vertices found")
+        raise InternalConsistencyError(
+            f"no inducing pair found for a vertex of degree {phi.degree} {where}"
+        )
+    # every hit U has |U|_{sigma'} = target_coorder
+    vertex_classes = [_hall_coprime_class(G, U, target_coorder, where) for U in hits]
+    if len({cls.canonical_key for cls in vertex_classes}) != 1:
+        orders = ", ".join(str(U.order) for U in hits)
+        raise InternalConsistencyError(
+            f"non-conjugate vertices found for inducing subgroups of orders {orders} {where}"
+        )
     result = vertex_classes[0]
     # postcondition: phi(1)_{sigma'} = |G:Q|_{sigma'}
     if coprime_in_g.part(phi.degree) != coprime_in_g.part(G.order // result.order):
-        raise InternalConsistencyError("vertex degree law fails")
+        raise InternalConsistencyError(
+            f"vertex degree law fails for degree {phi.degree} and |Q|={result.order} {where}"
+        )
     object.__setattr__(phi, "_vertex", result)
     return result
+
+
+def _hall_coprime_class(G: PermGroup, U: PermGroup, order: int, where: str) -> SubgroupClass:
+    """The class of G's lattice of the Hall sigma'-subgroups of U; `order` is |U|_{sigma'}.
+
+    U is sigma-separable, so by Čunihin's form of Hall's theorem each
+    subgroup of U of that order is a Hall sigma'-subgroup, and all of them
+    are conjugate in U: exactly one class of that order has a member inside U.
+    """
+    u_set = U.element_set()
+    inside = [
+        cls
+        for cls in subgroup_classes(G)
+        if cls.order == order
+        and any(m <= u_set for m in G.subgroup_orbit(cls.representative.element_set()).members)
+    ]
+    if len(inside) != 1:
+        raise InternalConsistencyError(
+            f"{len(inside)} classes of order {order} have a member inside "
+            f"the inducing subgroup of order {U.order} {where}"
+        )
+    return inside[0]
 
 
 def ipi_with_vertex(

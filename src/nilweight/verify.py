@@ -33,10 +33,11 @@ from .groups import PermGroup
 from .lattice import (
     SubgroupClass,
     carter_fiber,
-    conjugates_containing,
-    is_carter_in,
+    carter_members,
+    conjugate_member,
     subgroup_class_of,
     subgroup_classes,
+    subgroup_classes_within,
 )
 from .perms import Perm
 from .pipartial import (
@@ -105,6 +106,19 @@ def _class_label(c) -> str:
 
 def _subgroup_label(cls: SubgroupClass) -> str:
     return f"|Q|={cls.order} reps={cls.class_size} <{cls.representative.generator_label()}>"
+
+
+def _local_normalizer(G: PermGroup, R: PermGroup) -> PermGroup:
+    """N_G(R) with its lattice read from G's; G itself when R is normal.
+
+    Using G itself lets N_G(R) share G's memoized tables and Iso(G).
+    """
+    NR = G.normalizer(R)
+    if NR.order == G.order:
+        return G
+    if subgroup_classes.peek(NR) is None:
+        subgroup_classes.remember(NR, subgroup_classes_within(G, NR))
+    return NR
 
 
 # --- global weight count ------------------------------------------------------
@@ -184,7 +198,7 @@ def check_carter_refinement(
                         "lhs", f"phi_deg={phi.degree} vertex={_subgroup_label(cls)}", 1
                     )
                 )
-    NR = G.normalizer(R)
+    NR = _local_normalizer(G, R)
     r_in_nr = NR.subgroup(R.generators)
     local = ipi_with_vertex(NR, sigma, r_in_nr)
     rows += [ReportRow("rhs", f"local_phi_deg={phi.degree}", 1) for phi in local]
@@ -241,7 +255,7 @@ def check_normalizer_counting(
         )
     phi_member = _partial_member_for_character(M, sigma, phi)
     lhs_set = ipi_with_vertex(G, sigma, Q, theta=phi_member)
-    N = G.normalizer(Q)
+    N = _local_normalizer(G, Q)
     q_in_n = N.subgroup(Q.generators)
     rhs_set = ipi_with_vertex(N, sigma, q_in_n, theta=phi_member)
     rows = [ReportRow("lhs", f"phi_deg={p.degree}", 1) for p in lhs_set]
@@ -321,13 +335,12 @@ def check_canonical_bijection(
             detail=detail,
         )
 
-    q_subgroups: list[PermGroup] = []
-    for cls in subgroup_classes(H):
-        if cls.order % R.order:
-            continue
-        for Q in conjugates_containing(H, cls, R):
-            if is_carter_in(R, Q):
-                q_subgroups.append(Q)
+    q_subgroups = [
+        conjugate_member(H, cls, member, H)
+        for cls in subgroup_classes(H)
+        if cls.order % R.order == 0
+        for member in carter_members(H, cls, R)
+    ]
 
     by_class_key: dict[tuple, list[PermGroup]] = {}
     for Q in q_subgroups:
@@ -338,7 +351,7 @@ def check_canonical_bijection(
         for phi in ipi_with_vertex(G, sigma, qs[0]):
             domain.append((phi, qs))
 
-    NR = G.normalizer(R)
+    NR = _local_normalizer(G, R)
     r_in_nr = NR.subgroup(R.generators)
     target = ipi_with_vertex(NR, sigma, r_in_nr)
     target_by_values = {phi.values: phi for phi in target}

@@ -308,6 +308,20 @@ class TestStructure:
             f = G.structure_flags()
             assert not f.is_nilpotent or f.is_solvable
 
+    def test_subgroup_of_a_solvable_group_inherits_solvability(self):
+        G = group(4, "(1,2)", "(1,2,3,4)")
+        before = G.subgroup([perm("(1,2,3)", 4)])
+        assert G.is_solvable()
+        after = G.subgroup([perm("(1,2,3)", 4)])
+        # read from the parent, without a derived series of its own
+        assert PermGroup.structure_flags.peek(after) is None and after.is_solvable()
+        assert PermGroup.structure_flags.peek(after) is None
+        assert before.is_solvable() and PermGroup.structure_flags.peek(before) is not None
+        a5 = group(5, "(1,2,3,4,5)", "(3,4,5)")
+        assert not a5.is_solvable()
+        a4 = a5.subgroup([perm("(1,2,3)", 5), perm("(1,2)(3,4)", 5)])
+        assert a4.is_solvable() and PermGroup.structure_flags.peek(a4) is not None
+
 
 class TestNormalStructure:
     def test_o2_of_s4(self, s4):

@@ -4,15 +4,18 @@ import pytest
 
 from nilweight import bruteforce as bf
 from nilweight import lattice
-from nilweight.corpus import builtin_corpus
+from nilweight.corpus import builtin_by_name, builtin_corpus
 from nilweight.groups import PermGroup, bsgs_construct
 from nilweight.lattice import (
     carter_fiber,
+    carter_members,
     carter_subgroups,
+    conjugate_member,
     is_carter_in,
     nilpotent_sigma_subgroup_classes,
     subgroup_class_of,
     subgroup_classes,
+    subgroup_classes_within,
 )
 from nilweight.sigma import PrimeSet, factorize
 
@@ -253,3 +256,76 @@ class TestClassOf:
         cls = subgroup_class_of(s4, H)
         assert cls.order == 2
         assert cls.class_size == 6
+
+
+def _rows(classes):
+    return [(c.order, c.class_size, c.canonical_key) for c in classes]
+
+
+class TestClassesWithin:
+    @pytest.mark.parametrize("definition", builtin_corpus(), ids=lambda d: d.name)
+    def test_normalizer_lattices_match_fresh_lattices(self, definition):
+        G = definition.build()
+        for cls in subgroup_classes(G):
+            if not cls.is_nilpotent():
+                continue
+            N = G.normalizer(cls.representative)
+            fresh = PermGroup(N.degree, N.generators)  # no memo shared with G
+            within = subgroup_classes_within(G, N)
+            assert _rows(within) == _rows(subgroup_classes(fresh))
+            for sub in within:
+                assert sub.representative.element_set() <= N.element_set()
+            assert within[-1].representative is N
+
+    def test_reuses_the_representative_inside_n(self, s4):
+        D8 = s4.subgroup([perm("(1,2,3,4)", 4), perm("(1,3)", 4)])
+        reps = {c.representative for c in subgroup_classes(s4)}
+        within = subgroup_classes_within(s4, D8)
+        inside = [c for c in subgroup_classes(s4) if c.representative.is_subset(D8)]
+        assert inside and all(c.representative in {w.representative for w in within} for c in inside)
+        assert any(w.representative not in reps for w in within[:-1])
+
+    def test_orbit_walked_first_from_another_member(self):
+        # the walk of the transpositions' class starts at <(1,2)>, not at the
+        # representative <(3,4)>, so the conjugator reaching a member from the
+        # representative is composed; D8 holds only the transpositions (1,3)
+        # and (2,4), so its class of them is carried by a conjugate
+        G = group(4, "(1,2)", "(1,2,3,4)")
+        start = G.subgroup([perm("(1,2)", 4)]).element_set()
+        orbit = G.subgroup_orbit(start)
+        assert orbit.conjugator(start, start).is_identity()
+        cls = next(c for c in subgroup_classes(G) if c.canonical_key == orbit.canonical_key)
+        rep = cls.representative
+        assert rep.generator_label() == "(3,4)"
+        for target in orbit.members:
+            g = orbit.conjugator(rep.element_set(), target)
+            assert frozenset(x.conjugate(g).images for x in rep.elements()) == target
+        D8 = G.subgroup([perm("(1,2,3,4)", 4), perm("(1,3)", 4)])
+        fresh = PermGroup(D8.degree, D8.generators)
+        within = subgroup_classes_within(G, D8)
+        assert _rows(within) == _rows(subgroup_classes(fresh))
+        key = D8.subgroup_orbit(G.subgroup([perm("(1,3)", 4)]).element_set()).canonical_key
+        transpositions = next(c for c in within if c.canonical_key == key)
+        assert transpositions.representative.generator_label() in ("(1,3)", "(2,4)")
+
+
+class TestCarterMembers:
+    @pytest.mark.parametrize(
+        "name", ["S3", "D8", "A4", "D12", "C3:C4", "C3xC3:C2", "S4", "S3xS3", "A4xC3"]
+    )
+    def test_intersection_test_matches_is_carter_in(self, name):
+        G = builtin_by_name(name).build()
+        nilpotent = [c for c in subgroup_classes(G) if c.is_nilpotent()]
+        for r_cls in nilpotent:
+            R = r_cls.representative
+            for cls in subgroup_classes(G):
+                if cls.order % R.order:
+                    continue
+                members = G.subgroup_orbit(cls.representative.element_set()).members
+                carter = set(carter_members(G, cls, R))
+                for member in members:
+                    if R.element_set() <= member:
+                        Q = conjugate_member(G, cls, member, G)
+                        assert (member in carter) == is_carter_in(R, Q)
+                    else:
+                        assert member not in carter

@@ -1,10 +1,15 @@
 import pytest
 
 from nilweight.chartab import character_table
+from nilweight.corpus import builtin_corpus
 from nilweight.cyclotomic import Cyclotomic
 from nilweight.groups import bsgs_construct
+from nilweight.lattice import subgroup_class_of, subgroup_classes
 from nilweight.pipartial import (
     GlaubermanAction,
+    InternalConsistencyError,
+    _flatten,
+    _hall_coprime_class,
     clifford_correspondent,
     decompose_on_subgroup,
     enumerate_weights,
@@ -335,3 +340,54 @@ class TestLiftConsistency:
                     for i in phi.lifts:
                         chi = tab.irreducibles[i]
                         assert tuple(chi.values[j] for j in sidx) == phi.values
+
+
+class TestHallClassByScan:
+    @pytest.mark.parametrize(
+        "definition",
+        [d for d in builtin_corpus() if "nonsolvable" not in d.tags],
+        ids=lambda d: d.name,
+    )
+    def test_matches_the_hall_subgroup_of_each_class(self, definition):
+        G = definition.build()
+        for p in G.primes():
+            sigma = PrimeSet([p])
+            for cls in subgroup_classes(G):
+                U = cls.representative
+                order = sigma.copart(U.order)
+                hall = U.find_hall_sigma_subgroup(sigma.complement_within(U.order))
+                expected = subgroup_class_of(G, hall)
+                assert _hall_coprime_class(G, U, order, "") is expected
+                inside = [
+                    c
+                    for c in subgroup_classes(G)
+                    if c.order == order
+                    and any(
+                        m <= U.element_set()
+                        for m in G.subgroup_orbit(c.representative.element_set()).members
+                    )
+                ]
+                assert inside == [expected]
+
+    def test_no_member_inside_names_the_orders(self, s4):
+        U = s4.subgroup([perm("(1,2,3)", 4)])
+        where = "in a group of order 24, sigma={2}"
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"0 classes of order 2 .* order 3 in a group of order 24, sigma=\{2\}",
+        ):
+            _hall_coprime_class(s4, U, 2, where)
+
+
+class TestFlattenCoordinates:
+    def test_unreduced_denominator_with_integral_coordinates(self):
+        # (1 + i^2) / 2 = 0: gcd(den, nums) is 1 on the raw terms, yet the
+        # power-basis coordinates (1 - 1) / 2 are integers
+        zero = Cyclotomic(4, {0: 1, 2: 1}, 2)
+        assert zero.den == 2
+        assert _flatten([zero, Cyclotomic(4, {1: 3})], 4) == [0, 0, 0, 3]
+
+    def test_rejects_a_coordinate_not_divisible_by_the_denominator(self):
+        half_i = Cyclotomic(4, {1: 1}, 2)
+        with pytest.raises(InternalConsistencyError, match="not an algebraic integer"):
+            _flatten([half_i], 4)
