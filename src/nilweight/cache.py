@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .chartab import Character, CharacterTable, character_table
 from .cyclotomic import Cyclotomic
-from .groups import PermGroup, check_bound
+from .groups import PermGroup, check_bound, memoized
 
 ALGORITHM_VERSION = 1
 
@@ -32,6 +32,7 @@ def _class_fingerprint(G: PermGroup):
     ]
 
 
+@memoized()
 def table_cache_key(G: PermGroup) -> str:
     material = {
         "version": ALGORITHM_VERSION,

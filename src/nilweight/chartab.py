@@ -8,7 +8,10 @@ from the eigenvalue multiplicities of each power map. The class matrices
 split the space one at a time, in class order, each acting only on the
 eigenspaces that are not yet lines (Schneider's refinement of Dixon's
 method). The `CharacterTable` constructor sorts every table, computed or
-read from disk, by (degree, values) and certifies it before it is used.
+read from disk, by (degree, values) and certifies it before it is used:
+row orthogonality is checked exactly by evaluating every value once at
+an integer point z modulo Phi_e(z), with z large enough that no nonzero
+sum can vanish there (`CharacterTable.verify`).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .cyclotomic import Cyclotomic, conjugate_dot, weighted_conjugate_dot
+from .cyclotomic import Cyclotomic, cyclotomic_value, weighted_conjugate_dot
 from .groups import PermGroup, memoized
 from .linalg import (
     charpoly_mod,
@@ -28,7 +31,7 @@ from .linalg import (
     rref_mod,
 )
 from .perms import Perm
-from .sigma import PrimeSet, euler_phi, sigma_part
+from .sigma import PrimeSet, sigma_part
 
 class Character:
     """A class function on a group, given by its values on the ordered classes."""
@@ -114,28 +117,61 @@ class CharacterTable:
         follows, and the sum of the squared degrees, its identity entry,
         equals |G| (Isaacs, Character Theory of Finite Groups, Thm 2.18).
 
-        The check runs over int in Z[zeta_e], e = exp(G): with every value
-        written over the table's common denominator d, the pair (i, j) is
-        accepted only if sum_k |C_k| * d chi_i(g_k) * conj(d chi_j(g_k))
-        reduces to the power-basis coordinates (|G| d^2 delta_ij, 0, ..., 0).
+        Write every value over the table's common denominator d, so that
+        x_ik = d chi_i(g_k) has integer numerators in Z[x]/(x^e - 1),
+        e = exp(G). The pair (i, j) holds iff
+        f_ij = sum_k |C_k| x_ik conj(x_jk) - |G| d^2 delta_ij is 0 in
+        Z[zeta_e]. Rather than reducing each f_ij modulo Phi_e, every value
+        is evaluated once at zeta -> z and once at zeta^-1 -> z^-1 modulo
+        q = Phi_e(z), and the pair is accepted iff f_ij(z) = 0 mod q. The
+        powers z^t are taken mod q, and z^-t as z^(e-t), since Phi_e(z)
+        divides z^e - 1.
+
+        This is exact, and q need not be prime. With L the largest l1 norm
+        of any x_ik, every f_ij has l1 norm at most B = |G| (L^2 + d^2),
+        as the class sizes sum to |G|; take z = B + 2. As Phi_e(z) = 0 mod
+        q, zeta -> z is a ring map Z[zeta_e] -> Z/q, and its kernel I has
+        index q. Let f = f_ij be nonzero in I. Its norm N(f), the product
+        of its Galois conjugates, is a nonzero integer in f Z[zeta_e],
+        hence in I and so divisible by q. Every conjugate has absolute
+        value at most the l1 norm, so |N(f)| <= B^phi(e) < (z - 1)^phi(e)
+        <= Phi_e(z) = q, since each primitive e-th root w has
+        |z - w| >= z - 1. That contradicts q dividing N(f). So f_ij(z) = 0
+        mod q iff f_ij = 0, and the check accepts exactly the tables that
+        reducing every f_ij modulo Phi_e accepts.
         """
         G = self.group
         irr = self.irreducibles
-        if len(irr) != len(G.conjugacy_classes()):
-            raise AssertionError("number of irreducibles differs from class count")
-        for chi in irr:
-            if chi.degree < 1 or G.order % chi.degree:
-                raise AssertionError("character degree is not a positive divisor of |G|")
         e = self.conductor
+        where = f"in the table of a group of order {G.order} at conductor {e}"
+        if len(irr) != len(G.conjugacy_classes()):
+            raise AssertionError(f"number of irreducibles differs from class count {where}")
+        for i, chi in enumerate(irr):
+            if chi.degree < 1 or G.order % chi.degree:
+                raise AssertionError(
+                    f"character degree is not a positive divisor of |G| in row {i} {where}"
+                )
         den = math.lcm(*(v.den for chi in irr for v in chi.values))
         rows = [[v.numerators_at(e, den) for v in chi.values] for chi in irr]
+        ell1 = max(sum(abs(n) for _, n in x) for row in rows for x in row)
+        z = G.order * (ell1 * ell1 + den * den) + 2
+        q = cyclotomic_value(e, z)
+        pw = [1] * e
+        for t in range(1, e):
+            pw[t] = pw[t - 1] * z % q
         sizes = [c.size for c in G.conjugacy_classes()]
-        unit = [G.order * den * den] + [0] * (euler_phi(e) - 1)
-        zero = [0] * len(unit)
-        for i, x in enumerate(rows):
-            for j in range(i, len(rows)):
-                if conjugate_dot(sizes, x, rows[j], e) != (unit if i == j else zero):
-                    raise AssertionError("row orthogonality fails")
+        # W[i][k] = |C_k| x_ik at zeta -> z, Y[j][k] = x_jk at zeta^-1 -> z^-1
+        W = [
+            [w * sum(n * pw[t] for t, n in x) % q for w, x in zip(sizes, row)] for row in rows
+        ]
+        Y = [[sum(n * pw[-t] for t, n in x) % q for x in row] for row in rows]
+        unit = G.order * den * den % q
+        for i, w in enumerate(W):
+            if sum(map(mul, w, Y[i])) % q != unit:
+                raise AssertionError(f"row orthogonality fails at rows ({i}, {i}) {where}")
+            for j in range(i + 1, len(Y)):
+                if sum(map(mul, w, Y[j])) % q:
+                    raise AssertionError(f"row orthogonality fails at rows ({i}, {j}) {where}")
 
     def __repr__(self) -> str:
         return f"CharacterTable(order={self.group.order}, degrees={self.degrees()})"
@@ -183,17 +219,22 @@ def _split_to_common_eigenvectors(mats, q, r):
 
 def _split_space(B, M, q):
     """Split an invariant subspace (rows of B in RREF) by eigenvalues of M."""
-    # each RREF row has its leading 1 at its pivot column
-    pivots = [next(c for c, x in enumerate(b) if x) for b in B]
     columns = list(zip(*B))
     d = len(B)
-    A = []
-    for b in B:
-        w = [sum(map(mul, row, b)) % q for row in M]
-        coords = [w[pc] for pc in pivots]
-        # verify w really lies in the span (it must: the space is invariant)
-        assert [sum(map(mul, coords, col)) % q for col in columns] == w, "subspace not invariant"
-        A.append(coords)
+    if d == len(M):
+        # the whole space: B is the identity, so M b_i is column i of M
+        A = [[row[i] % q for row in M] for i in range(d)]
+    else:
+        # each RREF row has its leading 1 at its pivot column
+        pivots = [next(c for c, x in enumerate(b) if x) for b in B]
+        A = []
+        for b in B:
+            w = [sum(map(mul, row, b)) % q for row in M]
+            coords = [w[pc] for pc in pivots]
+            # verify w really lies in the span (it must: the space is invariant)
+            span = [sum(map(mul, coords, col)) % q for col in columns]
+            assert span == w, "subspace not invariant"
+            A.append(coords)
     # M acts as a scalar on the space: it is one eigenspace
     if A == [[A[0][0] * (i == j) for j in range(d)] for i in range(d)]:
         return [B]

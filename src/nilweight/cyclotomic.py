@@ -9,8 +9,11 @@ modulo the m-th cyclotomic polynomial, which quotients out exactly the
 vanishing sums of p-th roots of unity, over the same denominator.
 
 `conjugate_dot` is the one kernel for sums of w * a * conj(b), the products
-behind inner products and table orthogonality: it runs over int and returns
-power-basis coordinates.
+behind inner products of class functions: it runs over int and returns
+power-basis coordinates. Table orthogonality does not go through it:
+`CharacterTable.verify` evaluates every value once at an integer point
+(see there). The reduction modulo the m-th cyclotomic polynomial runs over
+that polynomial's nonzero coefficients only.
 """
 
 from __future__ import annotations
@@ -36,6 +39,14 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+def cyclotomic_value(m: int, x: int) -> int:
+    """The m-th cyclotomic polynomial at the integer x, by Horner's rule."""
+    out = 0
+    for c in reversed(cyclotomic_polynomial(m)):
+        out = out * x + c
+    return out
+
+
 def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     num = list(num)
     dn = len(den) - 1
@@ -50,18 +61,27 @@ def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _phi_terms(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The degree of the m-th cyclotomic polynomial, and its (j, c) with c != 0 below x^degree."""
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    return deg, tuple((j, c) for j, c in enumerate(phi[:deg]) if c)
+
+
 def _reduce_mod_phi(dense: list[int], m: int) -> list[int]:
     """Power-basis coordinates of sum dense[i] x^i modulo the m-th cyclotomic polynomial.
 
-    dense has length m and is reduced in place."""
-    phi = cyclotomic_polynomial(m)
-    deg = len(phi) - 1
+    dense has length m and is reduced in place. Each step subtracts along
+    the nonzero coefficients only (8 of 24 for m = 84)."""
+    deg, terms = _phi_terms(m)
     for i in range(m - 1, deg - 1, -1):
         n = dense[i]
         if n:
             dense[i] = 0
-            for j in range(deg):
-                dense[i - deg + j] -= n * phi[j]
+            base = i - deg
+            for j, c in terms:
+                dense[base + j] -= n * c
     return dense[:deg]
 
 

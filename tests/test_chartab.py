@@ -1,10 +1,14 @@
 import hashlib
+import importlib.util
+import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from nilweight import chartab
+from nilweight import cache, chartab
 from nilweight.chartab import (
     Character,
     character_stabilizer,
@@ -18,10 +22,10 @@ from nilweight.chartab import (
 )
 from nilweight.cli import run_command
 from nilweight.corpus import builtin_corpus
-from nilweight.cyclotomic import Cyclotomic
+from nilweight.cyclotomic import Cyclotomic, conjugate_dot
 from nilweight.groups import bsgs_construct
 from nilweight.linalg import find_splitting_prime
-from nilweight.sigma import PrimeSet
+from nilweight.sigma import PrimeSet, euler_phi
 
 from conftest import group, perm
 
@@ -259,6 +263,57 @@ class TestAlgebraicIntegrality:
             find_splitting_prime(6, 36, cap=10)
 
 
+# --- the pairwise reference for CharacterTable.verify -------------------------
+
+
+def pairwise_verify(tab) -> None:
+    """The reference certificate: square, degrees dividing |G|, and every
+    pair i <= j reduced modulo Phi_e by `conjugate_dot` to the coordinates
+    (|G| d^2 delta_ij, 0, ..., 0)."""
+    G = tab.group
+    irr = tab.irreducibles
+    if len(irr) != len(G.conjugacy_classes()):
+        raise AssertionError("number of irreducibles differs from class count")
+    for chi in irr:
+        if chi.degree < 1 or G.order % chi.degree:
+            raise AssertionError("character degree is not a positive divisor of |G|")
+    e = tab.conductor
+    den = math.lcm(*(v.den for chi in irr for v in chi.values))
+    rows = [[v.numerators_at(e, den) for v in chi.values] for chi in irr]
+    sizes = [c.size for c in G.conjugacy_classes()]
+    unit = [G.order * den * den] + [0] * (euler_phi(e) - 1)
+    zero = [0] * len(unit)
+    for i, x in enumerate(rows):
+        for j in range(i, len(rows)):
+            if conjugate_dot(sizes, x, rows[j], e) != (unit if i == j else zero):
+                raise AssertionError("row orthogonality fails")
+
+
+def unverified_table(G, chars):
+    """A CharacterTable of the given rows, built without running verify."""
+    tab = chartab.CharacterTable.__new__(chartab.CharacterTable)
+    tab.group, tab.conductor, tab.irreducibles = G, G.exponent(), tuple(chars)
+    return tab
+
+
+def _outcome(check, tab):
+    # ValueError: a changed identity value that is no longer a rational degree
+    try:
+        check(tab)
+    except (AssertionError, ValueError) as exc:
+        return type(exc)
+    return None
+
+
+def certificates_agree(tab):
+    """Run verify and the pairwise reference; assert they agree, return the verdict.
+
+    The verdict is None when both accept, else the exception type both raise."""
+    fast = _outcome(chartab.CharacterTable.verify, tab)
+    assert fast == _outcome(pairwise_verify, tab), tab
+    return fast
+
+
 class TestCertificate:
     """verify accepts a value rewritten as the same element of Q(zeta_e), and only that."""
 
@@ -274,12 +329,16 @@ class TestCertificate:
         [
             (-1, lambda k, v: v + (1 + zeta(3) + zeta(3, 2)) / 2),
             (-1, lambda k, v: Cyclotomic(2, {1: -v.to_int()})),
+            # a large l1 norm: L, and with it B and q, grows with the rewrite
+            (-1, lambda k, v: v + 50 * (1 + zeta(3) + zeta(3, 2))),
         ],
-        ids=["vanishing-sum-added", "rational-value-times-minus-z2"],
+        ids=["vanishing-sum-added", "rational-value-times-minus-z2", "large-l1-norm"],
     )
     def test_equivalent_rewrite_certifies(self, s3, row, change):
         tab = character_table(s3)
-        again = chartab.CharacterTable(s3, self._rewritten(tab, row, change))
+        chars = self._rewritten(tab, row, change)
+        assert certificates_agree(unverified_table(s3, chars)) is None
+        again = chartab.CharacterTable(s3, chars)
         assert again.irreducibles == tab.irreducibles
 
     @pytest.mark.parametrize(
@@ -296,8 +355,104 @@ class TestCertificate:
     )
     def test_changed_value_is_rejected(self, s3, row, change):
         chars = self._rewritten(character_table(s3), row, change)
+        assert certificates_agree(unverified_table(s3, chars)) is AssertionError
         with pytest.raises(AssertionError, match="row orthogonality fails"):
             chartab.CharacterTable(s3, chars)
+
+    def test_error_names_the_group_the_conductor_and_the_rows(self, s3):
+        # twice the sign character sorts between the trivial one and the
+        # degree-2 one, and is orthogonal to the trivial one but of norm 4
+        chars = self._rewritten(character_table(s3), 0, lambda k, v: 2 * v)
+        with pytest.raises(
+            AssertionError,
+            match=r"row orthogonality fails at rows \(1, 1\) in the table of a group "
+            r"of order 6 at conductor 6",
+        ):
+            chartab.CharacterTable(s3, chars)
+
+
+BUILTINS = {d.name: d for d in builtin_corpus()}
+
+
+class TestOneEvaluation:
+    """The one-evaluation certificate against the pairwise reference."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_builtin_table(self, name):
+        assert certificates_agree(character_table(BUILTINS[name].build())) is None
+
+    @staticmethod
+    def _one_value_shifted(tab, shifts):
+        """Every table with one value v replaced by v + s, for s in shifts."""
+        G = tab.group
+        for i, chi in enumerate(tab.irreducibles):
+            for k, v in enumerate(chi.values):
+                for s in shifts:
+                    values = list(chi.values)
+                    values[k] = v + s
+                    chars = list(tab.irreducibles)
+                    chars[i] = Character(G, values)
+                    yield unverified_table(G, chars)
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n, d in BUILTINS.items() if d.expected_order <= 24)
+    )
+    def test_every_single_value_mutation_is_rejected(self, name):
+        tab = character_table(BUILTINS[name].build())
+        e = tab.conductor
+        for mutated in self._one_value_shifted(tab, [zeta(e, t) for t in range(e)]):
+            assert certificates_agree(mutated) is not None
+
+    @pytest.mark.parametrize("name", ["C2", "C3", "C4", "S3"])
+    def test_integer_shifts_of_a_value_are_rejected(self, name):
+        # v + c for 0 < |c| <= 60: an evaluation point that ignored the
+        # values' l1 norm would let some through, e.g. C2's (1, -1 + q)
+        tab = character_table(BUILTINS[name].build())
+        for mutated in self._one_value_shifted(tab, [c for c in range(-60, 61) if c]):
+            assert certificates_agree(mutated) is not None
+
+    def test_tables_read_back_from_a_cache_directory(self, tmp_path):
+        for name in ("S3", "A4", "C7:C3", "A5", "S4xC5"):
+            G = BUILTINS[name].build()
+            assert cache.load_or_compute_table(G, tmp_path)[1] == "cold"
+            again = BUILTINS[name].build()
+            tab, source = cache.load_or_compute_table(again, tmp_path)
+            assert source == "warm"
+            assert certificates_agree(tab) is None
+
+
+def _load_bench_workloads():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("nilweight_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["table-cache", "global-count", "vertex-search"])
+def test_certificates_agree_on_every_benchmark_table(workload, tmp_path, monkeypatch):
+    """Every table that a benchmark task list reaches, computed or read from disk."""
+    tables = []
+    verify = chartab.CharacterTable.verify
+
+    def recording(tab):
+        tables.append(tab)
+        verify(tab)
+
+    monkeypatch.setattr(chartab.CharacterTable, "verify", recording)
+    tasks = _load_bench_workloads().generate(workload, 1, tmp_path / "inputs")
+    for task in tasks:
+        cache_dir = str(tmp_path / "cache") if task.command == "chartab" else None
+        # exit 1 is a verdict of `fails`, as verify-a gives for A5 and {2, 3}
+        assert run_command(task.argv(cache_dir))[0] in (0, 1), task.label
+    monkeypatch.undo()
+    assert tables
+    for tab in tables:
+        assert certificates_agree(tab) is None
+    # the largest conductors: S4 x C7:C3 in table-cache, S4xC5 in the other two
+    largest = {"table-cache": 84, "global-count": 60, "vertex-search": 60}[workload]
+    assert max(tab.conductor for tab in tables) == largest
 
 
 # sha256 of `chartab --group NAME --format machine` for every builtin, as the

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from nilweight.cyclotomic import (
     Cyclotomic,
+    _reduce_mod_phi,
     cyclotomic_polynomial,
+    cyclotomic_value,
     weighted_conjugate_dot,
 )
 from nilweight.sigma import euler_phi, mobius
@@ -24,6 +26,25 @@ class TestPolynomials:
         assert cyclotomic_polynomial(4) == (1, 0, 1)
         assert cyclotomic_polynomial(6) == (1, -1, 1)
         assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+    def test_value_at_an_integer(self):
+        assert cyclotomic_value(1, 5) == 4
+        assert cyclotomic_value(3, 2) == 7
+        assert cyclotomic_value(12, 3) == 73
+
+    @pytest.mark.parametrize("B", [1, 2, 3, 7, 50, 1000, 10**6, 10**12 + 39])
+    def test_evaluation_modulus_exceeds_every_norm(self, B):
+        # CharacterTable.verify relies on q = Phi_e(B + 2) > B^phi(e)
+        for e in range(1, 121):
+            assert cyclotomic_value(e, B + 2) > B ** euler_phi(e), e
+
+    def test_sparse_reduction_matches_the_dense_loop(self):
+        # ref_canonical below reduces along every coefficient of Phi_m
+        for m in range(1, 121):
+            for seed in range(3):
+                vec = [(i * 7919 + seed * 104729 + m) % 23 - 11 for i in range(m)]
+                want = ref_canonical(m, dict(enumerate(vec)), m)
+                assert tuple(_reduce_mod_phi(vec, m)) == want, (m, seed)
 
 
 class TestBasics:
@@ -207,7 +228,9 @@ def rational_terms(draw):
     return m, draw(st.dictionaries(st.integers(0, 2 * m - 1), coefficient, max_size=4))
 
 
-@settings(max_examples=150)
+# these three build values at conductors up to 144; on a loaded host an
+# example can outrun Hypothesis' default 200 ms deadline, so none is set
+@settings(max_examples=150, deadline=None)
 @given(rational_terms())
 def test_representation_matches_fraction_reference(data):
     m, terms = data
@@ -220,7 +243,7 @@ def test_representation_matches_fraction_reference(data):
     assert hash(v) == ref_hash(m, terms)
 
 
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 @given(rational_terms(), rational_terms(), st.fractions(max_denominator=5))
 def test_equality_matches_fraction_reference(a, b, q):
     (ma, ta), (mb, tb) = a, b
@@ -232,7 +255,7 @@ def test_equality_matches_fraction_reference(a, b, q):
     assert same == x and hash(same) == hash(x)
 
 
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(-3, 3), rational_terms(), rational_terms()), max_size=4))
 def test_kernel_matches_naive_loop_and_reference(triples):
     values = [(w, Cyclotomic(*a), Cyclotomic(*b)) for w, a, b in triples]
