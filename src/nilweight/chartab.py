@@ -399,8 +399,9 @@ def character_stabilizer(G: PermGroup, N: PermGroup, theta: Character):
     if theta.group is not N:
         raise ValueError("theta must live on N")
 
-    def act(values, g):
-        # (v.g)(x) = v(g x g^-1), the right action chi -> chi^g
-        return tuple(values[k] for k in N.class_image(g))
+    classes = range(len(theta.values))
 
-    return G.stabilizer(tuple(theta.values), act)
+    def act(values, g):
+        return N.conjugate_class_function(values, classes, g)
+
+    return G.stabilizer(theta.values, act)

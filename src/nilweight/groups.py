@@ -16,12 +16,14 @@ the bound, the run completes as without it.
 
 Conjugacy classes, centralizers and normalizers are computed by explicit
 orbit/stabilizer runs at desk scale; resource bounds guard against inputs
-far beyond the intended corpus. Stabilizers of points, elements and class
-functions come from one walk, `PermGroup.stabilizer`, and the action of a
-normalizing element on the classes from one memoized map,
-`PermGroup.class_image`. Subgroup orbits under conjugation, and the
-normalizers read off them, all come from one memoized walk,
-`PermGroup.subgroup_orbit`.
+far beyond the intended corpus. Every orbit is walked by one class,
+`Orbit`: conjugacy classes, stabilizers under any action
+(`PermGroup.stabilizer`), the cosets of `PermGroup.coset_action`, the
+subgroup orbits that `PermGroup.subgroup_orbit` memoizes and normalizers
+read off, and the lattice's orbits of cyclic subgroups. The action of a
+normalizing element on the classes comes from one memoized map,
+`PermGroup.class_image`, and class functions are conjugated through it by
+`PermGroup.conjugate_class_function`.
 
 Resource bounds (`check_bound`) and memoization (`memoized`) live here
 alone, and every module uses them.
@@ -286,36 +288,25 @@ class PermGroup:
         """True if every generator of self lies in other."""
         return all(other.contains(g) for g in self.generators) or not self.generators
 
-    def conjugated_subgroup(self, H: "PermGroup", g: Perm) -> "Subgroup":
-        return self.subgroup([x.conjugate(g) for x in H.generators])
-
     # --- conjugacy classes --------------------------------------------------
 
     @memoized(bound="class")
     def conjugacy_classes(self) -> tuple["ConjugacyClass", ...]:
-        remaining = sorted(self.element_set())
+        moves = [(g, conjugation(g)) for g in self.generators]
         in_class: set = set()
         classes = []
-        for images in remaining:
+        for images in sorted(self.element_set()):
             if images in in_class:
                 continue
+            members = Orbit(self.identity, images, moves).members
+            in_class |= members
             rep = Perm(images)
-            orbit = {images}
-            frontier = [rep]
-            while frontier:
-                x = frontier.pop()
-                for g in self.generators:
-                    y = x.conjugate(g)
-                    if y.images not in orbit:
-                        orbit.add(y.images)
-                        frontier.append(y)
-            in_class |= orbit
             classes.append(
                 ConjugacyClass(
                     representative=rep,
-                    size=len(orbit),
+                    size=len(members),
                     element_order=rep.order(),
-                    members=frozenset(orbit),
+                    members=frozenset(members),
                 )
             )
         classes.sort(key=lambda c: (c.element_order, c.size, c.representative.images))
@@ -358,27 +349,13 @@ class PermGroup:
         the orbit-stabilizer theorem certifies their span. The group itself
         is returned when it fixes `start`.
         """
-        trans = {start: self.identity}
-        frontier = [start]
-        stab_gens: list[Perm] = []
-        while frontier:
-            nxt = []
-            for p in frontier:
-                u = trans[p]
-                for g in self.generators:
-                    q = act(p, g)
-                    if q not in trans:
-                        trans[q] = u * g
-                        nxt.append(q)
-                    else:
-                        sg = u * g * trans[q].inverse()
-                        if not sg.is_identity() and sg not in stab_gens:
-                            stab_gens.append(sg)
-            frontier = nxt
-        if len(trans) == 1:
+        moves = [(g, lambda point, g=g: act(point, g)) for g in self.generators]
+        orbit = Orbit(self.identity, start, moves)
+        n = len(orbit.members)
+        if n == 1:
             return self
-        T = self.subgroup(stab_gens, order=self.order // len(trans))
-        assert len(trans) * T.order == self.order
+        T = self.subgroup(orbit.stabilizer(start), order=self.order // n)
+        assert n * T.order == self.order
         return T
 
     @memoized()
@@ -393,6 +370,16 @@ class PermGroup:
             self.class_index_of(g * c.representative * gi)
             for c in self.conjugacy_classes()
         )
+
+    def conjugate_class_function(self, values: tuple, indices, g: Perm) -> tuple:
+        """The conjugate by g of the class function with `values` on the classes `indices`.
+
+        `g` must normalize the group, and `indices` must be a union of orbits
+        of `class_image(g)`, such as every class or the sigma-classes. The
+        result gives the conjugate's values on the same classes, in order.
+        """
+        image = self.class_image(g)
+        return tuple(values[indices.index(image[k])] for k in indices)
 
     def centralizer(self, g: Perm) -> "PermGroup":
         if not self.contains(g):
@@ -414,18 +401,25 @@ class PermGroup:
         return self.centralizer_of_subgroup(self)
 
     @memoized()
-    def _conjugations(self) -> list[tuple[Perm, object]]:
-        """For each generator g, the map x -> x^g on image tuples, filled as read."""
-        return [(g, _Conjugation(g).__getitem__) for g in self.generators]
+    def _subgroup_moves(self) -> list[tuple[Perm, object]]:
+        """For each generator g, the map S -> S^g on element sets of image tuples.
+
+        Each map conjugates elements through one map x -> x^g, filled as
+        read, so conjugate sets share their image tuples.
+        """
+        return [
+            (g, lambda s, conjugate=_Conjugation(g).__getitem__: frozenset(map(conjugate, s)))
+            for g in self.generators
+        ]
 
     @memoized()
-    def subgroup_orbit(self, elems: frozenset) -> "SubgroupOrbit":
+    def subgroup_orbit(self, elems: frozenset) -> "Orbit":
         """The conjugates of the element set `elems` under this group.
 
         `elems` need not lie in the group. The walk is memoized under every
         member of the orbit, so each orbit is walked once per group.
         """
-        orbit = SubgroupOrbit(self, elems)
+        orbit = Orbit(self.identity, elems, self._subgroup_moves())
         for member in orbit.members:
             PermGroup.subgroup_orbit.remember(self, orbit, member)
         return orbit
@@ -596,18 +590,9 @@ class PermGroup:
             assert sigma.is_sigma_number(acc.order)
         return acc
 
-    def hall_sigma_subgroup(self, sigma: PrimeSet) -> "Subgroup":
-        """A subgroup of order |G|_sigma, found by subgroup-class search."""
-        H = self.find_hall_sigma_subgroup(sigma)
-        if H is None:
-            raise RuntimeError(
-                f"no Hall subgroup of order {sigma_part(self.order, sigma)} found; "
-                "the group is probably not sigma-separable"
-            )
-        return H
-
     @memoized()
     def find_hall_sigma_subgroup(self, sigma: PrimeSet) -> "Subgroup | None":
+        """A subgroup of order |G|_sigma, found by subgroup-class search; None if none."""
         target = sigma_part(self.order, sigma)
         if target == 1:
             return self.subgroup([])
@@ -638,7 +623,9 @@ class PermGroup:
         """Permutation image of the right-coset action on H\\G.
 
         Returns (image group, project) where project maps an element of G to
-        its permutation of the cosets. Coset 0 is H itself.
+        its permutation of the cosets. A coset is labelled by the least image
+        tuple among its elements, and the cosets are numbered in label order,
+        so coset 0 is H itself, whose least element is the identity.
         """
         if not H.is_subset(self):
             raise ValueError("H is not a subgroup of the group")
@@ -647,31 +634,21 @@ class PermGroup:
         small = self.degree < 2
         h_getters = [] if small else [itemgetter(*h) for h in sorted(H.element_set())]
 
-        def label(x: Perm):
-            images = x.images
-            return images if small else min([h(images) for h in h_getters])
+        def times(g: Perm, coset: tuple) -> tuple:
+            """The label of the coset H x g, for x the element labelling H x."""
+            if small:
+                return coset
+            images = itemgetter(*coset)(g.images)
+            return min([h(images) for h in h_getters])
 
-        labels = {label(self.identity): 0}
-        reps = [self.identity]
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for r in frontier:
-                for g in self.generators:
-                    x = r * g
-                    key = label(x)
-                    if key not in labels:
-                        labels[key] = len(reps)
-                        reps.append(x)
-                        nxt.append(x)
-            frontier = nxt
-
-        n_cosets = len(reps)
+        moves = [(g, functools.partial(times, g)) for g in self.generators]
+        cosets = sorted(Orbit(self.identity, self.identity.images, moves).members)
+        number = {coset: i for i, coset in enumerate(cosets)}
 
         def project(g: Perm) -> Perm:
-            return Perm(tuple(labels[label(r * g)] for r in reps))
+            return Perm(tuple(number[times(g, coset)] for coset in cosets))
 
-        image = PermGroup(n_cosets, [project(g) for g in self.generators])
+        image = PermGroup(len(cosets), [project(g) for g in self.generators])
         return image, project
 
     def quotient(self, H: "PermGroup"):
@@ -712,58 +689,66 @@ class Subgroup(PermGroup):
             PermGroup.is_solvable.remember(self, True)
 
 
-class _Conjugation(dict):
-    """x -> x^g on image tuples, computed on a miss and kept.
+def conjugation(g: Perm):
+    """The map x -> x^g on image tuples of degree >= 2.
 
-    x^g has images g[x[g^-1[i]]], the tuple `Perm.conjugate` builds. Sets
-    conjugated through one map share its image tuples. Generators exist only
-    for degree >= 2, where `itemgetter` returns a tuple.
+    x^g has images g[x[g^-1[i]]], the tuple `Perm.conjugate` builds.
+    """
+    pre, post = itemgetter(*g.inverse().images), g.images
+    return lambda x: itemgetter(*pre(x))(post)
+
+
+class _Conjugation(dict):
+    """`conjugation(g)`, computed on a miss and kept.
+
+    Sets conjugated through one map share its image tuples. Generators exist
+    only for degree >= 2, where `itemgetter` returns a tuple.
     """
 
-    __slots__ = ("_pre", "_post")
+    __slots__ = ("_conjugate",)
 
     def __init__(self, g: Perm):
         super().__init__()
-        self._pre = itemgetter(*g.inverse().images)
-        self._post = g.images
+        self._conjugate = conjugation(g)
 
     def __missing__(self, x: tuple) -> tuple:
-        y = self[x] = itemgetter(*self._pre(x))(self._post)
+        y = self[x] = self._conjugate(x)
         return y
 
 
-class SubgroupOrbit:
-    """The orbit of an element set under conjugation, from one depth-first walk.
+class Orbit:
+    """The orbit of a point under a group, from one depth-first walk.
 
-    Each new member is built by conjugating the member it was first reached
-    from, in that set's iteration order, and goes into `members` when found.
-    The walk only records its steps; the conjugating elements and the
-    Schreier generators of the stabilizer are multiplied out when first
-    asked for, so an orbit read only for its members costs no products.
-    Set iteration depends on insertion order, and reports show generator
-    lists read from these sets, so the walk order is part of the output.
-    Members are conjugated as image tuples: x^g has images g[x[g^-1[i]]],
-    the tuple `Perm.conjugate` builds.
+    `moves` holds one pair (g, f) per generator g of the group, where f is
+    g's right action on points. The walk pops the point found last, steps
+    from it by each move in turn, and adds each new image to `members`,
+    recording the point and the generator that reached it. Conjugating
+    elements, and the Schreier generators of the start's stabilizer, are
+    multiplied out when first asked for, so an orbit read only for its
+    members costs no products (the Schreier lemma; Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, section 4.1). Set iteration
+    depends on insertion order, and reports show generator lists read from
+    orbits of element sets, so the walk order is part of the output.
     """
 
-    def __init__(self, G: PermGroup, start: frozenset):
-        self.members = {start}
-        self._conjugators = {start: G.identity}
-        self._tree: dict[frozenset, tuple] = {}  # member -> (member reached from, g)
-        self._closing: list[tuple] = []  # (member, g, x -> x^g) of each step to a known member
+    def __init__(self, identity: Perm, start, moves):
+        self.members = members = {start}
+        self._moves = moves
+        self._conjugators = {start: identity}
+        self._tree = tree = {}  # member -> (member reached from, g)
+        self._popped = popped = []  # members in the order the walk left them
         frontier = [start]
         while frontier:
             current = frontier.pop()
-            for g, conjugate in G._conjugations():
-                image = frozenset(map(conjugate, current))
-                if image not in self.members:
-                    self.members.add(image)
-                    self._tree[image] = (current, g)
+            popped.append(current)
+            for g, f in moves:
+                image = f(current)
+                if image not in members:
+                    members.add(image)
+                    tree[image] = (current, g)
                     frontier.append(image)
-                else:
-                    self._closing.append((current, g, conjugate))
 
-    def _reach(self, member: frozenset) -> Perm:
+    def _reach(self, member) -> Perm:
         """The element taking the start to `member`: the product of its tree path.
 
         Products are formed on first use and kept for every member on the path.
@@ -781,27 +766,37 @@ class SubgroupOrbit:
 
     @functools.cached_property
     def _schreier(self) -> list[Perm]:
-        """Schreier generators of the start's stabilizer, one per closing step."""
+        """Schreier generators of the start's stabilizer, one per step off the tree.
+
+        The steps are retaken in walk order. A tree step would give the
+        identity, so it is skipped unretaken, told apart by the identity of
+        the member and generator objects the walk recorded.
+        """
         out: list[Perm] = []
-        for current, g, conjugate in self._closing:
-            image = frozenset(map(conjugate, current))
-            sg = self._reach(current) * g * self._reach(image).inverse()
-            if not sg.is_identity() and sg not in out:
-                out.append(sg)
+        tree_steps = {(id(c), id(g)) for c, g in self._tree.values()}
+        for current in self._popped:
+            for g, f in self._moves:
+                if (id(current), id(g)) in tree_steps:
+                    continue
+                image = f(current)
+                sg = self._reach(current) * g * self._reach(image).inverse()
+                if not sg.is_identity() and sg not in out:
+                    out.append(sg)
         # `stabilizer` conjugates these by a member's conjugator, so every
         # conjugator is formed now and the walk's records are dropped
         for member in self.members:
             self._reach(member)
-        del self._closing, self._tree
+        del self._moves, self._popped, self._tree
         return out
 
     @functools.cached_property
     def canonical_key(self) -> tuple:
-        """The least sorted member: equal exactly for conjugate element sets."""
+        """In an orbit of element sets, the least sorted member: equal exactly
+        for conjugate element sets."""
         return min(tuple(sorted(s)) for s in self.members)
 
-    def conjugator(self, source: frozenset, target: frozenset) -> Perm:
-        """An element g with source^g = target, for two members.
+    def conjugator(self, source, target) -> Perm:
+        """An element g taking `source` to `target`, for two members.
 
         The walk may have started at any member, so g is composed from the
         conjugators of both: the one reaching `source`, inverted, then the
@@ -809,8 +804,8 @@ class SubgroupOrbit:
         """
         return self._reach(source).inverse() * self._reach(target)
 
-    def stabilizer(self, member: frozenset) -> list[Perm]:
-        """Generators of the stabilizer of `member`, the normalizer of a subgroup."""
+    def stabilizer(self, member) -> list[Perm]:
+        """Generators of the stabilizer of `member`; in a subgroup orbit, its normalizer."""
         t = self._reach(member)
         if t.is_identity():
             return list(self._schreier)

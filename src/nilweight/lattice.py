@@ -23,7 +23,7 @@ The lattice of a subgroup N of G is read from G's lattice instead of being
 built afresh (`subgroup_classes_within`): every subgroup of N is a subgroup
 of G, so the N-classes are the N-orbits on the members of G's classes that
 lie inside N. A member's subgroup is built from its class representative's
-generators, conjugated by the element `SubgroupOrbit.conjugator` composes.
+generators, conjugated by the element `Orbit.conjugator` composes.
 
 A conjugate Q of a class contains a nilpotent R as a Carter subgroup when
 N_Q(R) = N_G(R) ∩ Q has |R| elements, one set intersection per conjugate
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from operator import itemgetter
 
-from .groups import PermGroup, Subgroup, memoized
+from .groups import Orbit, PermGroup, Subgroup, conjugation, memoized
 from .perms import Perm
 from .sigma import PrimeSet, factorize, is_prime
 
@@ -172,7 +172,8 @@ def _nonsolvable_completion(G: PermGroup, collector: _ClassCollector) -> None:
     Every subgroup is generated by its cyclic subgroups of prime-power
     order, so closing the solvable layer under these joins reaches every
     remaining class. For n in N_G(H), <H, Z^n> = <H, Z>^n, so H is joined
-    with the first Z of each N_G(H)-orbit only.
+    with the first Z outside H of each N_G(H)-orbit only, and the element
+    set of <H, Z> is spanned from one generator of Z.
     """
     cyclics: dict[frozenset, list] = {}  # each conjugate Z -> its nonidentity elements
     cyclic_of: dict[tuple, frozenset] = {}  # each element x of prime-power order -> <x>
@@ -190,38 +191,37 @@ def _nonsolvable_completion(G: PermGroup, collector: _ClassCollector) -> None:
         H = cls.representative
         h_set = H.element_set()
         h_gens = [h.images for h in H.generators]
-        for zgens in _orbit_firsts(G.normalizer(H), cyclics, generator, cyclic_of):
-            if all(z in h_set for z in zgens):
-                continue
-            k_set = _span(h_set, h_gens + zgens)
+        # the Schreier generators of H's orbit generate N_G(H), which
+        # keeps the cyclic subgroups inside H among themselves
+        normalizing = G.subgroup_orbit(h_set).stabilizer(h_set)
+        outside = [Z for Z in cyclics if generator[Z] not in h_set]
+        for Z in _orbit_firsts(G.identity, normalizing, outside, generator, cyclic_of):
+            k_set = _span(h_set, h_gens + [generator[Z]])
             if collector.knows(k_set):
                 continue
-            K = G.subgroup(tuple(H.generators) + tuple(map(Perm, zgens)))
+            K = G.subgroup(tuple(H.generators) + tuple(map(Perm, cyclics[Z])))
             assert K.element_set() == k_set
             frontier.append(collector.add(K))
 
 
-def _orbit_firsts(N: PermGroup, cyclics: dict, generator: dict, cyclic_of: dict):
-    """The values of `cyclics` at the first key of each N-orbit on its keys, in order.
+def _orbit_firsts(identity: Perm, gens: list, cyclics: list, generator: dict, cyclic_of: dict):
+    """The first cyclic subgroup of each <gens>-orbit on `cyclics`, in order.
 
     An element n carries <x> to <x^n>, so only `generator[Z]` is conjugated,
     and `cyclic_of` names the cyclic subgroup that its conjugate generates.
+    The walks step from every member of `cyclics` by every generator, so
+    each generator's permutation of `cyclics` is tabulated first.
     """
-    actions = [(itemgetter(*g.inverse().images), g.images) for g in N.generators]
-    seen = set()
-    for start, value in cyclics.items():
-        if start in seen:
-            continue
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            x = generator[frontier.pop()]
-            for pre, post in actions:
-                Y = cyclic_of[itemgetter(*pre(x))(post)]
-                if Y not in seen:
-                    seen.add(Y)
-                    frontier.append(Y)
-        yield value
+    moves = []
+    for g in gens:
+        conjugate = conjugation(g)
+        table = {Z: cyclic_of[conjugate(generator[Z])] for Z in cyclics}
+        moves.append((g, table.__getitem__))
+    seen: set = set()
+    for start in cyclics:
+        if start not in seen:
+            seen |= Orbit(identity, start, moves).members
+            yield start
 
 
 def nilpotent_sigma_subgroup_classes(

@@ -184,16 +184,11 @@ def induced_partial_values(alpha: PartialCharacter, G: PermGroup):
 
 def partial_character_stabilizer(G: PermGroup, N: PermGroup, theta: PartialCharacter):
     """G_theta for theta in Iso(N), N normal in G."""
-    members = sigma_partial_characters(N, theta.sigma)
-    lookup = {mu.values: i for i, mu in enumerate(members)}
-    sidx = N.sigma_class_indices(theta.sigma)
 
-    def act(idx, g):
-        vals = members[idx].values
-        image = N.class_image(g)
-        return lookup[tuple(vals[sidx.index(image[i])] for i in sidx)]
+    def act(values, g):
+        return N.conjugate_class_function(values, theta.class_indices, g)
 
-    return G.stabilizer(lookup[theta.values], act)
+    return G.stabilizer(theta.values, act)
 
 
 def clifford_correspondent(
@@ -340,8 +335,9 @@ def _fixed_points(acted: PermGroup, acting: PermGroup) -> PermGroup:
 
 
 def is_invariant_character(chi: Character, acting: PermGroup) -> bool:
+    classes = range(len(chi.values))
     return all(
-        tuple(chi.values[k] for k in chi.group.class_image(s)) == chi.values
+        chi.group.conjugate_class_function(chi.values, classes, s) == chi.values
         for s in acting.generators
     )
 

@@ -460,7 +460,7 @@ def _prop_lemma_intersection_counts(corpus, heavy_bound):
                         instances += 1
                         # simplified form when G_tau N_G(Q) = G
                         NQ = G.normalizer(Q)
-                        inter = sum(1 for x in NQ.elements() if T.contains(x))
+                        inter = len(NQ.element_set() & T.element_set())
                         if T.order * NQ.order // inter == G.order:
                             q_in_t = T.subgroup(Q.generators) if all(
                                 T.contains(g) for g in Q.generators
@@ -481,13 +481,10 @@ def _prop_lemma_intersection_counts(corpus, heavy_bound):
 
 
 def _is_q_invariant_partial(tau, N, Q) -> bool:
-    sidx = N.sigma_class_indices(tau.sigma)
-    for q in Q.generators:
-        image = N.class_image(q)
-        for pos, i in enumerate(sidx):
-            if tau.values[sidx.index(image[i])] != tau.values[pos]:
-                return False
-    return True
+    return all(
+        N.conjugate_class_function(tau.values, tau.class_indices, q) == tau.values
+        for q in Q.generators
+    )
 
 
 def _prop_normalizer_counting(corpus, heavy_bound):

@@ -236,13 +236,29 @@ class TestStabilizer:
         assert not all(v == 1 for v in chi.values)
         assert character_stabilizer(s4, V, chi).order == 8
 
+    def test_matches_bruteforce(self):
+        # G_theta = {g : theta(g x g^-1) = theta(x) for every x in N}
+        for d in builtin_corpus():
+            if d.expected_order > 60:
+                continue
+            G = d.build()
+            for N in G.normal_subgroups():
+                for theta in character_table(N).irreducibles:
+                    brute = {
+                        g.images
+                        for g in G.elements()
+                        if all(theta(x.conjugate(g.inverse())) == theta(x) for x in N.elements())
+                    }
+                    T = character_stabilizer(G, N, theta)
+                    assert T.element_set() == brute, (d.name, N)
+
     def test_conjugate_character_values(self, s4):
         H = s4.subgroup([perm("(1,2,3)", 4)])
         chi = next(
             c for c in character_table(H).irreducibles if c.values[1] != 1
         )
         g = perm("(1,2)", 4)
-        Hg = s4.conjugated_subgroup(H, g)
+        Hg = s4.subgroup([x.conjugate(g) for x in H.generators])
         chig = conjugate_character(chi, g, Hg)
         x = perm("(1,2,3)", 4)  # in H
         assert chig(x.conjugate(g)) == chi(x)

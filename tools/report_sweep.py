@@ -1,0 +1,66 @@
+"""Fingerprint the machine report of every builtin command.
+
+Runs each command below in this process, through `nilweight.cli.run_command`
+with `--format machine`, and prints one line per command: its exit code, the
+sha256 of its report and its arguments, tab-separated. Two checkouts whose
+outputs are equal produce byte-identical reports, exit codes included; run
+it under more than one PYTHONHASHSEED to cover set iteration order too.
+
+On every builtin group it runs `classes`, `chartab`, `subgroups` and
+`carter`; `ipi`, `weights` and `verify-a` for every nonempty set of primes
+dividing the order; `vertices`, `verify-b` and `bijection` for every such
+prime; and then `scan` once. `--properties` adds `properties --seed 0`,
+which takes minutes.
+
+    PYTHONHASHSEED=0 python3 tools/report_sweep.py > sweep.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from nilweight.cli import run_command  # noqa: E402
+from nilweight.corpus import builtin_corpus  # noqa: E402
+from nilweight.sigma import prime_divisors  # noqa: E402
+
+
+def sweep_commands(properties: bool) -> list[list[str]]:
+    commands = []
+    for d in builtin_corpus():
+        group = ["--group", d.name]
+        commands += [[cmd, *group] for cmd in ("classes", "chartab", "subgroups", "carter")]
+        primes = prime_divisors(d.expected_order)
+        for k in range(1, len(primes) + 1):
+            for subset in itertools.combinations(primes, k):
+                pi = ["--pi", ",".join(map(str, subset))]
+                commands += [[cmd, *group, *pi] for cmd in ("ipi", "weights", "verify-a")]
+        for p in primes:
+            pi = ["--pi", str(p)]
+            commands += [[cmd, *group, *pi] for cmd in ("vertices", "verify-b", "bijection")]
+    commands.append(["scan"])
+    if properties:
+        commands.append(["properties", "--seed", "0"])
+    return commands
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--properties", action="store_true", help="also run properties --seed 0 (slow)"
+    )
+    args = parser.parse_args(argv)
+    for command in sweep_commands(args.properties):
+        code, text = run_command([*command, "--format", "machine"])
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        print(f"{code}\t{digest}\t{' '.join(command)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
