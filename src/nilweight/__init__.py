@@ -13,7 +13,6 @@ from .groups import (
     ConjugacyClass,
     PermGroup,
     ResourceLimitError,
-    StructureFlags,
     Subgroup,
     bsgs_construct,
 )

@@ -25,6 +25,14 @@ normalizing element on the classes comes from one memoized map,
 `PermGroup.class_image`, and class functions are conjugated through it by
 `PermGroup.conjugate_class_function`.
 
+Each normal-structure question has one implementation. `is_solvable` runs
+the derived series alone and `is_nilpotent` the lower central series
+alone, each memoized on its own; a subgroup made after its parent is known
+to be solvable is solvable without a series of its own. The normal closure
+of each class representative is computed once, by
+`PermGroup._class_normal_closure`, and `normal_subgroups`,
+`minimal_proper_normal` and `o_sigma` all read it.
+
 Resource bounds (`check_bound`) and memoization (`memoized`) live here
 alone, and every module uses them.
 """
@@ -476,47 +484,31 @@ class PermGroup:
         )
 
     @memoized()
-    def structure_flags(self) -> "StructureFlags":
-        # derived series
-        derived_length = 0
+    def is_solvable(self) -> bool:
+        """True if the derived series reaches the trivial group."""
         current: PermGroup = self
         while current.order > 1:
             nxt = current.derived_subgroup()
             if nxt.order == current.order:
-                derived_length = None
-                break
+                return False
             current = nxt
-            derived_length += 1
-        solvable = derived_length is not None
-        # lower central series
-        nilpotent = False
-        if solvable:
-            term: PermGroup = self
-            while True:
-                comms = [
-                    a.inverse() * b.inverse() * a * b
-                    for a in self.generators
-                    for b in term.generators
-                ]
-                nxt = self.normal_closure(comms)
-                if nxt.order == 1:
-                    nilpotent = True
-                    break
-                if nxt.order == term.order:
-                    break
-                term = nxt
-        return StructureFlags(
-            is_solvable=solvable,
-            is_nilpotent=nilpotent,
-            derived_length=derived_length if solvable else None,
-        )
+        return True
 
     @memoized()
-    def is_solvable(self) -> bool:
-        return self.structure_flags().is_solvable
-
     def is_nilpotent(self) -> bool:
-        return self.structure_flags().is_nilpotent
+        """True if the lower central series reaches the trivial group."""
+        term: PermGroup = self
+        while term.order > 1:
+            comms = [
+                a.inverse() * b.inverse() * a * b
+                for a in self.generators
+                for b in term.generators
+            ]
+            nxt = self.normal_closure(comms)
+            if nxt.order == term.order:
+                return False
+            term = nxt
+        return True
 
     def is_normal(self, H: "PermGroup") -> bool:
         if not H.is_subset(self):
@@ -526,22 +518,24 @@ class PermGroup:
         )
 
     @memoized()
+    def _class_normal_closure(self, i: int) -> "Subgroup":
+        """The normal closure of class i's representative; class 0 is the identity's."""
+        return self.normal_closure([self.conjugacy_classes()[i].representative])
+
+    @memoized()
     def normal_subgroups(self) -> tuple["Subgroup", ...]:
-        """All normal subgroups, via join-closure of class-rep normal closures."""
-        atoms = []
-        seen_atom = set()
-        for c in self.conjugacy_classes():
-            if c.element_order == 1:
-                continue
-            ncl = self.normal_closure([c.representative])
-            if ncl.element_set() not in seen_atom:
-                seen_atom.add(ncl.element_set())
-                atoms.append(ncl)
+        """All normal subgroups, via join-closure of class-rep normal closures.
+
+        Sorted by (order, sorted elements), so the last is the group itself."""
+        atoms = {}
+        for i in range(1, len(self.conjugacy_classes())):
+            ncl = self._class_normal_closure(i)
+            atoms.setdefault(ncl.element_set(), ncl)
         found = {frozenset({self.identity.images}): self.subgroup([])}
         frontier = list(found.values())
         while frontier:
             H = frontier.pop()
-            for A in atoms:
+            for A in atoms.values():
                 join = self.subgroup(tuple(H.generators) + tuple(A.generators))
                 key = join.element_set()
                 if key not in found:
@@ -552,14 +546,9 @@ class PermGroup:
 
     def minimal_proper_normal(self) -> "Subgroup | None":
         """A nontrivial proper normal subgroup of least order, or None if simple."""
-        best = None
-        for c in self.conjugacy_classes():
-            if c.element_order == 1:
-                continue
-            ncl = self.normal_closure([c.representative])
-            if ncl.order < self.order and (best is None or ncl.order < best.order):
-                best = ncl
-        return best
+        closures = map(self._class_normal_closure, range(1, len(self.conjugacy_classes())))
+        proper = [K for K in closures if K.order < self.order]
+        return min(proper, key=lambda K: K.order, default=None)
 
     @memoized()
     def composition_factor_orders(self) -> tuple[int, ...]:
@@ -578,12 +567,12 @@ class PermGroup:
     def o_sigma(self, sigma: PrimeSet) -> "Subgroup":
         """The largest normal sigma-subgroup."""
         acc = self.subgroup([])
-        for c in self.conjugacy_classes():
+        for i, c in enumerate(self.conjugacy_classes()):
             if not sigma.is_sigma_number(c.element_order):
                 continue
             if acc.contains(c.representative):
                 continue
-            ncl = self.normal_closure([c.representative])
+            ncl = self._class_normal_closure(i)
             if not sigma.is_sigma_number(ncl.order):
                 continue
             acc = self.subgroup(tuple(acc.generators) + tuple(ncl.generators))
@@ -606,9 +595,8 @@ class PermGroup:
         return None
 
     def sigma_element_classes(self, sigma: PrimeSet) -> tuple["ConjugacyClass", ...]:
-        return tuple(
-            c for c in self.conjugacy_classes() if sigma.is_sigma_number(c.element_order)
-        )
+        classes = self.conjugacy_classes()
+        return tuple(classes[i] for i in self.sigma_class_indices(sigma))
 
     def sigma_class_indices(self, sigma: PrimeSet) -> tuple[int, ...]:
         return tuple(
@@ -824,13 +812,6 @@ class ConjugacyClass:
             f"Class(rep={self.representative.cycle_string()}, "
             f"size={self.size}, order={self.element_order})"
         )
-
-
-@dataclass(frozen=True)
-class StructureFlags:
-    is_solvable: bool
-    is_nilpotent: bool
-    derived_length: int | None
 
 
 def _composition_factors(G: PermGroup) -> list[int]:

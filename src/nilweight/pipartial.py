@@ -343,15 +343,8 @@ def is_invariant_character(chi: Character, acting: PermGroup) -> bool:
 
 
 def _largest_proper_normal(S: PermGroup) -> PermGroup:
-    best = None
-    for N in S.normal_subgroups():
-        if N.order < S.order:
-            if best is None or (N.order, sorted(N.element_set())) > (
-                best.order,
-                sorted(best.element_set()),
-            ):
-                best = N
-    return best
+    """The last proper member of `normal_subgroups`, which ends with S itself."""
+    return S.normal_subgroups()[-2]
 
 
 def glauberman_correspondent(

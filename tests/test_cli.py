@@ -252,6 +252,19 @@ class TestBijection:
         assert code == 0
         assert "hypotheses-unmet" in text
 
+    def test_theorem_violation_fails(self, monkeypatch):
+        from nilweight import verify
+
+        monkeypatch.setattr(
+            verify, "_product_decomposition_holds", lambda G, N, H: False
+        )
+        code, text = run_command(
+            ["bijection", "--group", "A4", "--pi", "2", "--format", "machine"]
+        )
+        assert code == 1
+        assert text.count("rhs\t-1") == text.count("verdict\tfails") == 2
+        assert text.count(" THEOREM-VIOLATION\n") == 2
+
 
 class TestOtherCommands:
     def test_classes(self):

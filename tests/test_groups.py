@@ -11,7 +11,7 @@ from nilweight import groups
 from nilweight.groups import PermGroup, ResourceLimitError, bsgs_construct, resource_bound
 from nilweight.lattice import subgroup_classes
 from nilweight.properties import BRUTE_MAX_ORDER
-from nilweight.sigma import PrimeSet, sigma_part
+from nilweight.sigma import PrimeSet, prime_divisors, sigma_part
 
 from conftest import group, perm
 
@@ -322,39 +322,102 @@ class TestQuotients:
                 assert project(a * b) == project(a) * project(b)
 
 
+def brute_is_solvable(elems: set, degree: int) -> bool:
+    """Whether the derived series of a group, given by its element set, reaches 1."""
+    while len(elems) > 1:
+        comms = {
+            bf.mult(bf.mult(bf.inv(a), bf.inv(b)), bf.mult(a, b))
+            for a in elems
+            for b in elems
+        }
+        derived = bf.closure(comms, degree)
+        if len(derived) == len(elems):
+            return False
+        elems = derived
+    return True
+
+
+def brute_is_nilpotent(elems: set, degree: int) -> bool:
+    """Whether, for every p, the group has exactly |H|_p elements of p-power order."""
+    identity = tuple(range(degree))
+
+    def element_order(x):
+        y, k = x, 1
+        while y != identity:
+            y, k = bf.mult(y, x), k + 1
+        return k
+
+    orders = [element_order(x) for x in elems]
+    for p in prime_divisors(len(elems)):
+        p_elements = sum(1 for o in orders if sigma_part(o, PrimeSet([p])) == o)
+        if p_elements != sigma_part(len(elems), PrimeSet([p])):
+            return False
+    return True
+
+
 class TestStructure:
     def test_s4(self, s4):
-        f = s4.structure_flags()
-        assert f.is_solvable and not f.is_nilpotent
-        assert f.derived_length == 3
+        assert s4.is_solvable() and not s4.is_nilpotent()
+        series = [s4]
+        while series[-1].order > 1:
+            series.append(series[-1].derived_subgroup())
+        assert [H.order for H in series] == [24, 12, 4, 1]
 
     def test_d8_nilpotent(self, d8):
         assert d8.is_nilpotent()
 
     def test_a5_neither(self, a5):
-        f = a5.structure_flags()
-        assert not f.is_solvable and not f.is_nilpotent
-        assert f.derived_length is None
+        assert not a5.is_solvable() and not a5.is_nilpotent()
         assert a5.derived_subgroup().order == 60
 
     def test_nilpotent_implies_solvable(self, q8, d8, s3):
         for G in (q8, d8, s3):
-            f = G.structure_flags()
-            assert not f.is_nilpotent or f.is_solvable
+            assert not G.is_nilpotent() or G.is_solvable()
 
-    def test_subgroup_of_a_solvable_group_inherits_solvability(self):
+    def test_matches_bruteforce_on_every_subgroup_class(self):
+        # S5 adds a non-solvable group whose derived subgroup is proper
+        s5 = group(5, "(1,2)", "(1,2,3,4,5)")
+        for G in [*builtins_up_to(BRUTE_MAX_ORDER), s5]:
+            for cls in subgroup_classes(G):
+                H = cls.representative
+                # a fresh group runs both series itself, inheriting nothing
+                fresh = PermGroup(H.degree, H.generators)
+                elems = bf.closure([g.images for g in H.generators], H.degree)
+                assert fresh.is_solvable() == brute_is_solvable(elems, H.degree), H
+                assert fresh.is_nilpotent() == brute_is_nilpotent(elems, H.degree), H
+
+    def test_each_series_is_memoized_alone(self, monkeypatch):
+        def refuse(G):
+            raise AssertionError("derived series asked for")
+
+        G = group(4, "(1,2)", "(1,2,3,4)")
+        assert G.is_solvable()
+        # nothing of the lower central series is kept
+        assert set(G._memo) == {("is_solvable",)}
+        monkeypatch.setattr(PermGroup, "derived_subgroup", refuse)
+        for G in (group(4, "(1,2)", "(1,2,3,4)"), group(4, "(1,2,3,4)", "(1,3)")):
+            G.is_nilpotent()
+            assert set(G._memo) == {("is_nilpotent",)}
+
+    def test_subgroup_of_a_solvable_group_inherits_solvability(self, monkeypatch):
+        def refuse(G):
+            raise AssertionError("a derived series of its own")
+
         G = group(4, "(1,2)", "(1,2,3,4)")
         before = G.subgroup([perm("(1,2,3)", 4)])
         assert G.is_solvable()
         after = G.subgroup([perm("(1,2,3)", 4)])
-        # read from the parent, without a derived series of its own
-        assert PermGroup.structure_flags.peek(after) is None and after.is_solvable()
-        assert PermGroup.structure_flags.peek(after) is None
-        assert before.is_solvable() and PermGroup.structure_flags.peek(before) is not None
         a5 = group(5, "(1,2,3,4,5)", "(3,4,5)")
         assert not a5.is_solvable()
         a4 = a5.subgroup([perm("(1,2,3)", 5), perm("(1,2)(3,4)", 5)])
-        assert a4.is_solvable() and PermGroup.structure_flags.peek(a4) is not None
+        monkeypatch.setattr(PermGroup, "derived_subgroup", refuse)
+        # read from the parent, without a derived series of its own
+        assert after.is_solvable()
+        # a subgroup made before the parent's answer, or of a non-solvable
+        # parent, runs its own series
+        for H in (before, a4):
+            with pytest.raises(AssertionError, match="of its own"):
+                H.is_solvable()
 
 
 class TestNormalStructure:

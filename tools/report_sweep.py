@@ -1,4 +1,4 @@
-"""Fingerprint the machine report of every builtin command.
+"""Fingerprint the machine report of every builtin and desk-scale command.
 
 Runs each command below in this process, through `nilweight.cli.run_command`
 with `--format machine`, and prints one line per command: its exit code, the
@@ -9,8 +9,14 @@ it under more than one PYTHONHASHSEED to cover set iteration order too.
 On every builtin group it runs `classes`, `chartab`, `subgroups` and
 `carter`; `ipi`, `weights` and `verify-a` for every nonempty set of primes
 dividing the order; `vertices`, `verify-b` and `bijection` for every such
-prime; and then `scan` once. `--properties` adds `properties --seed 0`,
-which takes minutes.
+prime; and then `scan` once. The desk-scale group files in
+`tools/groups` follow: `subgroups` on all seven, `verify-a --pi 2` and
+`--pi 3` on the four solvable ones, `verify-a` on A6 with `--pi 5` and
+on L2(7) with `--pi 2`, and `verify-b`, `vertices` and `bijection` on
+ASL(2,3) and AGL(2,3) for each prime. Their paths are given relative to
+the repository root, which the sweep runs in, so the reports that echo
+the group argument agree between two checkouts. `--properties` adds
+`properties --seed 0`, which takes minutes.
 
     PYTHONHASHSEED=0 python3 tools/report_sweep.py > sweep.txt
 """
@@ -20,10 +26,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import itertools
+import os
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from nilweight.cli import run_command  # noqa: E402
 from nilweight.corpus import builtin_corpus  # noqa: E402
@@ -44,8 +52,28 @@ def sweep_commands(properties: bool) -> list[list[str]]:
             pi = ["--pi", str(p)]
             commands += [[cmd, *group, *pi] for cmd in ("vertices", "verify-b", "bijection")]
     commands.append(["scan"])
+    commands += desk_scale_commands()
     if properties:
         commands.append(["properties", "--seed", "0"])
+    return commands
+
+
+def desk_scale_commands() -> list[list[str]]:
+    solvable = ("ASL23", "AGL23", "S4wrC2", "S3wrS3")
+
+    def group(name):
+        return ["--group", f"tools/groups/{name}.txt"]
+
+    commands = [["subgroups", *group(n)] for n in (*solvable, "L27", "A6", "S6")]
+    commands += [["verify-a", *group(n), "--pi", p] for n in solvable for p in "23"]
+    commands.append(["verify-a", *group("A6"), "--pi", "5"])
+    commands.append(["verify-a", *group("L27"), "--pi", "2"])
+    commands += [
+        [cmd, *group(n), "--pi", p]
+        for n in ("ASL23", "AGL23")
+        for p in "23"
+        for cmd in ("verify-b", "vertices", "bijection")
+    ]
     return commands
 
 
@@ -55,6 +83,7 @@ def main(argv=None) -> int:
         "--properties", action="store_true", help="also run properties --seed 0 (slow)"
     )
     args = parser.parse_args(argv)
+    os.chdir(ROOT)
     for command in sweep_commands(args.properties):
         code, text = run_command([*command, "--format", "machine"])
         digest = hashlib.sha256(text.encode()).hexdigest()
