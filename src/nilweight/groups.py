@@ -31,7 +31,9 @@ alone, each memoized on its own; a subgroup made after its parent is known
 to be solvable is solvable without a series of its own. The normal closure
 of each class representative is computed once, by
 `PermGroup._class_normal_closure`, and `normal_subgroups`,
-`minimal_proper_normal` and `o_sigma` all read it.
+`minimal_proper_normal` and `o_sigma` all read it. Whether O_sigma is
+nontrivial is asked without it: `has_normal_sigma_subgroup` spans the
+sigma-classes as element sets and stops once a span outgrows |G|_sigma.
 
 Resource bounds (`check_bound`) and memoization (`memoized`) live here
 alone, and every module uses them.
@@ -579,6 +581,23 @@ class PermGroup:
             assert sigma.is_sigma_number(acc.order)
         return acc
 
+    def has_normal_sigma_subgroup(self, sigma: PrimeSet) -> bool:
+        """True iff G has a nontrivial normal sigma-subgroup: `o_sigma(sigma).order > 1`.
+
+        The span of a conjugacy class is normal, and a nontrivial O_sigma
+        holds the span of each of its classes, so the answer is yes exactly
+        when some non-identity class of sigma-elements spans a group of
+        sigma-number order. A span is given up once it outgrows |G|_sigma,
+        which bounds the order of every sigma-subgroup.
+        """
+        bound = sigma_part(self.order, sigma)
+        for c in self.conjugacy_classes()[1:]:
+            if sigma.is_sigma_number(c.element_order):
+                span = span_within(c.members, bound)
+                if span is not None and sigma.is_sigma_number(len(span)):
+                    return True
+        return False
+
     @memoized()
     def find_hall_sigma_subgroup(self, sigma: PrimeSet) -> "Subgroup | None":
         """A subgroup of order |G|_sigma, found by subgroup-class search; None if none."""
@@ -675,6 +694,26 @@ class Subgroup(PermGroup):
         if PermGroup.is_solvable.peek(parent):
             # every subgroup of a solvable group is solvable
             PermGroup.is_solvable.remember(self, True)
+
+
+def span_within(elements, limit: int) -> set | None:
+    """The group spanned by `elements`, image tuples of degree >= 2, as a set
+    of image tuples; None as soon as it has more than `limit` members.
+
+    The span is closed by left multiplication with the elements, so it costs
+    at most `limit` times len(elements) products.
+    """
+    lefts = [itemgetter(*g) for g in elements]
+    span = set(elements)
+    frontier = list(span)
+    while frontier and len(span) <= limit:
+        x = frontier.pop()
+        for left in lefts:
+            y = left(x)
+            if y not in span:
+                span.add(y)
+                frontier.append(y)
+    return span if len(span) <= limit else None
 
 
 def conjugation(g: Perm):

@@ -424,8 +424,16 @@ def weight_quotient(G: PermGroup, cls: SubgroupClass):
 
 
 def _weights_on(G: PermGroup, sigma: PrimeSet, cls: SubgroupClass) -> list[Weight]:
-    """The weights (Q, gamma) for Q in cls: the sigma-defect-zero Irr(N_G(Q)/Q)."""
+    """The weights (Q, gamma) for Q in cls: the sigma-defect-zero Irr(N_G(Q)/Q).
+
+    None exists while H = N_G(Q)/Q has a nontrivial normal sigma-subgroup K
+    (Alperin, Weights for finite groups, 1987): for gamma over theta in Irr(K),
+    gamma(1) divides theta(1)|H:K| (Isaacs, Cor. 11.29) and theta(1) < |K|, so
+    gamma(1)_sigma < |H|_sigma. Such a quotient gets no character table.
+    """
     quo, proj = weight_quotient(G, cls)
+    if quo.has_normal_sigma_subgroup(sigma):
+        return []
     return [
         Weight(cls, gamma, quo, proj)
         for gamma in character_table(quo).irreducibles

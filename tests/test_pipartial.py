@@ -1,10 +1,17 @@
+import itertools
+
 import pytest
 
-from nilweight.chartab import character_table
+from nilweight.chartab import character_table, has_sigma_defect_zero
 from nilweight.corpus import builtin_corpus
 from nilweight.cyclotomic import Cyclotomic
-from nilweight.groups import bsgs_construct
-from nilweight.lattice import subgroup_class_of, subgroup_classes
+from nilweight import groups
+from nilweight.groups import bsgs_construct, span_within
+from nilweight.lattice import (
+    nilpotent_sigma_subgroup_classes,
+    subgroup_class_of,
+    subgroup_classes,
+)
 from nilweight.pipartial import (
     GlaubermanAction,
     InternalConsistencyError,
@@ -22,9 +29,11 @@ from nilweight.pipartial import (
     partial_character_stabilizer,
     sigma_partial_characters,
     vertices,
+    weight_quotient,
     weights_with_first_component,
 )
 from nilweight.sigma import PrimeSet
+from nilweight.verify import check_weight_count
 
 from conftest import group, perm
 
@@ -326,6 +335,87 @@ class TestWeights:
         assert len(weights_with_first_component(s4, sigma2, V)) == 1
         C2 = s4.subgroup([perm("(1,2)", 4)])
         assert len(weights_with_first_component(s4, sigma2, C2)) == 0
+
+
+def _weight_quotients(G, sigma):
+    for cls in nilpotent_sigma_subgroup_classes(G, sigma):
+        yield weight_quotient(G, cls)[0]
+
+
+class TestNormalSigmaGate:
+    """`has_normal_sigma_subgroup` decides which weight quotients get a table."""
+
+    def test_equals_o_sigma_on_every_weight_quotient(self):
+        gated = 0
+        for definition in builtin_corpus():
+            G = definition.build()
+            primes = G.primes()
+            for k in range(1, len(primes) + 1):
+                for subset in itertools.combinations(primes, k):
+                    sigma = PrimeSet(subset)
+                    for quo in _weight_quotients(G, sigma):
+                        answer = quo.has_normal_sigma_subgroup(sigma)
+                        where = (definition.name, subset, quo.order)
+                        assert answer == (quo.o_sigma(sigma).order > 1), where
+                        if answer:
+                            gated += 1
+                            irr = character_table(quo).irreducibles
+                            assert not any(has_sigma_defect_zero(g, sigma) for g in irr), where
+        assert gated > 0
+
+    @pytest.mark.parametrize(
+        "name, primes, expected",
+        [
+            ("A5", [2, 3, 5], True),  # A5 itself, nonabelian
+            ("A5", [2], False),
+            ("S4", [2], True),
+            ("S3", [3], True),
+            ("S3", [2], False),
+            ("triv", [2], False),
+        ],
+    )
+    def test_direct_cases(self, name, primes, expected, s3, s4, a5):
+        G = {"S3": s3, "S4": s4, "A5": a5, "triv": group(1)}[name]
+        assert G.has_normal_sigma_subgroup(PrimeSet(primes)) is expected
+
+    def test_a_small_span_of_other_order_is_no_sigma_subgroup(self):
+        # each transposition class of S3^3 spans one S3 factor: order 6,
+        # below |G|_2 = 8 but not a power of 2, and O_2(S3^3) = 1
+        G = group(9, "(1,2)", "(1,2,3)", "(4,5)", "(4,5,6)", "(7,8)", "(7,8,9)")
+        assert not G.has_normal_sigma_subgroup(PrimeSet([2]))
+        assert G.o_sigma(PrimeSet([2])).order == 1
+
+    def test_span_within_stops_past_its_limit(self, a5):
+        three_cycles = next(c.members for c in a5.conjugacy_classes() if c.element_order == 3)
+        assert span_within(three_cycles, 59) is None
+        assert span_within(three_cycles, 60) == a5.element_set()
+
+    def test_spans_stop_at_the_sigma_part_of_the_order(self, monkeypatch, a5):
+        limits = []
+        real = groups.span_within
+
+        def recording(elements, limit):
+            limits.append(limit)
+            return real(elements, limit)
+
+        monkeypatch.setattr(groups, "span_within", recording)
+        assert not a5.has_normal_sigma_subgroup(PrimeSet([2]))
+        assert limits == [4]  # one class of involutions, |A5|_2 = 4
+
+    def test_verify_a_builds_no_table_for_a_gated_quotient(self):
+        # fresh groups: the session fixtures may carry other tests' memos
+        s4 = group(4, "(1,2)", "(1,2,3,4)")
+        a4 = group(4, "(1,2,3)", "(1,2)(3,4)")
+        gated = 0
+        for G, sigma in ((s4, PrimeSet([3])), (a4, PrimeSet([2]))):
+            check_weight_count(G, sigma)
+            for quo in _weight_quotients(G, sigma):
+                if quo.has_normal_sigma_subgroup(sigma):
+                    gated += 1
+                    assert character_table.peek(quo) is None
+                else:
+                    assert character_table.peek(quo) is not None
+        assert gated == 2  # N(1)/1 = A4 and N(C2)/C2 = C2, at sigma = {2}
 
 
 class TestLiftConsistency:

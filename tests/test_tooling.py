@@ -3,8 +3,10 @@
 `bench/run.py --trace 1` wraps every (module, owner, attribute) listed in
 `bench/tracing.py`; a renamed or removed engine function would break it
 without failing any engine test, so these tests resolve every entry. A
-last test keeps the engine free of `random`, as the README's determinism
-note says.
+test keeps the engine free of `random`, as the README's determinism note
+says. The last two check `tools/`: every desk-scale group file builds to
+the order it states, and `tools/report_sweep.py` names exactly the files
+that are there.
 """
 
 import ast
@@ -13,18 +15,21 @@ import importlib.util
 from pathlib import Path
 
 import nilweight.cli  # noqa: F401  (loads every engine module)
+from nilweight.corpus import parse_group_file
 
-TRACING_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING_PATH = ROOT / "bench" / "tracing.py"
+GROUPS_DIR = ROOT / "tools" / "groups"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("nilweight_bench_tracing", TRACING_PATH)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("nilweight_bench_tracing", TRACING_PATH)
 ENTRIES = {**tracing.SPANS, **tracing.COUNTERS}
 
 
@@ -64,6 +69,22 @@ def _imports(path: Path) -> set[str]:
 
 def test_only_the_property_suite_imports_random():
     # the engine is deterministic: randomness is for the property suite's samples
-    src = TRACING_PATH.parent.parent / "src" / "nilweight"
+    src = ROOT / "src" / "nilweight"
     users = sorted(p.name for p in src.rglob("*.py") if "random" in _imports(p))
     assert users == ["properties.py"]
+
+
+def test_every_desk_scale_group_file_builds_to_its_stated_order():
+    paths = sorted(GROUPS_DIR.glob("*.txt"))
+    assert paths
+    for path in paths:
+        # parsing builds the group and raises unless it has the stated order
+        assert parse_group_file(path.read_text()).expected_order is not None, path.name
+
+
+def test_report_sweep_names_every_group_file_and_no_other():
+    sweep = _load("nilweight_report_sweep", ROOT / "tools" / "report_sweep.py")
+    named = {
+        command[command.index("--group") + 1] for command in sweep.desk_scale_commands()
+    }
+    assert named == {f"tools/groups/{p.name}" for p in GROUPS_DIR.glob("*.txt")}
