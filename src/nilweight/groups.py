@@ -19,8 +19,9 @@ orbit/stabilizer runs at desk scale; resource bounds guard against inputs
 far beyond the intended corpus. Every orbit is walked by one class,
 `Orbit`: conjugacy classes, stabilizers under any action
 (`PermGroup.stabilizer`), the cosets of `PermGroup.coset_action`, the
-subgroup orbits that `PermGroup.subgroup_orbit` memoizes and normalizers
-read off, and the lattice's orbits of cyclic subgroups. The action of a
+point orbits of a normal subgroup in `PermGroup.quotient`, the subgroup
+orbits that `PermGroup.subgroup_orbit` memoizes and normalizers read
+off, and the lattice's orbits of cyclic subgroups. The action of a
 normalizing element on the classes comes from one memoized map,
 `PermGroup.class_image`, and class functions are conjugated through it by
 `PermGroup.conjugate_class_function`.
@@ -659,10 +660,36 @@ class PermGroup:
         return image, project
 
     def quotient(self, H: "PermGroup"):
-        """(G/H, projection) for normal H; errors if H is not normal."""
+        """(G/H, projection) for normal H; errors if H is not normal.
+
+        The image is the first of three faithful actions of G/H that applies:
+        - H = 1: the group itself, projected by the identity;
+        - the action on the H-orbits of the points. H is normal, so the
+          group permutes these orbits and H lies in the kernel. So |G:H|
+          bounds the image's order, and the image is G/H exactly when its
+          order reaches |G:H|;
+        - otherwise the action on the cosets of H (`coset_action`).
+        """
         if not self.is_normal(H):
             raise ValueError("quotient requested for a non-normal subgroup")
-        image, project = self.coset_action(H)
+        if H.order == 1:
+            return self, lambda g: g
+        index = self.order // H.order
+        moves = [(h, h.images.__getitem__) for h in H.generators]
+        orbit_of: dict[int, int] = {}
+        firsts = []  # the least point of each H-orbit, in point order
+        for p in range(self.degree):
+            if p not in orbit_of:
+                for q in Orbit(self.identity, p, moves).members:
+                    orbit_of[q] = len(firsts)
+                firsts.append(p)
+
+        def project(g: Perm) -> Perm:
+            return Perm(tuple(orbit_of[g.images[p]] for p in firsts))
+
+        image = PermGroup(len(firsts), [project(g) for g in self.generators], order=index)
+        if image.order < index:
+            image, project = self.coset_action(H)
         assert image.order * H.order == self.order
         return image, project
 

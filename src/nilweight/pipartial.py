@@ -405,8 +405,6 @@ class Weight:
 
     subgroup_class: SubgroupClass
     character: Character
-    quotient: PermGroup
-    projection: object
 
     @property
     def q_order(self) -> int:
@@ -431,11 +429,11 @@ def _weights_on(G: PermGroup, sigma: PrimeSet, cls: SubgroupClass) -> list[Weigh
     gamma(1) divides theta(1)|H:K| (Isaacs, Cor. 11.29) and theta(1) < |K|, so
     gamma(1)_sigma < |H|_sigma. Such a quotient gets no character table.
     """
-    quo, proj = weight_quotient(G, cls)
+    quo, _ = weight_quotient(G, cls)
     if quo.has_normal_sigma_subgroup(sigma):
         return []
     return [
-        Weight(cls, gamma, quo, proj)
+        Weight(cls, gamma)
         for gamma in character_table(quo).irreducibles
         if has_sigma_defect_zero(gamma, sigma)
     ]

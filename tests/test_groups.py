@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from nilweight import bruteforce as bf
+from nilweight.chartab import character_table
 from nilweight.corpus import builtin_corpus
 from nilweight.perms import MalformedPermError, Perm
 from nilweight import groups
@@ -320,6 +321,51 @@ class TestQuotients:
         for a in elems[::5]:
             for b in elems[::7]:
                 assert project(a * b) == project(a) * project(b)
+
+    def test_mod_trivial_is_the_group_itself(self, s4):
+        Q, project = s4.quotient(s4.subgroup([]))
+        assert Q is s4
+        assert all(project(g) is g for g in s4.generators)
+
+    def test_orbit_action_when_faithful(self):
+        s3xs3 = group(6, "(1,2)", "(1,2,3)", "(4,5)", "(4,5,6)")
+        first = s3xs3.subgroup(s3xs3.generators[:2])
+        Q, _ = s3xs3.quotient(first)
+        # the orbits {1,2,3}, {4}, {5}, {6}
+        assert Q.degree == 4 and Q.order == 6
+
+    def test_coset_action_when_the_orbit_action_is_short(self, s4, d8):
+        V = s4.subgroup([perm("(1,2)(3,4)", 4), perm("(1,3)(2,4)", 4)])
+        # V is transitive, and Z(D8) has two orbits for a quotient of order 4
+        for G, H in ((s4, V), (d8, d8.center())):
+            Q, _ = G.quotient(H)
+            assert Q.generators == G.coset_action(H)[0].generators
+            assert Q.degree == G.order // H.order
+
+    def test_every_normal_subgroup_and_weight_quotient_of_builtins(self):
+        for G in builtins_up_to(BRUTE_MAX_ORDER):
+            pairs = [(G, H) for H in G.normal_subgroups()]
+            for cls in subgroup_classes(G):
+                if cls.is_nilpotent():
+                    pairs.append((G.normalizer(cls.representative), cls.representative))
+            for N, H in pairs:
+                image, project = N.quotient(H)
+                assert image.order == N.order // H.order
+                elems = N.elements()
+                image_of = {x.images: project(x) for x in elems}
+                kernel = {x for x, y in image_of.items() if y.is_identity()}
+                assert kernel == H.element_set()
+                for x in elems:
+                    for g in N.generators:
+                        assert image_of[(x * g).images] == image_of[x.images] * project(g)
+                reps = [c.representative for c in N.conjugacy_classes()]
+
+                def rows(Q, proj):
+                    at = [Q.class_index_of(proj(r)) for r in reps]
+                    irr = character_table(Q).irreducibles
+                    return {tuple(chi.values[i] for i in at) for chi in irr}
+
+                assert rows(image, project) == rows(*N.coset_action(H))
 
 
 def brute_is_solvable(elems: set, degree: int) -> bool:

@@ -336,6 +336,14 @@ class TestWeights:
         C2 = s4.subgroup([perm("(1,2)", 4)])
         assert len(weights_with_first_component(s4, sigma2, C2)) == 0
 
+    def test_quotient_by_the_trivial_class_is_not_the_regular_action(self):
+        s4 = group(4, "(1,2)", "(1,2,3,4)")
+        check_weight_count(s4, PrimeSet([3]))
+        trivial = subgroup_classes(s4)[0]
+        assert trivial.order == 1
+        # N_G(1)/1 is S4 on its 4 points, not on its 24 elements
+        assert weight_quotient(s4, trivial)[0].degree == 4
+
 
 def _weight_quotients(G, sigma):
     for cls in nilpotent_sigma_subgroup_classes(G, sigma):

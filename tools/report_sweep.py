@@ -11,14 +11,16 @@ On every builtin group it runs `classes`, `chartab`, `subgroups` and
 dividing the order; `vertices`, `verify-b` and `bijection` for every such
 prime; and then `scan` once. The desk-scale group files in
 `tools/groups` follow: `subgroups` on seven of them, `verify-a --pi 2`
-and `--pi 3` on the four solvable ones, `verify-a` on A6 with `--pi 5`
-and on L2(7) with `--pi 2`, and `verify-b`, `vertices` and `bijection`
-on ASL(2,3) and AGL(2,3) for each prime. AGL(1,16), whose normal Hall
-2-subgroup C2^4 has the complement C15, gets `bijection`, `verify-a` and
-`verify-b` with `--pi 2`, and `verify-a --pi 3,5`. Their paths are given
-relative to the repository root, which the sweep runs in, so the reports
-that echo the group argument agree between two checkouts. `--properties`
-adds `properties --seed 0`, which takes minutes.
+and `--pi 3` on ASL(2,3), AGL(2,3), S4 wr C2 and S3 wr S3, `verify-a` on
+A6 with `--pi 5` and on L2(7) with `--pi 2`, and `verify-b`, `vertices`
+and `bijection` on ASL(2,3) and AGL(2,3) for each prime. AGL(1,16), whose
+normal Hall 2-subgroup C2^4 has the complement C15, gets `bijection`,
+`verify-a` and `verify-b` with `--pi 2`, and `verify-a --pi 3,5`. S3 wr
+C4, of order 5184, gets `verify-a --pi 2` and `--pi 3` with
+`--bound 6000`, about 6 s each. Their paths are given relative to the
+repository root, which the sweep runs in, so the reports that echo the
+group argument agree between two checkouts. `--properties` adds
+`properties --seed 0`, which takes minutes.
 
     PYTHONHASHSEED=0 python3 tools/report_sweep.py > sweep.txt
 """
@@ -82,6 +84,9 @@ def desk_scale_commands() -> list[list[str]]:
         ["verify-a", *agl116, "--pi", "2"],
         ["verify-a", *agl116, "--pi", "3,5"],
         ["verify-b", *agl116, "--pi", "2"],
+    ]
+    commands += [
+        ["verify-a", *group("S3wrC4"), "--pi", p, "--bound", "6000"] for p in "23"
     ]
     return commands
 
