@@ -19,15 +19,11 @@ dropped without a stabilizer chain; only a candidate of a new class is
 built as a `Subgroup`, from H's generators and z (or Z), and its orbit is
 walked from that subgroup's element set.
 
-The lattice of a subgroup N of G is read from G's lattice instead of being
-built afresh (`subgroup_classes_within`): every subgroup of N is a subgroup
-of G, so the N-classes are the N-orbits on the members of G's classes that
-lie inside N. A member's subgroup is built from its class representative's
-generators, conjugated by the element `Orbit.conjugator` composes.
-
 A conjugate Q of a class contains a nilpotent R as a Carter subgroup when
 N_Q(R) = N_G(R) ∩ Q has |R| elements, one set intersection per conjugate
-(`carter_members`).
+(`carter_members`). Such a member is built as a subgroup from its class
+representative's generators, conjugated by the element `Orbit.conjugator`
+composes (`conjugate_member`).
 """
 
 from __future__ import annotations
@@ -247,38 +243,6 @@ def subgroup_class_of(G: PermGroup, H: PermGroup) -> SubgroupClass:
     by_key = _classes_by_key(G)
     # the lattice walked every class, so the walk of H is memoized
     return by_key[G.subgroup_orbit(H.element_set()).canonical_key]
-
-
-def subgroup_classes_within(G: PermGroup, N: PermGroup) -> tuple[SubgroupClass, ...]:
-    """All subgroup conjugacy classes of a subgroup N of G, read from G's lattice.
-
-    The classes of N are the N-orbits on the members of G's classes that lie
-    inside N; each is walked by `N.subgroup_orbit`, so the canonical keys and
-    class sizes are those a fresh `subgroup_classes(N)` finds. A class keeps
-    G's representative when that lies in it, and N's top class is N itself;
-    any other is carried by a conjugate of G's representative.
-    """
-    n_set = N.element_set()
-    out = []
-    for cls in subgroup_classes(G):
-        if N.order % cls.order:
-            continue
-        rep_set = cls.representative.element_set()
-        placed: set = set()
-        for member in G.subgroup_orbit(rep_set).members:
-            if member in placed or not member <= n_set:
-                continue
-            orbit = N.subgroup_orbit(member)
-            placed |= orbit.members
-            if cls.order == N.order:
-                H = N
-            elif rep_set in orbit.members:
-                H = cls.representative
-            else:
-                H = conjugate_member(G, cls, member, N)
-            out.append(SubgroupClass(H, len(orbit.members), orbit.canonical_key))
-    out.sort(key=lambda c: (c.order, c.canonical_key))
-    return tuple(out)
 
 
 def conjugate_member(

@@ -12,6 +12,11 @@ subgroup class and a sigma-degree member of Iso(U) inducing the target;
 all hits must produce one conjugacy class of Hall sigma'-subgroups. The
 Hall sigma'-subgroups of U are read from the group's own lattice: they
 form the one class of order |U|_{sigma'} with a member inside U.
+
+The local side Iso(N|R), for a normal sigma'-subgroup R of N, needs no
+search: a vertex contains O_{sigma'}(N) and has order
+|N|_{sigma'}/phi(1)_{sigma'}, so phi has vertex R exactly when
+phi(1)_{sigma'} = |N:R|_{sigma'} (`ipi_with_normal_vertex`).
 """
 
 from __future__ import annotations
@@ -301,6 +306,36 @@ def ipi_with_vertex(
             continue
         out.append(phi)
     return tuple(out)
+
+
+def ipi_with_normal_vertex(
+    N: PermGroup,
+    sigma: PrimeSet,
+    R: PermGroup,
+    theta: PartialCharacter | None = None,
+):
+    """Members of Iso(N) with vertex R, for a normal sigma'-subgroup R of N.
+
+    Every vertex of phi contains O_{sigma'}(N), hence R, and has order
+    |N|_{sigma'}/phi(1)_{sigma'} (the degree law). So phi has vertex R exactly
+    when phi(1)_{sigma'} = |N:R|_{sigma'}, and then R = O_{sigma'}(N), which
+    is checked. Optionally only the members over theta are kept.
+    """
+    coprime = sigma.complement_within(N.order)
+    if not (coprime.is_sigma_number(R.order) and N.is_normal(R)):
+        raise ValueError("R is not a normal sigma'-subgroup")
+    law = coprime.part(N.order // R.order)
+    out = tuple(
+        phi
+        for phi in sigma_partial_characters(N, sigma)
+        if coprime.part(phi.degree) == law and (theta is None or lies_over(phi, theta))
+    )
+    if out and N.o_sigma(coprime).order != R.order:
+        raise InternalConsistencyError(
+            f"a vertex |R|={R.order} is not O_{{sigma'}} in a group of order "
+            f"{N.order}, sigma={{{sigma}}}"
+        )
+    return out
 
 
 # --- Glauberman correspondence ------------------------------------------------

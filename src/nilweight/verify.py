@@ -37,7 +37,6 @@ from .lattice import (
     conjugate_member,
     subgroup_class_of,
     subgroup_classes,
-    subgroup_classes_within,
 )
 from .perms import Perm
 from .pipartial import (
@@ -46,6 +45,7 @@ from .pipartial import (
     decompose_on_subgroup,
     enumerate_weights,
     glauberman_correspondent,
+    ipi_with_normal_vertex,
     ipi_with_vertex,
     is_invariant_character,
     sigma_partial_characters,
@@ -109,16 +109,9 @@ def _subgroup_label(cls: SubgroupClass) -> str:
 
 
 def _local_normalizer(G: PermGroup, R: PermGroup) -> PermGroup:
-    """N_G(R) with its lattice read from G's; G itself when R is normal.
-
-    Using G itself lets N_G(R) share G's memoized tables and Iso(G).
-    """
+    """N_G(R); G itself when R is normal, so that it shares Iso(G)."""
     NR = G.normalizer(R)
-    if NR.order == G.order:
-        return G
-    if subgroup_classes.peek(NR) is None:
-        subgroup_classes.remember(NR, subgroup_classes_within(G, NR))
-    return NR
+    return G if NR.order == G.order else NR
 
 
 # --- global weight count ------------------------------------------------------
@@ -196,9 +189,7 @@ def check_carter_refinement(
                         "lhs", f"phi_deg={phi.degree} vertex={_subgroup_label(cls)}", 1
                     )
                 )
-    NR = _local_normalizer(G, R)
-    r_in_nr = NR.subgroup(R.generators)
-    local = ipi_with_vertex(NR, sigma, r_in_nr)
+    local = ipi_with_normal_vertex(_local_normalizer(G, R), sigma, R)
     rows += [ReportRow("rhs", f"local_phi_deg={phi.degree}", 1) for phi in local]
     weight_count = len(weights_with_first_component(G, coprime, R))
     rows.append(ReportRow("info", "weights with first component R", weight_count))
@@ -253,9 +244,7 @@ def check_normalizer_counting(
         )
     phi_member = _partial_member_for_character(M, sigma, phi)
     lhs_set = ipi_with_vertex(G, sigma, Q, theta=phi_member)
-    N = _local_normalizer(G, Q)
-    q_in_n = N.subgroup(Q.generators)
-    rhs_set = ipi_with_vertex(N, sigma, q_in_n, theta=phi_member)
+    rhs_set = ipi_with_normal_vertex(_local_normalizer(G, Q), sigma, Q, theta=phi_member)
     rows = [ReportRow("lhs", f"phi_deg={p.degree}", 1) for p in lhs_set]
     rows += [ReportRow("rhs", f"local_phi_deg={p.degree}", 1) for p in rhs_set]
     return VerificationReport(
@@ -350,8 +339,7 @@ def check_canonical_bijection(
             domain.append((phi, qs))
 
     NR = _local_normalizer(G, R)
-    r_in_nr = NR.subgroup(R.generators)
-    target = ipi_with_vertex(NR, sigma, r_in_nr)
+    target = ipi_with_normal_vertex(NR, sigma, R)
     target_by_values = {phi.values: phi for phi in target}
 
     n_tab = character_table(N)

@@ -18,6 +18,8 @@ from nilweight.pipartial import (
     sigma_partial_characters,
 )
 from nilweight.properties import (
+    HEAVY_MAX_ORDER,
+    NORMALIZER_COUNTING_MAX_ORDER,
     _prop_carter_refinement,
     _prop_class_equation,
     _prop_clifford_roundtrip,
@@ -26,6 +28,7 @@ from nilweight.properties import (
     _prop_glauberman,
     _prop_ipi_count,
     _prop_lemma_intersection_counts,
+    _prop_normalizer_counting,
     _prop_normalizer_sandwich,
     _prop_order_certificate,
     _prop_subgroup_completeness,
@@ -208,6 +211,19 @@ def test_pi_theory_property_suite(corpus):
         "series-independence/equivariance, vertex-orbit counting lemma",
         not bad,
         f"{len(outcomes)} outcomes in {time.time()-t0:.1f}s",
+    )
+
+
+def test_local_side_property_suite(corpus):
+    t0 = time.time()
+    refinement = list(_prop_carter_refinement(_up_to(corpus, HEAVY_MAX_ORDER)))
+    counting = list(_prop_normalizer_counting(_up_to(corpus, NORMALIZER_COUNTING_MAX_ORDER)))
+    bad = [o for o in refinement + counting if not o.ok]
+    _report(
+        "local side: per-R refinement with its weight link and aggregation, "
+        "normalizer counting over phi in Iso(M)",
+        not bad and (len(refinement), len(counting)) == (168, 51),
+        f"{len(refinement)} + {len(counting)} outcomes in {time.time()-t0:.1f}s",
     )
 
 

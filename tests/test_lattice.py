@@ -15,7 +15,6 @@ from nilweight.lattice import (
     nilpotent_sigma_subgroup_classes,
     subgroup_class_of,
     subgroup_classes,
-    subgroup_classes_within,
 )
 from nilweight.sigma import PrimeSet, factorize
 
@@ -258,38 +257,11 @@ class TestClassOf:
         assert cls.class_size == 6
 
 
-def _rows(classes):
-    return [(c.order, c.class_size, c.canonical_key) for c in classes]
-
-
-class TestClassesWithin:
-    @pytest.mark.parametrize("definition", builtin_corpus(), ids=lambda d: d.name)
-    def test_normalizer_lattices_match_fresh_lattices(self, definition):
-        G = definition.build()
-        for cls in subgroup_classes(G):
-            if not cls.is_nilpotent():
-                continue
-            N = G.normalizer(cls.representative)
-            fresh = PermGroup(N.degree, N.generators)  # no memo shared with G
-            within = subgroup_classes_within(G, N)
-            assert _rows(within) == _rows(subgroup_classes(fresh))
-            for sub in within:
-                assert sub.representative.element_set() <= N.element_set()
-            assert within[-1].representative is N
-
-    def test_reuses_the_representative_inside_n(self, s4):
-        D8 = s4.subgroup([perm("(1,2,3,4)", 4), perm("(1,3)", 4)])
-        reps = {c.representative for c in subgroup_classes(s4)}
-        within = subgroup_classes_within(s4, D8)
-        inside = [c for c in subgroup_classes(s4) if c.representative.is_subset(D8)]
-        assert inside and all(c.representative in {w.representative for w in within} for c in inside)
-        assert any(w.representative not in reps for w in within[:-1])
-
+class TestConjugateMember:
     def test_orbit_walked_first_from_another_member(self):
         # the walk of the transpositions' class starts at <(1,2)>, not at the
         # representative <(3,4)>, so the conjugator reaching a member from the
-        # representative is composed; D8 holds only the transpositions (1,3)
-        # and (2,4), so its class of them is carried by a conjugate
+        # representative is composed
         G = group(4, "(1,2)", "(1,2,3,4)")
         start = G.subgroup([perm("(1,2)", 4)]).element_set()
         orbit = G.subgroup_orbit(start)
@@ -300,13 +272,7 @@ class TestClassesWithin:
         for target in orbit.members:
             g = orbit.conjugator(rep.element_set(), target)
             assert frozenset(x.conjugate(g).images for x in rep.elements()) == target
-        D8 = G.subgroup([perm("(1,2,3,4)", 4), perm("(1,3)", 4)])
-        fresh = PermGroup(D8.degree, D8.generators)
-        within = subgroup_classes_within(G, D8)
-        assert _rows(within) == _rows(subgroup_classes(fresh))
-        key = D8.subgroup_orbit(G.subgroup([perm("(1,3)", 4)]).element_set()).canonical_key
-        transpositions = next(c for c in within if c.canonical_key == key)
-        assert transpositions.representative.generator_label() in ("(1,3)", "(2,4)")
+            assert conjugate_member(G, cls, target, G).element_set() == target
 
 
 class TestCarterMembers:

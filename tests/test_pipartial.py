@@ -6,7 +6,7 @@ from nilweight.chartab import character_table, has_sigma_defect_zero
 from nilweight.corpus import builtin_corpus
 from nilweight.cyclotomic import Cyclotomic
 from nilweight import groups
-from nilweight.groups import bsgs_construct, span_within
+from nilweight.groups import PermGroup, bsgs_construct, span_within
 from nilweight.lattice import (
     nilpotent_sigma_subgroup_classes,
     subgroup_class_of,
@@ -23,6 +23,7 @@ from nilweight.pipartial import (
     glauberman_correspondent,
     glauberman_map,
     induced_partial_values,
+    ipi_with_normal_vertex,
     ipi_with_vertex,
     is_invariant_character,
     lies_over,
@@ -33,7 +34,7 @@ from nilweight.pipartial import (
     weights_with_first_component,
 )
 from nilweight.sigma import PrimeSet
-from nilweight.verify import check_weight_count
+from nilweight.verify import _local_normalizer, check_weight_count
 
 from conftest import group, perm
 
@@ -221,6 +222,49 @@ class TestIpiWithVertex:
         Q = a4.subgroup([])
         phis = ipi_with_vertex(a4, sigma, Q)
         assert [p.degree for p in phis] == [3]
+
+
+class TestIpiWithNormalVertex:
+    """Iso(N|R) by the degree law, against the exhaustive vertex search."""
+
+    def test_equals_the_vertex_search_on_every_normalizer(self):
+        cases = nonempty = 0
+        for definition in builtin_corpus():
+            if definition.expected_order > 120:
+                continue
+            G = definition.build()
+            primes = G.primes()
+            for k in range(1, len(primes) + 1):
+                for subset in itertools.combinations(primes, k):
+                    sigma = PrimeSet(subset)
+                    if not G.is_sigma_separable(sigma):
+                        continue
+                    coprime = sigma.complement_within(G.order)
+                    for cls in subgroup_classes(G):
+                        if not coprime.is_sigma_number(cls.order):
+                            continue
+                        R = cls.representative
+                        N = _local_normalizer(G, R)
+                        expected = ipi_with_vertex(N, sigma, N.subgroup(R.generators))
+                        where = (definition.name, subset, R.order)
+                        assert ipi_with_normal_vertex(N, sigma, R) == expected, where
+                        cases += 1
+                        nonempty += bool(expected)
+        assert (cases, nonempty) == (143, 77)
+
+    def test_rejects_a_subgroup_that_is_not_normal(self, s4):
+        R = s4.subgroup([perm("(1,2)", 4)])
+        with pytest.raises(ValueError, match="normal sigma'-subgroup"):
+            ipi_with_normal_vertex(s4, PrimeSet([3]), R)
+
+    def test_certificate_names_the_group(self, monkeypatch):
+        s4 = group(4, "(1,2)", "(1,2,3,4)")
+        V4 = s4.subgroup([perm("(1,2)(3,4)", 4), perm("(1,3)(2,4)", 4)])
+        monkeypatch.setattr(PermGroup, "o_sigma", lambda self, sigma: self)
+        with pytest.raises(
+            InternalConsistencyError, match=r"\|R\|=4 .* order 24, sigma=\{3\}"
+        ):
+            ipi_with_normal_vertex(s4, PrimeSet([3]), V4)
 
 
 class TestGlauberman:

@@ -1,5 +1,6 @@
 import pytest
 
+from nilweight import verify
 from nilweight.chartab import character_table
 from nilweight.groups import bsgs_construct
 from nilweight.lattice import subgroup_classes
@@ -98,6 +99,25 @@ class TestCarterRefinement:
         rep = self.fetch(s4, ["(1,2,3,4)", "(1,3)"])
         info = [r for r in rep.rows if r.side == "info"]
         assert info and info[0].count == rep.rhs
+
+    def test_local_side_builds_no_lattice_and_searches_no_vertex(self, monkeypatch):
+        # a fresh S4: the session fixtures may carry other tests' memos
+        s4 = group(4, "(1,2)", "(1,2,3,4)")
+        normalizers = []
+        real = verify._local_normalizer
+
+        def recording(G, R):
+            normalizers.append(real(G, R))
+            return normalizers[-1]
+
+        monkeypatch.setattr(verify, "_local_normalizer", recording)
+        sigma = PrimeSet([3])
+        R = s4.subgroup([perm("(1,2)", 4)])
+        check_carter_refinement(s4, sigma, R, "S4")
+        (NR,) = normalizers
+        assert NR.order == 4
+        assert subgroup_classes.peek(NR) is None
+        assert all(phi.vertex is None for phi in sigma_partial_characters(NR, sigma))
 
     def test_nonseparable_reports_unmet(self, a5):
         R = a5.subgroup([perm("(1,2)(3,4)", 5)])

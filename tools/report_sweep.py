@@ -12,9 +12,10 @@ dividing the order; `vertices`, `verify-b` and `bijection` for every such
 prime; and then `scan` once. The desk-scale group files in
 `tools/groups` follow: `subgroups` on seven of them, `verify-a --pi 2`
 and `--pi 3` on ASL(2,3), AGL(2,3), S4 wr C2 and S3 wr S3, `verify-a` on
-A6 with `--pi 5` and on L2(7) with `--pi 2`, and `verify-b`, `vertices`
-and `bijection` on ASL(2,3) and AGL(2,3) for each prime. AGL(1,16), whose
-normal Hall 2-subgroup C2^4 has the complement C15, gets `bijection`,
+A6 with `--pi 5` and on L2(7) with `--pi 2`, `verify-b`, `vertices` and
+`bijection` on ASL(2,3) and AGL(2,3) for each prime, and `verify-b` on
+S4 wr C2 and S3 wr S3 for each prime. AGL(1,16), whose normal Hall
+2-subgroup C2^4 has the complement C15, gets `bijection`,
 `verify-a` and `verify-b` with `--pi 2`, and `verify-a --pi 3,5`. S3 wr
 C4, of order 5184, gets `verify-a --pi 2` and `--pi 3` with
 `--bound 6000`, about 6 s each. Their paths are given relative to the
@@ -77,6 +78,9 @@ def desk_scale_commands() -> list[list[str]]:
         for n in ("ASL23", "AGL23")
         for p in "23"
         for cmd in ("verify-b", "vertices", "bijection")
+    ]
+    commands += [
+        ["verify-b", *group(n), "--pi", p] for n in ("S4wrC2", "S3wrS3") for p in "23"
     ]
     agl116 = group("AGL116")
     commands += [
