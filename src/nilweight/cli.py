@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .cache import load_or_compute_table
-from .corpus import GroupFileError, builtin_by_name, builtin_corpus, parse_group_file
+from .corpus import GroupFileError, builtin_by_name, builtin_corpus, parse_definition
 from .groups import ResourceLimitError, resource_bound
 from .lattice import (
     carter_subgroups,
@@ -93,11 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_group(arg: str | None):
+    """The group's definition; its callers build the group once, which checks
+    a group file's order claim."""
     if not arg:
         raise UsageError("--group is required for this command")
     path = Path(arg)
     if path.exists():
-        definition = parse_group_file(path.read_text())
+        definition = parse_definition(path.read_text())
     else:
         try:
             definition = builtin_by_name(arg)
@@ -319,7 +321,7 @@ def _scan_one(payload):
     # caller's context under every start method
     name, text, bound = payload
     with resource_bound(bound):
-        G = parse_group_file(text).build()
+        G = parse_definition(text).build()
         reports = scan_corpus([(name, G)])
     return [
         (

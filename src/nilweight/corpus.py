@@ -57,6 +57,14 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_:x+.-]+")
 
 
 def parse_group_file(text: str) -> GroupDefinition:
+    """The definition in a group file; its group is built to check the order claim eagerly."""
+    definition = parse_definition(text)
+    definition.build()  # validates the order claim eagerly
+    return definition
+
+
+def parse_definition(text: str) -> GroupDefinition:
+    """The definition in a group file, unbuilt: `build` checks its order claim."""
     name = None
     degree = None
     order = None
@@ -100,11 +108,9 @@ def parse_group_file(text: str) -> GroupDefinition:
         raise GroupFileError("missing 'name' line")
     if degree is None:
         raise GroupFileError("missing 'degree' line")
-    definition = GroupDefinition(
+    return GroupDefinition(
         name=name, degree=degree, generators=tuple(gens), expected_order=order
     )
-    definition.build()  # validates the order claim eagerly
-    return definition
 
 
 def _normalize_cycles(text: str, degree: int) -> str:

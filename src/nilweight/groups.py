@@ -35,6 +35,8 @@ of each class representative is computed once, by
 `minimal_proper_normal` and `o_sigma` all read it. Whether O_sigma is
 nontrivial is asked without it: `has_normal_sigma_subgroup` spans the
 sigma-classes as element sets and stops once a span outgrows |G|_sigma.
+One routine, `span`, grows every element set by cosets, for these spans
+and for the lattice's candidates <H, z>.
 
 Resource bounds (`check_bound`) and memoization (`memoized`) live here
 alone, and every module uses them.
@@ -592,10 +594,11 @@ class PermGroup:
         which bounds the order of every sigma-subgroup.
         """
         bound = sigma_part(self.order, sigma)
+        trivial = frozenset([self.identity.images])
         for c in self.conjugacy_classes()[1:]:
             if sigma.is_sigma_number(c.element_order):
-                span = span_within(c.members, bound)
-                if span is not None and sigma.is_sigma_number(len(span)):
+                elems = span(trivial, c.members, bound)
+                if elems is not None and sigma.is_sigma_number(len(elems)):
                     return True
         return False
 
@@ -723,24 +726,25 @@ class Subgroup(PermGroup):
             PermGroup.is_solvable.remember(self, True)
 
 
-def span_within(elements, limit: int) -> set | None:
-    """The group spanned by `elements`, image tuples of degree >= 2, as a set
-    of image tuples; None as soon as it has more than `limit` members.
+def span(h_set: frozenset, gens, limit: float = math.inf) -> frozenset | None:
+    """The union of the cosets x H reached from H by left multiplication by
+    `gens`; None as soon as it has more than `limit` members.
 
-    The span is closed by left multiplication with the elements, so it costs
-    at most `limit` times len(elements) products.
+    It is <H, gens> when `gens` holds generators of H, or when it is one z
+    normalizing H, and <gens> for H = 1. Elements and generators are image
+    tuples of degree >= 2. The limit is checked once per coset.
     """
-    lefts = [itemgetter(*g) for g in elements]
-    span = set(elements)
-    frontier = list(span)
-    while frontier and len(span) <= limit:
+    elems = set(h_set)
+    frontier = [min(h_set)]  # the identity, the least image tuple
+    times = [itemgetter(*g) for g in gens]  # x -> g * x
+    while frontier and len(elems) <= limit:
         x = frontier.pop()
-        for left in lefts:
-            y = left(x)
-            if y not in span:
-                span.add(y)
+        for g in times:
+            y = g(x)
+            if y not in elems:
+                elems.update(map(itemgetter(*y), h_set))  # the coset y H
                 frontier.append(y)
-    return span if len(span) <= limit else None
+    return frozenset(elems) if len(elems) <= limit else None
 
 
 def conjugation(g: Perm):
@@ -848,15 +852,6 @@ class Orbit:
         """In an orbit of element sets, the least sorted member: equal exactly
         for conjugate element sets."""
         return min(tuple(sorted(s)) for s in self.members)
-
-    def conjugator(self, source, target) -> Perm:
-        """An element g taking `source` to `target`, for two members.
-
-        The walk may have started at any member, so g is composed from the
-        conjugators of both: the one reaching `source`, inverted, then the
-        one reaching `target`.
-        """
-        return self._reach(source).inverse() * self._reach(target)
 
     def stabilizer(self, member) -> list[Perm]:
         """Generators of the stabilizer of `member`; in a subgroup orbit, its normalizer."""

@@ -21,9 +21,8 @@ walked from that subgroup's element set.
 
 A conjugate Q of a class contains a nilpotent R as a Carter subgroup when
 N_Q(R) = N_G(R) ∩ Q has |R| elements, one set intersection per conjugate
-(`carter_members`). Such a member is built as a subgroup from its class
-representative's generators, conjugated by the element `Orbit.conjugator`
-composes (`conjugate_member`).
+(`carter_members`). Callers read such members as element sets; the Carter
+fiber builds a subgroup only for the first member of each class.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from operator import itemgetter
 
-from .groups import Orbit, PermGroup, Subgroup, conjugation, memoized
+from .groups import Orbit, PermGroup, Subgroup, conjugation, memoized, span
 from .perms import Perm
 from .sigma import PrimeSet, factorize, is_prime
 
@@ -116,7 +115,7 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
             if not is_prime(coset_order):
                 continue  # z must have prime order modulo H
             # z normalizes H, so K = <H, z> is the union of the cosets z^i H
-            k_set = _span(h_set, [images])
+            k_set = span(h_set, [images])
             assert len(k_set) == coset_order * H.order
             covered |= k_set
             if collector.knows(k_set):
@@ -141,25 +140,6 @@ def _coset_order(z: tuple, h_set: frozenset) -> int:
         x = times_z(x)
         k += 1
     return k
-
-
-def _span(h_set: frozenset, gens: list[tuple]) -> frozenset:
-    """The union of the cosets x H reached from H by left multiplication by `gens`.
-
-    It is <H, gens> when `gens` holds generators of H, or when it is one z
-    normalizing H. Elements and generators are image tuples of degree >= 2.
-    """
-    elems = set(h_set)
-    frontier = [min(h_set)]  # the identity, the least image tuple
-    times = [itemgetter(*g) for g in gens]  # x -> g * x
-    while frontier:
-        x = frontier.pop()
-        for g in times:
-            y = g(x)
-            if y not in elems:
-                elems.update(map(itemgetter(*y), h_set))  # the coset y H
-                frontier.append(y)
-    return frozenset(elems)
 
 
 def _nonsolvable_completion(G: PermGroup, collector: _ClassCollector) -> None:
@@ -192,7 +172,7 @@ def _nonsolvable_completion(G: PermGroup, collector: _ClassCollector) -> None:
         normalizing = G.subgroup_orbit(h_set).stabilizer(h_set)
         outside = [Z for Z in cyclics if generator[Z] not in h_set]
         for Z in _orbit_firsts(G.identity, normalizing, outside, generator, cyclic_of):
-            k_set = _span(h_set, h_gens + [generator[Z]])
+            k_set = span(h_set, h_gens + [generator[Z]])
             if collector.knows(k_set):
                 continue
             K = G.subgroup(tuple(H.generators) + tuple(map(Perm, cyclics[Z])))
@@ -243,24 +223,6 @@ def subgroup_class_of(G: PermGroup, H: PermGroup) -> SubgroupClass:
     by_key = _classes_by_key(G)
     # the lattice walked every class, so the walk of H is memoized
     return by_key[G.subgroup_orbit(H.element_set()).canonical_key]
-
-
-def conjugate_member(
-    G: PermGroup, cls: SubgroupClass, member: frozenset, parent: PermGroup
-) -> Subgroup:
-    """The conjugate of cls's representative with element set `member`.
-
-    It is a subgroup of `parent`, generated by the representative's
-    generators conjugated by an element taking its element set to `member`.
-    """
-    rep = cls.representative
-    g = G.subgroup_orbit(rep.element_set()).conjugator(rep.element_set(), member)
-    gens = [x.conjugate(g) for x in rep.generators]
-    # generators inside `member` and |H| = |member| give H = member
-    assert all(x.images in member for x in gens)
-    H = parent.subgroup(gens, order=rep.order)
-    assert H.order == len(member)
-    return H
 
 
 def carter_subgroups(G: PermGroup) -> SubgroupClass:

@@ -52,7 +52,7 @@ class InternalConsistencyError(AssertionError):
 class PartialCharacter:
     """A class function on the sigma-elements, with its lifts in Irr(G)."""
 
-    __slots__ = ("group", "sigma", "values", "lifts", "class_indices", "_vertex", "_hash")
+    __slots__ = ("group", "sigma", "values", "lifts", "class_indices", "_hash")
 
     def __init__(self, group: PermGroup, sigma: PrimeSet, values, lifts, class_indices):
         object.__setattr__(self, "group", group)
@@ -60,7 +60,6 @@ class PartialCharacter:
         object.__setattr__(self, "values", tuple(values))
         object.__setattr__(self, "lifts", tuple(lifts))
         object.__setattr__(self, "class_indices", tuple(class_indices))
-        object.__setattr__(self, "_vertex", None)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
@@ -76,10 +75,6 @@ class PartialCharacter:
             return self.values[self.class_indices.index(idx)]
         except ValueError:
             raise ValueError("element is not a sigma-element") from None
-
-    @property
-    def vertex(self) -> SubgroupClass | None:
-        return self._vertex
 
     def __eq__(self, other) -> bool:
         return (
@@ -220,9 +215,13 @@ def clifford_correspondent(
 
 def vertices(phi: PartialCharacter) -> SubgroupClass:
     """The conjugacy class of vertices of phi, found by exhaustive (U, alpha) search."""
-    if phi._vertex is not None:
-        return phi._vertex
-    G, sigma = phi.group, phi.sigma
+    return _vertex_class(phi.group, phi)
+
+
+@memoized()
+def _vertex_class(G: PermGroup, phi: PartialCharacter) -> SubgroupClass:
+    """`vertices(phi)` for phi in Iso(G), memoized in G."""
+    sigma = phi.sigma
     where = f"in a group of order {G.order}, sigma={{{sigma}}}"
     coprime_in_g = sigma.complement_within(G.order)
     target_coorder = coprime_in_g.part(G.order) // coprime_in_g.part(phi.degree)
@@ -262,7 +261,6 @@ def vertices(phi: PartialCharacter) -> SubgroupClass:
         raise InternalConsistencyError(
             f"vertex degree law fails for degree {phi.degree} and |Q|={result.order} {where}"
         )
-    object.__setattr__(phi, "_vertex", result)
     return result
 
 

@@ -34,8 +34,6 @@ from .lattice import (
     SubgroupClass,
     carter_fiber,
     carter_members,
-    conjugate_member,
-    subgroup_class_of,
     subgroup_classes,
 )
 from .perms import Perm
@@ -177,18 +175,13 @@ def check_carter_refinement(
             rhs=None,
             detail=detail,
         )
-    fiber = carter_fiber(G, sigma, R)
-    union: list = []
-    rows = []
-    for cls in fiber:
-        for phi in ipi_with_vertex(G, sigma, cls.representative):
-            if phi not in union:
-                union.append(phi)
-                rows.append(
-                    ReportRow(
-                        "lhs", f"phi_deg={phi.degree} vertex={_subgroup_label(cls)}", 1
-                    )
-                )
+    # each phi has one vertex class, so the union over the fiber is disjoint
+    rows = [
+        ReportRow("lhs", f"phi_deg={phi.degree} vertex={_subgroup_label(cls)}", 1)
+        for cls in carter_fiber(G, sigma, R)
+        for phi in ipi_with_vertex(G, sigma, cls.representative)
+    ]
+    lhs = len(rows)
     local = ipi_with_normal_vertex(_local_normalizer(G, R), sigma, R)
     rows += [ReportRow("rhs", f"local_phi_deg={phi.degree}", 1) for phi in local]
     weight_count = len(weights_with_first_component(G, coprime, R))
@@ -198,7 +191,7 @@ def check_carter_refinement(
         group_name=name,
         sigma=sigma,
         hypotheses=hypotheses,
-        lhs=len(union),
+        lhs=lhs,
         rhs=len(local),
         rows=tuple(rows),
         detail=detail,
@@ -322,35 +315,41 @@ def check_canonical_bijection(
             detail=detail,
         )
 
-    q_subgroups = [
-        conjugate_member(H, cls, member, H)
-        for cls in subgroup_classes(H)
-        if cls.order % R.order == 0
-        for member in carter_members(H, cls, R)
+    # The Q's are the subgroups of H containing R as Carter subgroup, read
+    # off the classes of G's Carter fiber. Every class has such a member:
+    # by Schur-Zassenhaus a member Q has a conjugate Q^n inside H with n in
+    # N, and n centralizes R, since [R, n] lies in H ∩ N = 1.
+    h_set = H.element_set()
+    with_vertex: dict[tuple, list] = {}
+    for phi in sigma_partial_characters(G, sigma):
+        with_vertex.setdefault(vertices(phi).canonical_key, []).append(phi)
+    domain = [
+        (phi, [m for m in carter_members(G, cls, R) if m <= h_set])
+        for cls in sorted(carter_fiber(G, sigma, R), key=lambda c: c.canonical_key)
+        for phi in with_vertex.get(cls.canonical_key, ())
     ]
-
-    by_class_key: dict[tuple, list[PermGroup]] = {}
-    for Q in q_subgroups:
-        by_class_key.setdefault(subgroup_class_of(G, Q).canonical_key, []).append(Q)
-
-    domain = []
-    for key, qs in sorted(by_class_key.items()):
-        for phi in ipi_with_vertex(G, sigma, qs[0]):
-            domain.append((phi, qs))
 
     NR = _local_normalizer(G, R)
     target = ipi_with_normal_vertex(NR, sigma, R)
     target_by_values = {phi.values: phi for phi in target}
 
     n_tab = character_table(N)
+    action = GlaubermanAction(G, N, R)
+    C = action.fixed
+    CR = G.subgroup(tuple(C.generators) + tuple(R.generators))
+    assert CR.order == C.order * R.order
     images = {}
     well_defined = True
-    for phi, qs in domain:
-        candidates = set()
-        for Q in qs:
-            for theta_char in _invariant_constituents(phi, N, n_tab, Q):
-                psi = _bijection_image(G, sigma, N, R, NR, theta_char)
-                candidates.add(psi)
+    for phi, members in domain:
+        constituents = [Character(N, mu.values) for mu, _ in decompose_on_subgroup(phi, N)]
+        thetas = {}
+        for member in members:
+            for theta_char in _invariant_constituents(constituents, member):
+                thetas[theta_char.values] = theta_char
+        candidates = {
+            _bijection_image(sigma, action, CR, NR, theta_char)
+            for theta_char in thetas.values()
+        }
         if len(candidates) != 1:
             well_defined = False
             break
@@ -370,7 +369,7 @@ def check_canonical_bijection(
         and {psi.values for psi in images.values()} == set(target_by_values)
     )
     lemma_a = _product_decomposition_holds(G, N, H)
-    lemma_b = _self_normalizing_stabilizers_hold(G, sigma, N, H, R, NR, n_tab)
+    lemma_b = _self_normalizing_stabilizers_hold(H, N, R, NR, action, CR, n_tab)
     rows.append(ReportRow("info", "map well defined", int(well_defined)))
     rows.append(ReportRow("info", "map bijective", int(bijective)))
     rows.append(ReportRow("info", "normalizer product decomposition", int(lemma_a)))
@@ -399,25 +398,28 @@ def check_canonical_bijection(
     )
 
 
-def _invariant_constituents(phi, N: PermGroup, n_tab, Q: PermGroup):
-    """Q-invariant ordinary constituents of phi restricted to the sigma-group N."""
-    out = []
-    for mu, _ in decompose_on_subgroup(phi, N):
-        theta_char = Character(N, mu.values)
-        if is_invariant_character(theta_char, Q):
-            out.append(theta_char)
+def _invariant_constituents(constituents: list[Character], member: frozenset):
+    """The constituents of phi on the sigma-group N fixed by every element of
+    Q, for Q given by its element set."""
+    N = constituents[0].group
+    classes = range(len(N.conjugacy_classes()))
+    elements = [Perm(x) for x in member]
+    out = [
+        theta_char
+        for theta_char in constituents
+        if all(
+            N.conjugate_class_function(theta_char.values, classes, g) == theta_char.values
+            for g in elements
+        )
+    ]
     if not out:
         raise InternalConsistencyError("no invariant constituent over the vertex")
     return out
 
 
-def _bijection_image(G, sigma, N, R, NR, theta_char):
-    """(theta* x 1_R) induced to N_G(R), matched into Iso(N_G(R))."""
-    action = GlaubermanAction(G, N, R)
+def _bijection_image(sigma, action, CR, NR, theta_char):
+    """(theta* x 1_R) induced to N_G(R), matched into Iso(N_G(R)); CR is C_N(R) x R."""
     theta_star = glauberman_correspondent(action, theta_char)
-    C = theta_star.group
-    CR = G.subgroup(tuple(C.generators) + tuple(R.generators))
-    assert CR.order == C.order * R.order
     values = []
     for c in CR.conjugacy_classes():
         s_part, _ = sigma_element_power_parts(c.representative, sigma)
@@ -447,11 +449,9 @@ def _product_decomposition_holds(G, N, H) -> bool:
     return True
 
 
-def _self_normalizing_stabilizers_hold(G, sigma, N, H, R, NR, n_tab) -> bool:
+def _self_normalizing_stabilizers_hold(H, N, R, NR, action, CR, n_tab) -> bool:
     """Stabilizer condition: tau with N_G(R)_tau = C_N(R) x R forces R = N_{H_gamma}(R)."""
-    action = GlaubermanAction(G, N, R)
     C = action.fixed
-    CR = G.subgroup(tuple(C.generators) + tuple(R.generators))
     for gamma in n_tab.irreducibles:
         if not is_invariant_character(gamma, R):
             continue

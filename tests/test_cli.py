@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import nilweight
-from nilweight import cache, cli, groups
+from nilweight import cache, cli, corpus, groups
 from nilweight.cli import run_command
 from nilweight.corpus import builtin_by_name
 
@@ -340,6 +340,29 @@ class TestGroupFiles:
         code, text = run_command(["classes", "--group", str(f)])
         assert code == 2
         assert "repeated point" in text
+
+    def test_verify_a_builds_the_group_once(self, tmp_path, monkeypatch):
+        f = tmp_path / "s4.grp"
+        f.write_text("name: S4\ndegree: 4\norder: 24\ngen: (1,2)\ngen: (1,2,3,4)\n")
+        builds = []
+        real = corpus.bsgs_construct
+
+        def recording(generators, degree=None):
+            builds.append(degree)
+            return real(generators, degree)
+
+        monkeypatch.setattr(corpus, "bsgs_construct", recording)
+        code, text = run_command(["verify-a", "--group", str(f), "--pi", "2"])
+        assert code == 0
+        assert builds == [4]
+
+    @pytest.mark.parametrize("command", [["verify-a", "--pi", "2"], ["scan"]])
+    def test_wrong_order_claim_is_usage_error(self, tmp_path, command):
+        f = tmp_path / "s4.grp"
+        f.write_text("name: S4\ndegree: 4\norder: 12\ngen: (1,2)\ngen: (1,2,3,4)\n")
+        code, text = run_command([command[0], "--group", str(f), *command[1:]])
+        assert code == 2
+        assert "has order 24, expected 12" in text
 
 
 class TestErrors:

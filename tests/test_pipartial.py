@@ -6,7 +6,7 @@ from nilweight.chartab import character_table, has_sigma_defect_zero
 from nilweight.corpus import builtin_corpus
 from nilweight.cyclotomic import Cyclotomic
 from nilweight import groups
-from nilweight.groups import PermGroup, bsgs_construct, span_within
+from nilweight.groups import PermGroup, bsgs_construct, span
 from nilweight.lattice import (
     nilpotent_sigma_subgroup_classes,
     subgroup_class_of,
@@ -439,18 +439,19 @@ class TestNormalSigmaGate:
 
     def test_span_within_stops_past_its_limit(self, a5):
         three_cycles = next(c.members for c in a5.conjugacy_classes() if c.element_order == 3)
-        assert span_within(three_cycles, 59) is None
-        assert span_within(three_cycles, 60) == a5.element_set()
+        trivial = frozenset([a5.identity.images])
+        assert span(trivial, three_cycles, 59) is None
+        assert span(trivial, three_cycles, 60) == a5.element_set()
 
     def test_spans_stop_at_the_sigma_part_of_the_order(self, monkeypatch, a5):
         limits = []
-        real = groups.span_within
+        real = groups.span
 
-        def recording(elements, limit):
+        def recording(h_set, gens, limit):
             limits.append(limit)
-            return real(elements, limit)
+            return real(h_set, gens, limit)
 
-        monkeypatch.setattr(groups, "span_within", recording)
+        monkeypatch.setattr(groups, "span", recording)
         assert not a5.has_normal_sigma_subgroup(PrimeSet([2]))
         assert limits == [4]  # one class of involutions, |A5|_2 = 4
 

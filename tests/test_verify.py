@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import pytest
 
-from nilweight import verify
+from nilweight import pipartial, verify
 from nilweight.chartab import character_table
+from nilweight.corpus import builtin_corpus, parse_group_file
 from nilweight.groups import bsgs_construct
-from nilweight.lattice import subgroup_classes
+from nilweight.lattice import carter_fiber, carter_members, subgroup_classes
 from nilweight.pipartial import sigma_partial_characters
 from nilweight.sigma import PrimeSet
 from nilweight.verify import (
@@ -21,6 +24,17 @@ from nilweight.verify import (
 )
 
 from conftest import group, perm
+
+AGL116 = Path(__file__).resolve().parent.parent / "tools" / "groups" / "AGL116.txt"
+# (C5 x C5) : S3, the sum-zero vectors of C5^3 with S3 permuting coordinates.
+# At sigma = {5}, C_N(R) does not normalize H for R of order 2, so some
+# Carter members of the fiber lie outside H.
+C5XC5_S3 = (
+    "(1,2,3,4,5)(6,10,9,8,7)",
+    "(6,7,8,9,10)(11,15,14,13,12)",
+    "(1,6,11)(2,7,12)(3,8,13)(4,9,14)(5,10,15)",
+    "(1,6)(2,7)(3,8)(4,9)(5,10)",
+)
 
 
 class TestWeightCount:
@@ -117,7 +131,10 @@ class TestCarterRefinement:
         (NR,) = normalizers
         assert NR.order == 4
         assert subgroup_classes.peek(NR) is None
-        assert all(phi.vertex is None for phi in sigma_partial_characters(NR, sigma))
+        assert all(
+            pipartial._vertex_class.peek(NR, phi) is None
+            for phi in sigma_partial_characters(NR, sigma)
+        )
 
     def test_nonseparable_reports_unmet(self, a5):
         R = a5.subgroup([perm("(1,2)(3,4)", 5)])
@@ -197,6 +214,75 @@ class TestCanonicalBijection:
         H = s4.subgroup([perm("(1,2,3)", 4)])
         rep = check_canonical_bijection(s4, sigma, N, H, H, "S4")
         assert rep.verdict == UNMET
+
+    def test_q_sets_from_the_fiber_of_g_equal_those_from_the_lattice_of_h(self):
+        # the Q's are the subgroups of H containing R as Carter subgroup,
+        # grouped by class in G; H's own lattice lists them too
+        definitions = list(builtin_corpus()) + [parse_group_file(AGL116.read_text())]
+        groups = [(d.name, d.build()) for d in definitions]
+        groups.append(("C5xC5:S3", group(15, *C5XC5_S3)))
+        cases = beyond_r = outside_h = 0
+        for name, G in groups:
+            for sigma in sigma_subsets(G):
+                setup = bijection_setup(G, sigma)
+                if not 0 < len(sigma.primes) < len(G.primes()) or setup is None:
+                    continue
+                _, H = setup
+                h_set = H.element_set()
+                for r_cls in subgroup_classes(H):
+                    if not r_cls.is_nilpotent():
+                        continue
+                    R = r_cls.representative
+                    fiber = carter_fiber(G, sigma, R)
+                    from_g = {
+                        cls.canonical_key: {m for m in carter_members(G, cls, R) if m <= h_set}
+                        for cls in fiber
+                    }
+                    beyond_r += sum(cls.order > R.order for cls in fiber)
+                    outside_h += sum(
+                        not m <= h_set for cls in fiber for m in carter_members(G, cls, R)
+                    )
+                    from_h: dict[tuple, set] = {}
+                    for cls in subgroup_classes(H):
+                        if cls.order % R.order == 0:
+                            for m in carter_members(H, cls, R):
+                                key = G.subgroup_orbit(m).canonical_key
+                                from_h.setdefault(key, set()).add(m)
+                    assert from_g == from_h, (name, str(sigma), R.order)
+                    assert all(from_g.values())
+                    cases += 1
+        # the builtins and AGL116 give 68 cases, none with a member outside H
+        assert (cases, beyond_r, outside_h) == (73, 4, 4)
+
+    def test_q_runs_over_the_carter_members_inside_h(self, monkeypatch):
+        G = group(15, *C5XC5_S3)
+        sigma = PrimeSet([5])
+        N, H = bijection_setup(G, sigma)
+        R = next(cls.representative for cls in subgroup_classes(H) if cls.order == 2)
+        used = set()
+        real = verify._invariant_constituents
+
+        def recording(constituents, member):
+            used.add(member)
+            return real(constituents, member)
+
+        monkeypatch.setattr(verify, "_invariant_constituents", recording)
+        rep = check_canonical_bijection(G, sigma, N, H, R, "C5xC5:S3")
+        assert (rep.lhs, rep.rhs, rep.verdict) == (5, 5, HOLDS)
+        assert used == {R.element_set(), H.element_set()}
+
+    def test_reads_no_class_of_a_subgroup(self, monkeypatch):
+        G = parse_group_file(AGL116.read_text()).build()
+        sigma = PrimeSet([2])
+        N, H = bijection_setup(G, sigma)
+
+        def refuse(*args):
+            raise AssertionError("subgroup_class_of called")
+
+        monkeypatch.setattr(pipartial, "subgroup_class_of", refuse)
+        for R in (H, G.subgroup([])):
+            rep = check_canonical_bijection(G, sigma, N, H, R, "AGL116")
+            assert rep.lhs and rep.verdict == HOLDS
 
 
 class TestScan:
