@@ -22,6 +22,7 @@ from .lattice import (
     carter_subgroups,
     is_carter_in,
     nilpotent_sigma_subgroup_classes,
+    solvable_sigma_subgroup_classes,
     subgroup_class_of,
     subgroup_classes,
 )

@@ -258,6 +258,8 @@ def cmd_verify_b(args, out: Output) -> int:
         reports = [check_carter_refinement(G, sigma, R, definition.name)]
     else:
         coprime = sigma.complement_within(G.order)
+        # the checks build G's full lattice anyway, so the R's are read off it
+        subgroup_classes(G)
         reports = [
             check_carter_refinement(G, sigma, cls.representative, definition.name)
             for cls in nilpotent_sigma_subgroup_classes(G, coprime)

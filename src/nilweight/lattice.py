@@ -7,9 +7,20 @@ K = <H, z> is first formed as an element set, the union of the cosets
 z^i H, from image tuples; the order of z modulo H comes from membership in
 H's element set. K is formed once per H: every z' in K outside H also has
 prime order modulo H, so <H, z'> = K, and those z' are skipped. That
-reaches every solvable subgroup; for a non-solvable ambient group a
+reaches exactly the solvable subgroups; for a non-solvable ambient group a
 join-closure pass with prime-power cyclic subgroups picks up the perfect
 overgroups, again forming each join <H, Z> as an element set first.
+
+Run with the indices in a prime set sigma only, cyclic extension reaches
+exactly the classes of solvable sigma-subgroups
+(`solvable_sigma_subgroup_classes`; Neubüser, Numer. Math. 2, 1960;
+Cannon–Cox–Holt, J. Symbolic Comput. 31, 2001). A solvable sigma-group
+K > 1 has a normal subgroup of prime index, itself a solvable sigma-group,
+and a subgroup that is not a solvable sigma-group has no overgroup that
+is. So the restricted run is the full run with whole subtrees of its
+frontier pruned: it reaches the classes it keeps in the same order, with
+the same representatives. The weights and the Hall hypothesis of the
+weight count read these classes only.
 
 Conjugacy of candidates is decided by the canonical key of their orbit.
 `PermGroup.subgroup_orbit` walks each class's orbit once and memoizes it
@@ -32,7 +43,7 @@ from operator import itemgetter
 
 from .groups import Orbit, PermGroup, Subgroup, conjugation, memoized, span
 from .perms import Perm
-from .sigma import PrimeSet, factorize, is_prime
+from .sigma import PrimeSet, factorize
 
 
 @dataclass(frozen=True)
@@ -97,11 +108,47 @@ class _ClassCollector:
 
 @memoized(bound="subgroup-lattice")
 def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
-    """All subgroup conjugacy classes of G."""
+    """All subgroup conjugacy classes of G.
+
+    Cyclic extension through every prime reaches the solvable ones, which
+    are kept as the solvable sigma-subgroup classes for sigma = all primes.
+    """
     solvable = G.is_solvable()  # known before the representatives are built
+    every = PrimeSet(G.primes())
+    collector = _cyclic_extension(G, every)
+    solvable_sigma_subgroup_classes.remember(G, tuple(collector.classes()), every)
+    if not solvable:
+        _nonsolvable_completion(G, collector)
+    classes = collector.classes()
+    assert classes[0].order == 1 and classes[-1].order == G.order
+    return tuple(classes)
+
+
+@memoized(bound="subgroup-lattice")
+def solvable_sigma_subgroup_classes(G: PermGroup, sigma: PrimeSet) -> tuple[SubgroupClass, ...]:
+    """The classes of solvable sigma-subgroups of G, in lattice order.
+
+    Cyclic extension through indices in sigma alone reaches them, with the
+    same representatives as in G's full lattice. Once the classes of all
+    solvable subgroups are memoized, by this function or by
+    `subgroup_classes`, they are read off those and no group is built.
+    """
+    solvable = solvable_sigma_subgroup_classes.peek(G, PrimeSet(G.primes()))
+    if solvable is not None:
+        return tuple(cls for cls in solvable if cls.is_sigma_group(sigma))
+    return tuple(_cyclic_extension(G, sigma).classes())
+
+
+def _cyclic_extension(G: PermGroup, primes: PrimeSet) -> _ClassCollector:
+    """The classes reached from 1 by extensions <H, z> of prime index in `primes`.
+
+    The frontier is a stack, and each H tries the z of N_G(H) in sorted
+    order. A z of prime order p modulo H lies in no <H, z'> of another
+    index, so skipping every z whose p is not in `primes` leaves the other
+    z, and the classes they reach, in the order of the run over every prime.
+    """
     collector = _ClassCollector(G)
-    trivial = collector.add(G.subgroup([]))
-    frontier = [trivial]
+    frontier = [collector.add(G.subgroup([]))]
     while frontier:
         cls = frontier.pop()
         H = cls.representative
@@ -112,8 +159,8 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
             if images in covered:
                 continue  # in H, or in a K = <H, z> formed for an earlier z
             coset_order = _coset_order(images, h_set)
-            if not is_prime(coset_order):
-                continue  # z must have prime order modulo H
+            if coset_order not in primes:
+                continue  # z must have prime order modulo H, a prime in `primes`
             # z normalizes H, so K = <H, z> is the union of the cosets z^i H
             k_set = span(h_set, [images])
             assert len(k_set) == coset_order * H.order
@@ -124,11 +171,7 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
             K = G.subgroup(tuple(H.generators) + (z,), order=coset_order * H.order)
             assert K.element_set() == k_set
             frontier.append(collector.add(K))
-    if not solvable:
-        _nonsolvable_completion(G, collector)
-    classes = collector.classes()
-    assert classes[0].order == 1 and classes[-1].order == G.order
-    return tuple(classes)
+    return collector
 
 
 def _coset_order(z: tuple, h_set: frozenset) -> int:
@@ -204,11 +247,7 @@ def nilpotent_sigma_subgroup_classes(
     G: PermGroup, sigma: PrimeSet
 ) -> tuple[SubgroupClass, ...]:
     """The nilpotent subgroup classes of sigma-order, in lattice order."""
-    return tuple(
-        cls
-        for cls in subgroup_classes(G)
-        if cls.is_sigma_group(sigma) and cls.is_nilpotent()
-    )
+    return tuple(cls for cls in solvable_sigma_subgroup_classes(G, sigma) if cls.is_nilpotent())
 
 
 @memoized()

@@ -34,6 +34,7 @@ from .lattice import (
     SubgroupClass,
     carter_fiber,
     carter_members,
+    solvable_sigma_subgroup_classes,
     subgroup_classes,
 )
 from .perms import Perm
@@ -116,10 +117,18 @@ def _local_normalizer(G: PermGroup, R: PermGroup) -> PermGroup:
 
 
 def check_weight_count(G: PermGroup, sigma: PrimeSet, name: str = "G") -> VerificationReport:
-    """Classes of sigma'-elements vs nilpotent sigma-weight classes."""
+    """Classes of sigma'-elements vs nilpotent sigma-weight classes.
+
+    The hypotheses are that G is sigma-separable and that a solvable Hall
+    sigma-subgroup exists, that is, some solvable sigma-subgroup has order
+    |G|_sigma. Both the flag and the weights read the solvable
+    sigma-subgroup classes only, not G's whole lattice.
+    """
     separable = G.is_sigma_separable(sigma)
-    hall = G.find_hall_sigma_subgroup(sigma)
-    hall_solvable = hall is not None and hall.is_solvable()
+    hall_order = sigma_part(G.order, sigma)
+    hall_solvable = any(
+        cls.order == hall_order for cls in solvable_sigma_subgroup_classes(G, sigma)
+    )
     hypotheses = (
         ("sigma-separable", separable),
         ("solvable Hall subgroup", hall_solvable),
@@ -496,11 +505,12 @@ def sigma_subsets(G: PermGroup):
 
 def scan_corpus(corpus):
     """One weight-count report per (group, sigma); deterministic order."""
-    return [
-        check_weight_count(G, sigma, name)
-        for name, G in corpus
-        for sigma in sigma_subsets(G)
-    ]
+    reports = []
+    for name, G in corpus:
+        # one lattice of all solvable subgroups serves every sigma
+        solvable_sigma_subgroup_classes(G, PrimeSet(G.primes()))
+        reports += [check_weight_count(G, sigma, name) for sigma in sigma_subsets(G)]
+    return reports
 
 
 def scan_summary(reports):

@@ -1,24 +1,42 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from nilweight import bruteforce as bf
 from nilweight import lattice
-from nilweight.corpus import builtin_by_name, builtin_corpus
-from nilweight.groups import PermGroup, bsgs_construct
+from nilweight.corpus import builtin_by_name, builtin_corpus, parse_group_file
+from nilweight.groups import DEFAULT_BOUNDS, PermGroup, bsgs_construct
 from nilweight.lattice import (
     carter_fiber,
     carter_members,
     carter_subgroups,
     is_carter_in,
     nilpotent_sigma_subgroup_classes,
+    solvable_sigma_subgroup_classes,
     subgroup_class_of,
     subgroup_classes,
 )
 from nilweight.perms import Perm
 from nilweight.sigma import PrimeSet, factorize
+from nilweight.verify import check_weight_count, sigma_subsets
 
 from conftest import group, perm
+
+GROUPS_DIR = Path(__file__).resolve().parent.parent / "tools" / "groups"
+# every builtin, and every desk-scale group file within the lattice bound
+LATTICE_CORPUS = [*builtin_corpus()] + [
+    d
+    for d in (parse_group_file(p.read_text()) for p in sorted(GROUPS_DIR.glob("*.txt")))
+    if d.expected_order <= DEFAULT_BOUNDS["subgroup-lattice"]
+]
+
+
+def _rows(classes):
+    return [
+        (c.order, c.class_size, c.canonical_key, c.representative.generator_label())
+        for c in classes
+    ]
 
 
 class TestSubgroupClasses:
@@ -168,6 +186,47 @@ class TestSubgroupBuilds:
                 c for c in G.conjugacy_classes() if len(factorize(c.element_order)) == 1
             ]
             assert len(builds) <= 2 * len(classes) + len(prime_power)
+
+
+class TestSolvableSigmaClasses:
+    @pytest.mark.parametrize("definition", LATTICE_CORPUS, ids=lambda d: d.name)
+    def test_equal_the_filter_of_the_full_lattice(self, definition):
+        full_group = definition.build()
+        full = subgroup_classes(full_group)
+        G = definition.build()  # a fresh group, so the restricted lattices are built
+        for sigma in sigma_subsets(G):
+            want = [c for c in full if c.is_solvable() and c.is_sigma_group(sigma)]
+            assert _rows(solvable_sigma_subgroup_classes(G, sigma)) == _rows(want), sigma
+            hall = full_group.find_hall_sigma_subgroup(sigma)
+            assert check_weight_count(G, sigma).hypotheses == (
+                ("sigma-separable", full_group.is_sigma_separable(sigma)),
+                ("solvable Hall subgroup", hall is not None and hall.is_solvable()),
+            ), sigma
+        assert subgroup_classes.peek(G) is None
+
+    @pytest.mark.parametrize("known", ["full", "all-solvable"])
+    @pytest.mark.parametrize("name", ["S4", "A5", "S4xC5"])
+    def test_read_off_a_memoized_lattice_without_a_new_group(self, monkeypatch, name, known):
+        G = builtin_by_name(name).build()
+        if known == "full":
+            subgroup_classes(G)
+        else:
+            solvable_sigma_subgroup_classes(G, PrimeSet(G.primes()))
+        constructed = []
+        real_init = PermGroup.__init__
+
+        def init(self, *args, **kwargs):
+            constructed.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PermGroup, "__init__", init)
+        got = {sigma: solvable_sigma_subgroup_classes(G, sigma) for sigma in sigma_subsets(G)}
+        monkeypatch.undo()
+        assert constructed == []
+        full = subgroup_classes(G)
+        for sigma, classes in got.items():
+            want = [c for c in full if c.is_solvable() and c.is_sigma_group(sigma)]
+            assert _rows(classes) == _rows(want), sigma
 
 
 class TestNilpotentSigmaClasses:

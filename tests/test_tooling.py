@@ -4,9 +4,10 @@
 `bench/tracing.py`; a renamed or removed engine function would break it
 without failing any engine test, so these tests resolve every entry. A
 test keeps the engine free of `random`, as the README's determinism note
-says. The last two check `tools/`: every desk-scale group file builds to
-the order it states, and `tools/report_sweep.py` names exactly the files
-that are there.
+says. The last three check `tools/`: every desk-scale group file builds to
+the order it states, `tools/report_sweep.py` names exactly the files that
+are there, and it passes `--bound` on every line whose group is above the
+subgroup-lattice bound.
 """
 
 import ast
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import nilweight.cli  # noqa: F401  (loads every engine module)
 from nilweight.corpus import parse_group_file
+from nilweight.groups import DEFAULT_BOUNDS
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING_PATH = ROOT / "bench" / "tracing.py"
@@ -82,9 +84,24 @@ def test_every_desk_scale_group_file_builds_to_its_stated_order():
         assert parse_group_file(path.read_text()).expected_order is not None, path.name
 
 
+def _sweep():
+    return _load("nilweight_report_sweep", ROOT / "tools" / "report_sweep.py")
+
+
 def test_report_sweep_names_every_group_file_and_no_other():
-    sweep = _load("nilweight_report_sweep", ROOT / "tools" / "report_sweep.py")
     named = {
-        command[command.index("--group") + 1] for command in sweep.desk_scale_commands()
+        command[command.index("--group") + 1] for command in _sweep().desk_scale_commands()
     }
     assert named == {f"tools/groups/{p.name}" for p in GROUPS_DIR.glob("*.txt")}
+
+
+def test_report_sweep_lifts_the_lattice_bound_above_it():
+    # a line that hit the bound would fingerprint an exit-2 error message
+    lifted = set()
+    for command in _sweep().desk_scale_commands():
+        path = ROOT / command[command.index("--group") + 1]
+        order = parse_group_file(path.read_text()).expected_order
+        if order > DEFAULT_BOUNDS["subgroup-lattice"]:
+            assert int(command[command.index("--bound") + 1]) >= order, command
+            lifted.add(path.name)
+    assert lifted == {"S3wrC4.txt", "S4wrC2xC3.txt"}

@@ -4,9 +4,14 @@ import pytest
 
 from nilweight import pipartial, verify
 from nilweight.chartab import character_table
-from nilweight.corpus import builtin_corpus, parse_group_file
+from nilweight.corpus import builtin_by_name, builtin_corpus, parse_group_file
 from nilweight.groups import bsgs_construct
-from nilweight.lattice import carter_fiber, carter_members, subgroup_classes
+from nilweight.lattice import (
+    carter_fiber,
+    carter_members,
+    solvable_sigma_subgroup_classes,
+    subgroup_classes,
+)
 from nilweight.pipartial import sigma_partial_characters
 from nilweight.sigma import PrimeSet
 from nilweight.verify import (
@@ -76,6 +81,18 @@ class TestWeightCount:
         rep = check_weight_count(s4, PrimeSet([2]), "S4")
         assert sum(r.count for r in rep.rows if r.side == "lhs") == rep.lhs
         assert sum(r.count for r in rep.rows if r.side == "rhs") == rep.rhs
+
+    @pytest.mark.parametrize(
+        "name, primes, restricted, total",
+        [("W216", [3], 12, 60), ("S4xC5", [2, 5], 14, 22)],
+    )
+    def test_builds_only_the_solvable_sigma_classes(self, name, primes, restricted, total):
+        G = builtin_by_name(name).build()  # a fresh group, so no lattice is memoized
+        sigma = PrimeSet(primes)
+        assert check_weight_count(G, sigma, name).verdict == HOLDS
+        assert subgroup_classes.peek(G) is None
+        assert len(solvable_sigma_subgroup_classes(G, sigma)) == restricted
+        assert len(subgroup_classes(G)) == total
 
 
 class TestCarterRefinement:
