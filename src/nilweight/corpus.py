@@ -21,6 +21,10 @@ from .groups import PermGroup, bsgs_construct
 from .perms import MalformedPermError, Perm
 
 
+# The largest degree a group file may declare, refused before any permutation
+MAX_DEGREE = 100_000
+
+
 class GroupFileError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -89,6 +93,8 @@ def parse_definition(text: str) -> GroupDefinition:
                 raise GroupFileError(f"bad degree {value!r}", lineno) from None
             if degree < 1:
                 raise GroupFileError("degree must be positive", lineno)
+            if degree > MAX_DEGREE:
+                raise GroupFileError(f"degree {degree} exceeds the maximum {MAX_DEGREE}", lineno)
         elif key == "order":
             try:
                 order = int(value)

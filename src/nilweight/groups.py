@@ -27,19 +27,20 @@ normalizing element on the classes comes from one memoized map,
 `PermGroup.conjugate_class_function`.
 
 Each normal-structure question has one implementation. `is_solvable` runs
-the derived series alone and `is_nilpotent` the lower central series
-alone, each memoized on its own; a subgroup made after its parent is known
-to be solvable is solvable without a series of its own. The normal closure
-of each class representative is computed once, by
-`PermGroup._class_normal_closure`, and `normal_subgroups`,
-`minimal_proper_normal` and `o_sigma` all read it. Whether O_sigma is
-nontrivial is asked without it: `has_normal_sigma_subgroup` spans the
-sigma-classes as element sets and stops once a span outgrows |G|_sigma.
-One routine, `span`, grows every element set by cosets, for these spans
+the derived series alone; a subgroup made after its parent is known to be
+solvable is solvable without a series of its own. `is_nilpotent` counts
+p-elements, one count per prime. The normal closure of each class
+representative is computed once, by `PermGroup._class_normal_closure`,
+for `normal_subgroups` and the composition factors. O_sigma is one
+element set, `PermGroup.o_sigma_elements`, and `o_sigma` the subgroup on
+it. One routine, `span`, grows every element set by cosets, for O_sigma
 and for the lattice's candidates <H, z>.
 
 Resource bounds (`check_bound`) and memoization (`memoized`) live here
-alone, and every module uses them.
+alone, and every module uses them. A stabilizer chain whose basic orbit
+lengths multiply past the largest bound in effect stops: that product
+never exceeds the group's order, and no computation takes a group above
+every bound.
 """
 
 from __future__ import annotations
@@ -249,8 +250,13 @@ class PermGroup:
                     return j
             return None
 
+        limit = _bound_override.get() or max(DEFAULT_BOUNDS.values())
         i = len(levels) - 1
-        while i >= 0 and math.prod(len(l.transversal) for l in levels) != order:
+        while i >= 0 and (size := math.prod(len(l.transversal) for l in levels)) != order:
+            if size > limit:
+                raise ResourceLimitError(
+                    f"group order at least {size} exceeds the largest bound {limit}"
+                )
             j = process(i)
             i = i - 1 if j is None else j
 
@@ -501,19 +507,12 @@ class PermGroup:
 
     @memoized()
     def is_nilpotent(self) -> bool:
-        """True if the lower central series reaches the trivial group."""
-        term: PermGroup = self
-        while term.order > 1:
-            comms = [
-                a.inverse() * b.inverse() * a * b
-                for a in self.generators
-                for b in term.generators
-            ]
-            nxt = self.normal_closure(comms)
-            if nxt.order == term.order:
-                return False
-            term = nxt
-        return True
+        """True if every Sylow subgroup is normal, that is, if it holds every
+        p-element: exactly |G|_p elements have order dividing |G|_p."""
+        orders = [Perm(x).order() for x in self._element_images()]
+        return all(
+            sum(p**e % o == 0 for o in orders) == p**e for p, e in factorize(self.order)
+        )
 
     def is_normal(self, H: "PermGroup") -> bool:
         if not H.is_subset(self):
@@ -549,12 +548,6 @@ class PermGroup:
         subs = sorted(found.values(), key=lambda s: (s.order, sorted(s.element_set())))
         return tuple(subs)
 
-    def minimal_proper_normal(self) -> "Subgroup | None":
-        """A nontrivial proper normal subgroup of least order, or None if simple."""
-        closures = map(self._class_normal_closure, range(1, len(self.conjugacy_classes())))
-        proper = [K for K in closures if K.order < self.order]
-        return min(proper, key=lambda K: K.order, default=None)
-
     @memoized()
     def composition_factor_orders(self) -> tuple[int, ...]:
         """Multiset of composition factor orders, sorted ascending."""
@@ -569,38 +562,32 @@ class PermGroup:
         )
 
     @memoized()
-    def o_sigma(self, sigma: PrimeSet) -> "Subgroup":
-        """The largest normal sigma-subgroup."""
-        acc = self.subgroup([])
-        for i, c in enumerate(self.conjugacy_classes()):
-            if not sigma.is_sigma_number(c.element_order):
-                continue
-            if acc.contains(c.representative):
-                continue
-            ncl = self._class_normal_closure(i)
-            if not sigma.is_sigma_number(ncl.order):
-                continue
-            acc = self.subgroup(tuple(acc.generators) + tuple(ncl.generators))
-            assert sigma.is_sigma_number(acc.order)
-        return acc
+    def o_sigma_elements(self, sigma: PrimeSet) -> frozenset:
+        """The element set of O_sigma, the largest normal sigma-subgroup.
 
-    def has_normal_sigma_subgroup(self, sigma: PrimeSet) -> bool:
-        """True iff G has a nontrivial normal sigma-subgroup: `o_sigma(sigma).order > 1`.
-
-        The span of a conjugacy class is normal, and a nontrivial O_sigma
-        holds the span of each of its classes, so the answer is yes exactly
-        when some non-identity class of sigma-elements spans a group of
-        sigma-number order. A span is given up once it outgrows |G|_sigma,
-        which bounds the order of every sigma-subgroup.
-        """
+        Each sigma-class outside the set so far is spanned with it, in class
+        order; the span is normal and is kept when its order is a sigma-number.
+        A span is given up once it outgrows |G|_sigma."""
         bound = sigma_part(self.order, sigma)
-        trivial = frozenset([self.identity.images])
+        elems = frozenset([self.identity.images])
         for c in self.conjugacy_classes()[1:]:
-            if sigma.is_sigma_number(c.element_order):
-                elems = span(trivial, c.members, bound)
-                if elems is not None and sigma.is_sigma_number(len(elems)):
-                    return True
-        return False
+            if sigma.is_sigma_number(c.element_order) and c.representative.images not in elems:
+                joined = span(elems, c.members, bound)
+                if joined is not None and sigma.is_sigma_number(len(joined)):
+                    elems = joined
+        return elems
+
+    @memoized()
+    def o_sigma(self, sigma: PrimeSet) -> "Subgroup":
+        """The largest normal sigma-subgroup, generated by the least elements
+        of `o_sigma_elements` that each leave the span of those before."""
+        elems = self.o_sigma_elements(sigma)
+        gens, spanned = [], frozenset([self.identity.images])
+        for x in sorted(elems):
+            if x not in spanned:
+                gens.append(x)
+                spanned = span(spanned, gens)
+        return self.subgroup(map(Perm, gens), order=len(elems))
 
     @memoized()
     def find_hall_sigma_subgroup(self, sigma: PrimeSet) -> "Subgroup | None":
@@ -730,9 +717,9 @@ def span(h_set: frozenset, gens, limit: float = math.inf) -> frozenset | None:
     """The union of the cosets x H reached from H by left multiplication by
     `gens`; None as soon as it has more than `limit` members.
 
-    It is <H, gens> when `gens` holds generators of H, or when it is one z
-    normalizing H, and <gens> for H = 1. Elements and generators are image
-    tuples of degree >= 2. The limit is checked once per coset.
+    It is <H, gens> when `gens` holds generators of H or normalizes H, and
+    <gens> for H = 1. Elements and generators are image tuples of degree
+    >= 2. The limit is checked once per coset.
     """
     elems = set(h_set)
     frontier = [min(h_set)]  # the identity, the least image tuple
@@ -876,13 +863,11 @@ class ConjugacyClass:
 
 
 def _composition_factors(G: PermGroup) -> list[int]:
-    if G.order == 1:
-        return []
-    if len(factorize(G.order)) == 1 and factorize(G.order)[0][1] == 1:
-        return [G.order]
-    M = G.minimal_proper_normal()
+    """Those of a least nontrivial proper normal M (primes if M is abelian) and of G/M."""
+    closures = map(G._class_normal_closure, range(1, len(G.conjugacy_classes())))
+    M = min((K for K in closures if K.order < G.order), key=lambda K: K.order, default=None)
     if M is None:
-        return [G.order]
+        return [G.order] if G.order > 1 else []
     if M.is_abelian():
         factors_m = [p for p, e in factorize(M.order) for _ in range(e)]
     else:

@@ -328,7 +328,7 @@ def ipi_with_normal_vertex(
         for phi in sigma_partial_characters(N, sigma)
         if coprime.part(phi.degree) == law and (theta is None or lies_over(phi, theta))
     )
-    if out and N.o_sigma(coprime).order != R.order:
+    if out and len(N.o_sigma_elements(coprime)) != R.order:
         raise InternalConsistencyError(
             f"a vertex |R|={R.order} is not O_{{sigma'}} in a group of order "
             f"{N.order}, sigma={{{sigma}}}"
@@ -460,11 +460,13 @@ def _weights_on(G: PermGroup, sigma: PrimeSet, cls: SubgroupClass) -> list[Weigh
     None exists while H = N_G(Q)/Q has a nontrivial normal sigma-subgroup K
     (Alperin, Weights for finite groups, 1987): for gamma over theta in Irr(K),
     gamma(1) divides theta(1)|H:K| (Isaacs, Cor. 11.29) and theta(1) < |K|, so
-    gamma(1)_sigma < |H|_sigma. Such a quotient gets no character table.
+    gamma(1)_sigma < |H|_sigma. As O_sigma(N_G(Q)/Q) = O_sigma(N_G(Q))/Q, a
+    class with O_sigma(N_G(Q)) > Q gets no quotient and no character table.
     """
-    quo, _ = weight_quotient(G, cls)
-    if quo.has_normal_sigma_subgroup(sigma):
+    Q = cls.representative
+    if len(G.normalizer(Q).o_sigma_elements(sigma)) > Q.order:
         return []
+    quo, _ = weight_quotient(G, cls)
     return [
         Weight(cls, gamma)
         for gamma in character_table(quo).irreducibles

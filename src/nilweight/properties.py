@@ -277,7 +277,7 @@ def _prop_defect_zero_radical(corpus):
             if not sigma.primes:
                 continue
             has_dz = any(has_sigma_defect_zero(chi, sigma) for chi in tab.irreducibles)
-            o_trivial = G.o_sigma(sigma).order == 1
+            o_trivial = len(G.o_sigma_elements(sigma)) == 1
             # defect zero forces a trivial radical (not conversely)
             yield PropertyOutcome(
                 "defect-zero-radical",

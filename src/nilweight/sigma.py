@@ -73,6 +73,10 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+# The largest entry `PrimeSet.parse` accepts, before trial division tests it
+MAX_PRIME = 2**31 - 1
+
+
 class PrimeSet:
     """An immutable sorted set of primes."""
 
@@ -95,6 +99,8 @@ class PrimeSet:
             parts = [int(tok) for tok in text.split(",") if tok.strip()]
         except ValueError as exc:
             raise ValueError(f"bad prime list {text!r}") from exc
+        if max(parts, default=0) > MAX_PRIME:
+            raise ValueError(f"{max(parts)} exceeds the largest accepted prime {MAX_PRIME}")
         return cls(parts)
 
     def __setattr__(self, *a):

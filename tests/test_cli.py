@@ -341,6 +341,21 @@ class TestGroupFiles:
         assert code == 2
         assert "repeated point" in text
 
+    @pytest.mark.parametrize(
+        "degree, gens, message",
+        [
+            # refused at its line, before the generator would take gigabytes
+            (10**9, ["(1,2)"], "error: degree 1000000000 exceeds the maximum 100000 (line 2)"),
+            (80, ["(1,2)", "(" + ",".join(map(str, range(1, 81))) + ")"], "resource error:"),
+        ],
+    )
+    def test_oversized_group_file_is_usage_error(self, tmp_path, degree, gens, message):
+        f = tmp_path / "big.grp"
+        f.write_text(f"name: Big\ndegree: {degree}\n" + "".join(f"gen: {g}\n" for g in gens))
+        code, text = run_command(["classes", "--group", str(f)])
+        assert code == 2
+        assert text.startswith(message)
+
     def test_verify_a_builds_the_group_once(self, tmp_path, monkeypatch):
         f = tmp_path / "s4.grp"
         f.write_text("name: S4\ndegree: 4\norder: 24\ngen: (1,2)\ngen: (1,2,3,4)\n")
@@ -377,6 +392,13 @@ class TestErrors:
     def test_bad_pi(self):
         code, text = run_command(["ipi", "--group", "S3", "--pi", "4"])
         assert code == 2
+
+    def test_huge_pi_entry(self):
+        code, text = run_command(
+            ["verify-a", "--group", "S4", "--pi", "1000000000000000000000000000057"]
+        )
+        assert code == 2
+        assert "exceeds the largest accepted prime" in text
 
     def test_bound_exceeded(self):
         code, text = run_command(["classes", "--group", "S4", "--bound", "5"])

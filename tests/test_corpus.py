@@ -1,6 +1,7 @@
 import pytest
 
 from nilweight.corpus import (
+    MAX_DEGREE,
     GroupFileError,
     SKIPPED_ENTRIES,
     builtin_by_name,
@@ -41,6 +42,9 @@ class TestParse:
         text = "name: X\ndegree: 3\ngen: (1,2,2)"
         with pytest.raises(GroupFileError, match="line 3"):
             parse_group_file(text)
+
+    def test_degree_at_the_maximum_is_accepted(self):
+        assert parse_group_file(f"name: X\ndegree: {MAX_DEGREE}\ngen: (1,2)").build().order == 2
 
     def test_degree_must_precede_gens(self):
         with pytest.raises(GroupFileError, match="degree"):

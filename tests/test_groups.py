@@ -101,6 +101,20 @@ class TestKnownOrder:
         assert saved > 0  # the stop skips work somewhere in the corpus
 
 
+class TestLargestBound:
+    def test_chain_stops_once_past_the_largest_default(self):
+        # S_80 from a transposition and an 80-cycle: 80 * 79 * 78 > 100,000
+        cycle = "(" + ",".join(map(str, range(1, 81))) + ")"
+        with pytest.raises(ResourceLimitError, match="exceeds the largest bound 100000"):
+            group(80, "(1,2)", cycle)
+
+    def test_an_override_is_the_largest_bound(self):
+        with resource_bound(100), pytest.raises(ResourceLimitError, match="bound 100$"):
+            group(5, "(1,2)", "(1,2,3,4,5)")
+        with resource_bound(120):
+            assert group(5, "(1,2)", "(1,2,3,4,5)").order == 120
+
+
 class TestMembership:
     def test_generator_is_member(self, s3):
         assert s3.contains(perm("(1,2)", 3))
@@ -438,12 +452,13 @@ class TestStructure:
 
         G = group(4, "(1,2)", "(1,2,3,4)")
         assert G.is_solvable()
-        # nothing of the lower central series is kept
+        # nothing of the nilpotency count is kept
         assert set(G._memo) == {("is_solvable",)}
         monkeypatch.setattr(PermGroup, "derived_subgroup", refuse)
+        # nilpotency counts p-elements, so only the element images are kept
         for G in (group(4, "(1,2)", "(1,2,3,4)"), group(4, "(1,2,3,4)", "(1,3)")):
             G.is_nilpotent()
-            assert set(G._memo) == {("is_nilpotent",)}
+            assert set(G._memo) == {("is_nilpotent",), ("_element_images",)}
 
     def test_subgroup_of_a_solvable_group_inherits_solvability(self, monkeypatch):
         def refuse(G):

@@ -34,7 +34,7 @@ from nilweight.pipartial import (
     weights_with_first_component,
 )
 from nilweight.sigma import PrimeSet
-from nilweight.verify import _local_normalizer, check_weight_count
+from nilweight.verify import _local_normalizer, check_weight_count, sigma_subsets
 
 from conftest import group, perm
 
@@ -260,7 +260,7 @@ class TestIpiWithNormalVertex:
     def test_certificate_names_the_group(self, monkeypatch):
         s4 = group(4, "(1,2)", "(1,2,3,4)")
         V4 = s4.subgroup([perm("(1,2)(3,4)", 4), perm("(1,3)(2,4)", 4)])
-        monkeypatch.setattr(PermGroup, "o_sigma", lambda self, sigma: self)
+        monkeypatch.setattr(PermGroup, "o_sigma_elements", lambda self, sigma: self.element_set())
         with pytest.raises(
             InternalConsistencyError, match=r"\|R\|=4 .* order 24, sigma=\{3\}"
         ):
@@ -389,31 +389,49 @@ class TestWeights:
         assert weight_quotient(s4, trivial)[0].degree == 4
 
 
-def _weight_quotients(G, sigma):
-    for cls in nilpotent_sigma_subgroup_classes(G, sigma):
-        yield weight_quotient(G, cls)[0]
+def _is_gated(G, sigma, cls):
+    """The weight gate: O_sigma(N_G(Q)) > Q for the class representative Q."""
+    Q = cls.representative
+    return len(G.normalizer(Q).o_sigma_elements(sigma)) > Q.order
 
 
 class TestNormalSigmaGate:
-    """`has_normal_sigma_subgroup` decides which weight quotients get a table."""
+    """`o_sigma_elements` of N_G(Q) decides which classes Q get a weight quotient."""
 
     def test_equals_o_sigma_on_every_weight_quotient(self):
+        # O_sigma(N_G(Q)/Q) = O_sigma(N_G(Q))/Q, asked of both groups; a
+        # gated quotient has no character of sigma-defect zero
         gated = 0
         for definition in builtin_corpus():
             G = definition.build()
-            primes = G.primes()
-            for k in range(1, len(primes) + 1):
-                for subset in itertools.combinations(primes, k):
-                    sigma = PrimeSet(subset)
-                    for quo in _weight_quotients(G, sigma):
-                        answer = quo.has_normal_sigma_subgroup(sigma)
-                        where = (definition.name, subset, quo.order)
-                        assert answer == (quo.o_sigma(sigma).order > 1), where
-                        if answer:
-                            gated += 1
-                            irr = character_table(quo).irreducibles
-                            assert not any(has_sigma_defect_zero(g, sigma) for g in irr), where
+            for sigma in sigma_subsets(G):
+                for cls in nilpotent_sigma_subgroup_classes(G, sigma):
+                    Q = cls.representative
+                    upstairs = len(G.normalizer(Q).o_sigma_elements(sigma))
+                    quo, _ = weight_quotient(G, cls)
+                    where = (definition.name, sigma, cls.order)
+                    assert upstairs == Q.order * len(quo.o_sigma_elements(sigma)), where
+                    if upstairs > Q.order:
+                        gated += 1
+                        irr = character_table(quo).irreducibles
+                        assert not any(has_sigma_defect_zero(g, sigma) for g in irr), where
         assert gated > 0
+
+    def test_equals_the_largest_normal_sigma_subgroup(self):
+        # `normal_subgroups` joins the normal closures of the class
+        # representatives with stabilizer chains, a path of its own
+        cases = 0
+        for definition in builtin_corpus():
+            G = definition.build()
+            for sigma in sigma_subsets(G):
+                for cls in nilpotent_sigma_subgroup_classes(G, sigma):
+                    N = G.normalizer(cls.representative)
+                    sigma_normals = [K for K in N.normal_subgroups() if sigma.is_sigma_number(K.order)]
+                    largest = max(sigma_normals, key=lambda K: K.order)
+                    where = (definition.name, sigma, cls.order)
+                    assert N.o_sigma_elements(sigma) == largest.element_set(), where
+                    cases += 1
+        assert cases == 341
 
     @pytest.mark.parametrize(
         "name, primes, expected",
@@ -428,13 +446,13 @@ class TestNormalSigmaGate:
     )
     def test_direct_cases(self, name, primes, expected, s3, s4, a5):
         G = {"S3": s3, "S4": s4, "A5": a5, "triv": group(1)}[name]
-        assert G.has_normal_sigma_subgroup(PrimeSet(primes)) is expected
+        assert (len(G.o_sigma_elements(PrimeSet(primes))) > 1) is expected
 
     def test_a_small_span_of_other_order_is_no_sigma_subgroup(self):
         # each transposition class of S3^3 spans one S3 factor: order 6,
         # below |G|_2 = 8 but not a power of 2, and O_2(S3^3) = 1
         G = group(9, "(1,2)", "(1,2,3)", "(4,5)", "(4,5,6)", "(7,8)", "(7,8,9)")
-        assert not G.has_normal_sigma_subgroup(PrimeSet([2]))
+        assert G.o_sigma_elements(PrimeSet([2])) == {G.identity.images}
         assert G.o_sigma(PrimeSet([2])).order == 1
 
     def test_span_within_stops_past_its_limit(self, a5):
@@ -443,7 +461,7 @@ class TestNormalSigmaGate:
         assert span(trivial, three_cycles, 59) is None
         assert span(trivial, three_cycles, 60) == a5.element_set()
 
-    def test_spans_stop_at_the_sigma_part_of_the_order(self, monkeypatch, a5):
+    def test_spans_stop_at_the_sigma_part_of_the_order(self, monkeypatch):
         limits = []
         real = groups.span
 
@@ -452,7 +470,8 @@ class TestNormalSigmaGate:
             return real(h_set, gens, limit)
 
         monkeypatch.setattr(groups, "span", recording)
-        assert not a5.has_normal_sigma_subgroup(PrimeSet([2]))
+        a5 = group(5, "(1,2,3,4,5)", "(3,4,5)")  # fresh: the memo is empty
+        assert len(a5.o_sigma_elements(PrimeSet([2]))) == 1
         assert limits == [4]  # one class of involutions, |A5|_2 = 4
 
     def test_verify_a_builds_no_table_for_a_gated_quotient(self):
@@ -462,13 +481,27 @@ class TestNormalSigmaGate:
         gated = 0
         for G, sigma in ((s4, PrimeSet([3])), (a4, PrimeSet([2]))):
             check_weight_count(G, sigma)
-            for quo in _weight_quotients(G, sigma):
-                if quo.has_normal_sigma_subgroup(sigma):
+            for cls in nilpotent_sigma_subgroup_classes(G, sigma):
+                if _is_gated(G, sigma, cls):
                     gated += 1
-                    assert character_table.peek(quo) is None
+                    assert weight_quotient.peek(G, cls) is None
                 else:
-                    assert character_table.peek(quo) is not None
+                    assert character_table.peek(weight_quotient(G, cls)[0]) is not None
         assert gated == 2  # N(1)/1 = A4 and N(C2)/C2 = C2, at sigma = {2}
+
+    def test_verify_a_builds_no_quotient_for_a_gated_class(self):
+        gated = kept = 0
+        for definition in builtin_corpus():
+            for sigma in sigma_subsets(definition.build()):
+                # a fresh group per sigma: weight quotients are memoized per class
+                G = definition.build()
+                check_weight_count(G, sigma)
+                for cls in nilpotent_sigma_subgroup_classes(G, sigma):
+                    built = weight_quotient.peek(G, cls) is not None
+                    assert built is not _is_gated(G, sigma, cls), (definition.name, sigma, cls)
+                    gated += not built
+                    kept += built
+        assert (gated, kept) == (220, 121)
 
 
 class TestLiftConsistency:

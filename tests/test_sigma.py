@@ -18,6 +18,12 @@ def test_primeset_validation_and_parse():
     assert str(PrimeSet([3, 2])) == "2,3"
 
 
+def test_parse_refuses_an_entry_above_the_largest_prime():
+    assert PrimeSet.parse("2147483647") == PrimeSet([2**31 - 1])
+    with pytest.raises(ValueError, match="exceeds the largest accepted prime"):
+        PrimeSet.parse("2,1000000000000000000000000000057")
+
+
 def test_complement_within():
     s = PrimeSet([2])
     assert s.complement_within(60) == PrimeSet([3, 5])
