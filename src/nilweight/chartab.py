@@ -1,6 +1,11 @@
 """Exact ordinary character tables and character arithmetic.
 
-Tables are computed by the classical finite-field method: common
+An orbit-wise direct product G, with a nontrivial point orbit X such that
+|G| = |G^X| |G^Y| for Y the union of its other nontrivial orbits, is
+G^X x G^Y by restriction. Its table is read off the factors' tables, which
+`character_table` gives again, so three or more factors split further.
+
+Every other table comes from the classical finite-field method: common
 eigenvectors of the class-sum matrices over F_q (q = 1 mod exp(G),
 q > 2*sqrt(|G|)) give the central characters, degrees are recovered from
 the orthogonality relations, and values are lifted to exact cyclotomics
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 
 from .cyclotomic import Cyclotomic, cyclotomic_value, weighted_conjugate_dot
 from .groups import PermGroup, memoized
@@ -143,7 +148,7 @@ class CharacterTable:
         G = self.group
         irr = self.irreducibles
         e = self.conductor
-        where = f"in the table of a group of order {G.order} at conductor {e}"
+        where = _where(G)
         if len(irr) != len(G.conjugacy_classes()):
             raise AssertionError(f"number of irreducibles differs from class count {where}")
         for i, chi in enumerate(irr):
@@ -177,6 +182,97 @@ class CharacterTable:
         return f"CharacterTable(order={self.group.order}, degrees={self.degrees()})"
 
 
+def _where(G: PermGroup) -> str:
+    """The place an error in a table of G names: the group order and the conductor."""
+    return f"in the table of a group of order {G.order} at conductor {G.exponent()}"
+
+
+@memoized(bound="table")
+def character_table(G: PermGroup) -> CharacterTable:
+    """The character table of G, memoized on G.
+
+    An orbit-wise direct product gets the products of its factors' tables,
+    any other group the finite-field method.
+    """
+    factors = _direct_factors(G)
+    if factors is None:
+        return _finite_field_table(G)
+    return _product_table(G, *factors)
+
+
+# --- orbit-wise direct products ---------------------------------------------
+
+
+def _restriction(G: PermGroup, points: tuple[int, ...]):
+    """(G^X, project) for X the sorted `points`, relabelled 0, 1, ... in order;
+    project restricts an element of G to X. X must be a union of G's orbits."""
+    label = {p: i for i, p in enumerate(points)}
+    take = itemgetter(*points)
+
+    def project(g: Perm) -> Perm:
+        return Perm(tuple(map(label.__getitem__, take(g.images))))
+
+    return PermGroup(len(points), [project(g) for g in G.generators]), project
+
+
+def _direct_factors(G: PermGroup):
+    """(G^X, project_x, G^Y, project_y) for the first nontrivial point orbit X
+    with |G| = |G^X| |G^Y|, Y the union of the other nontrivial orbits; else None.
+
+    Restriction embeds G in G^X x G^Y, so equal orders make it onto."""
+    moved = [orbit for orbit in G.point_orbits() if len(orbit) > 1]
+    if len(moved) < 2:
+        return None
+    for x in moved:
+        y = tuple(sorted(p for orbit in moved if orbit is not x for p in orbit))
+        A, project_a = _restriction(G, x)
+        B, project_b = _restriction(G, y)
+        if A.order * B.order == G.order:
+            return A, project_a, B, project_b
+    return None
+
+
+def _product_table(G: PermGroup, A, project_a, B, project_b) -> CharacterTable:
+    """The table of G = A x B: Irr(G) is {alpha x beta} (Isaacs, Character
+    Theory of Finite Groups, Thm 4.21).
+
+    Restriction must map the classes of G one-to-one onto the r_A r_B pairs
+    of factor classes. The value alpha(a) beta(b) is the convolution of the
+    two values' numerators at conductor exp(G); for eigenvalue
+    multiplicities that is exactly the `nums` the finite-field method lifts.
+    """
+    a_table, b_table = character_table(A), character_table(B)
+    reps = [c.representative for c in G.conjugacy_classes()]
+    pairs = [(A.class_index_of(project_a(g)), B.class_index_of(project_b(g))) for g in reps]
+    if not len(set(pairs)) == len(pairs) == len(a_table.irreducibles) * len(b_table.irreducibles):
+        raise AssertionError(f"the classes do not map one-to-one onto class pairs {_where(G)}")
+    e = G.exponent()
+
+    def terms_at_e(chi: Character):
+        """Each value as its denominator and its (exponent at e, numerator) pairs."""
+        return [
+            (v.den, [(t * (e // v.conductor), n) for t, n in v.nums.items()])
+            for v in chi.values
+        ]
+
+    b_rows = [terms_at_e(beta) for beta in b_table.irreducibles]
+    chars = []
+    for alpha in a_table.irreducibles:
+        a_row = terms_at_e(alpha)
+        for b_row in b_rows:
+            values = []
+            for i, j in pairs:
+                (da, xa), (db, xb) = a_row[i], b_row[j]
+                terms: dict[int, int] = {}
+                for s, m in xa:
+                    for t, n in xb:
+                        k = (s + t) % e
+                        terms[k] = terms.get(k, 0) + m * n
+                values.append(Cyclotomic(e, dict(sorted(terms.items())), da * db))
+            chars.append(Character(G, values))
+    return CharacterTable(G, chars)
+
+
 # --- the finite-field computation -------------------------------------------
 
 
@@ -199,13 +295,14 @@ def _class_matrices(G: PermGroup):
         yield M
 
 
-def _split_to_common_eigenvectors(mats, q, r):
-    """The common eigenvectors of the class matrices over F_q, one per irreducible.
+def _split_to_common_eigenvectors(mats, q, G: PermGroup):
+    """The common eigenvectors of G's class matrices over F_q, one per irreducible.
 
     Each matrix in turn splits the invariant subspaces that are not yet
     lines, until all are. q does not divide |G|, so the class sums span a
     split semisimple centre whose common eigenspaces are lines.
     """
+    r = len(G.conjugacy_classes())
     # start from the full space, given by the identity basis (already in RREF)
     spaces = [[[int(i == j) for j in range(r)] for i in range(r)]]
     for M in mats:
@@ -213,7 +310,9 @@ def _split_to_common_eigenvectors(mats, q, r):
             break
         spaces = [part for B in spaces for part in (_split_space(B, M, q) if len(B) > 1 else [B])]
     if any(len(B) > 1 for B in spaces):
-        raise AssertionError("the class matrices leave a common eigenspace of dimension > 1")
+        raise AssertionError(
+            f"the class matrices leave a common eigenspace of dimension > 1 {_where(G)}"
+        )
     return [B[0] for B in spaces]
 
 
@@ -233,7 +332,8 @@ def _split_space(B, M, q):
             coords = [w[pc] for pc in pivots]
             # verify w really lies in the span (it must: the space is invariant)
             span = [sum(map(mul, coords, col)) % q for col in columns]
-            assert span == w, "subspace not invariant"
+            if span != w:
+                raise AssertionError("subspace not invariant")
             A.append(coords)
     # M acts as a scalar on the space: it is one eigenspace
     if A == [[A[0][0] * (i == j) for j in range(d)] for i in range(d)]:
@@ -251,20 +351,21 @@ def _split_space(B, M, q):
         if vecs:
             found += len(vecs)
             out.append(rref_mod(vecs, q)[0])
-    assert found == d, "eigenspaces do not fill the subspace"
+    if found != d:
+        raise AssertionError("eigenspaces do not fill the subspace")
     return out
 
 
-@memoized(bound="table")
-def character_table(G: PermGroup) -> CharacterTable:
-    """The character table of G by the finite-field method, memoized on G."""
+def _finite_field_table(G: PermGroup) -> CharacterTable:
+    """The character table of G by the finite-field method."""
     classes = G.conjugacy_classes()
     r = len(classes)
     e = G.exponent()
+    where = _where(G)
     q = find_splitting_prime(e, G.order)
     z = pow(primitive_root(q), (q - 1) // e, q)
 
-    vectors = _split_to_common_eigenvectors(_class_matrices(G), q, r)
+    vectors = _split_to_common_eigenvectors(_class_matrices(G), q, G)
 
     inv = G.inverse_class_map()
     inv_sizes = [pow(c.size, -1, q) for c in classes]
@@ -285,7 +386,7 @@ def character_table(G: PermGroup) -> CharacterTable:
     chars = []
     for u in vectors:
         if u[0] % q == 0:
-            raise AssertionError("eigenvector vanishes on the identity class")
+            raise AssertionError(f"eigenvector vanishes on the identity class {where}")
         scale = pow(u[0], -1, q)
         u = [(x * scale) % q for x in u]
         # degree from the first orthogonality relation
@@ -295,7 +396,7 @@ def character_table(G: PermGroup) -> CharacterTable:
             (d for d in range(1, math.isqrt(G.order) + 1) if (d * d) % q == d2), None
         )
         if degree is None:
-            raise AssertionError("no valid degree below sqrt(|G|)")
+            raise AssertionError(f"no valid degree below sqrt(|G|) {where}")
         # character values mod q on every class
         chi_mod = [(degree * u[j] * inv_sizes[j]) % q for j in range(r)]
         values = []
@@ -311,7 +412,9 @@ def character_table(G: PermGroup) -> CharacterTable:
                 if mt:
                     terms[(e // m) * t] = mt
             if total != degree:
-                raise AssertionError("eigenvalue multiplicities do not sum to the degree")
+                raise AssertionError(
+                    f"eigenvalue multiplicities do not sum to the degree {where}"
+                )
             values.append(Cyclotomic(e, terms))
         chars.append(Character(G, values))
     return CharacterTable(G, chars)

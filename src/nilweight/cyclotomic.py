@@ -57,7 +57,8 @@ def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
             out[i - dn] = c
             for j, d in enumerate(den):
                 num[i - dn + j] -= c * d
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise AssertionError("polynomial division leaves a remainder")
     return out
 
 
@@ -184,9 +185,6 @@ class Cyclotomic:
         return tuple(Fraction(n, self.den) for n in coords)
 
     # --- predicates -------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not any(self._coords_at(self.conductor))
 
     def is_rational(self) -> bool:
         return not any(self._coords_at(self.conductor)[1:])

@@ -19,9 +19,10 @@ orbit/stabilizer runs at desk scale; resource bounds guard against inputs
 far beyond the intended corpus. Every orbit is walked by one class,
 `Orbit`: conjugacy classes, stabilizers under any action
 (`PermGroup.stabilizer`), the cosets of `PermGroup.coset_action`, the
-point orbits of a normal subgroup in `PermGroup.quotient`, the subgroup
-orbits that `PermGroup.subgroup_orbit` memoizes and normalizers read
-off, and the lattice's orbits of cyclic subgroups. The action of a
+point orbits (`PermGroup.point_orbits`, read by `PermGroup.quotient` for
+a normal subgroup and by the character tables' direct-product test), the
+subgroup orbits that `PermGroup.subgroup_orbit` memoizes and normalizers
+read off, and the lattice's orbits of cyclic subgroups. The action of a
 normalizing element on the classes comes from one memoized map,
 `PermGroup.class_image`, and class functions are conjugated through it by
 `PermGroup.conjugate_class_function`.
@@ -285,7 +286,8 @@ class PermGroup:
         for lvl in reversed(self._levels):
             trans = [lvl.transversal[p].images for p in sorted(lvl.transversal)]
             out = [x for h in out for x in map(itemgetter(*h), trans)]  # (h*u)(x) = u(h(x))
-        assert len(out) == self.order
+        if len(out) != self.order:
+            raise AssertionError(f"element count is not the group order {self.order}")
         return tuple(out)
 
     @memoized()
@@ -329,7 +331,8 @@ class PermGroup:
                 )
             )
         classes.sort(key=lambda c: (c.element_order, c.size, c.representative.images))
-        assert sum(c.size for c in classes) == self.order
+        if sum(c.size for c in classes) != self.order:
+            raise AssertionError(f"class sizes do not sum to the group order {self.order}")
         return tuple(classes)
 
     @memoized()
@@ -374,7 +377,8 @@ class PermGroup:
         if n == 1:
             return self
         T = self.subgroup(orbit.stabilizer(start), order=self.order // n)
-        assert n * T.order == self.order
+        if n * T.order != self.order:
+            raise AssertionError(f"orbit length times stabilizer order is not {self.order}")
         return T
 
     @memoized()
@@ -454,13 +458,9 @@ class PermGroup:
             orbit.stabilizer(H.element_set()) + list(H.generators),
             order=self.order // len(orbit.members),
         )
-        assert len(orbit.members) * N.order == self.order
+        if len(orbit.members) * N.order != self.order:
+            raise AssertionError(f"orbit length times normalizer order is not {self.order}")
         return N
-
-    def are_conjugate_subgroups(self, H: "PermGroup", K: "PermGroup") -> bool:
-        if H.order != K.order:
-            return False
-        return K.element_set() in self.subgroup_orbit(H.element_set()).members
 
     # --- normal structure ---------------------------------------------------
 
@@ -665,14 +665,9 @@ class PermGroup:
         if H.order == 1:
             return self, lambda g: g
         index = self.order // H.order
-        moves = [(h, h.images.__getitem__) for h in H.generators]
-        orbit_of: dict[int, int] = {}
-        firsts = []  # the least point of each H-orbit, in point order
-        for p in range(self.degree):
-            if p not in orbit_of:
-                for q in Orbit(self.identity, p, moves).members:
-                    orbit_of[q] = len(firsts)
-                firsts.append(p)
+        orbits = H.point_orbits()
+        orbit_of = {p: i for i, orbit in enumerate(orbits) for p in orbit}
+        firsts = [orbit[0] for orbit in orbits]
 
         def project(g: Perm) -> Perm:
             return Perm(tuple(orbit_of[g.images[p]] for p in firsts))
@@ -680,8 +675,21 @@ class PermGroup:
         image = PermGroup(len(firsts), [project(g) for g in self.generators], order=index)
         if image.order < index:
             image, project = self.coset_action(H)
-        assert image.order * H.order == self.order
+        if image.order * H.order != self.order:
+            raise AssertionError(f"quotient order times subgroup order is not {self.order}")
         return image, project
+
+    def point_orbits(self) -> tuple[tuple[int, ...], ...]:
+        """The orbits on the points, each sorted, in the order of their least points."""
+        moves = [(g, g.images.__getitem__) for g in self.generators]
+        seen: set[int] = set()
+        orbits = []
+        for p in range(self.degree):
+            if p not in seen:
+                orbit = Orbit(self.identity, p, moves).members
+                seen |= orbit
+                orbits.append(tuple(sorted(orbit)))
+        return tuple(orbits)
 
     # --- misc ---------------------------------------------------------------
 

@@ -95,7 +95,8 @@ class _ClassCollector:
         """
         orbit = self.G.subgroup_orbit(H.element_set())
         key = orbit.canonical_key
-        assert key not in self.by_key
+        if key in self.by_key:
+            raise AssertionError("subgroup class registered twice")
         cls = SubgroupClass(
             representative=H, class_size=len(orbit.members), canonical_key=key
         )
@@ -120,7 +121,8 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
     if not solvable:
         _nonsolvable_completion(G, collector)
     classes = collector.classes()
-    assert classes[0].order == 1 and classes[-1].order == G.order
+    if classes[0].order != 1 or classes[-1].order != G.order:
+        raise AssertionError(f"lattice of a group of order {G.order} misses 1 or G")
     return tuple(classes)
 
 
@@ -163,13 +165,15 @@ def _cyclic_extension(G: PermGroup, primes: PrimeSet) -> _ClassCollector:
                 continue  # z must have prime order modulo H, a prime in `primes`
             # z normalizes H, so K = <H, z> is the union of the cosets z^i H
             k_set = span(h_set, [images])
-            assert len(k_set) == coset_order * H.order
+            if len(k_set) != coset_order * H.order:
+                raise AssertionError("cyclic extension has the wrong order")
             covered |= k_set
             if collector.knows(k_set):
                 continue
             z = Perm(images)
             K = G.subgroup(tuple(H.generators) + (z,), order=coset_order * H.order)
-            assert K.element_set() == k_set
+            if K.element_set() != k_set:
+                raise AssertionError("cyclic extension differs from its span")
             frontier.append(collector.add(K))
     return collector
 
@@ -219,7 +223,8 @@ def _nonsolvable_completion(G: PermGroup, collector: _ClassCollector) -> None:
             if collector.knows(k_set):
                 continue
             K = G.subgroup(tuple(H.generators) + tuple(map(Perm, cyclics[Z])))
-            assert K.element_set() == k_set
+            if K.element_set() != k_set:
+                raise AssertionError("join differs from its span")
             frontier.append(collector.add(K))
 
 

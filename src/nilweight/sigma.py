@@ -66,13 +66,6 @@ def mobius(n: int) -> int:
     return mu
 
 
-def divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 # The largest entry `PrimeSet.parse` accepts, before trial division tests it
 MAX_PRIME = 2**31 - 1
 

@@ -346,7 +346,8 @@ def check_canonical_bijection(
     action = GlaubermanAction(G, N, R)
     C = action.fixed
     CR = G.subgroup(tuple(C.generators) + tuple(R.generators))
-    assert CR.order == C.order * R.order
+    if CR.order != C.order * R.order:
+        raise AssertionError(f"C_N(R) meets R nontrivially in a group of order {G.order}")
     images = {}
     well_defined = True
     for phi, members in domain:

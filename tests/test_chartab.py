@@ -21,9 +21,9 @@ from nilweight.chartab import (
     restrict_character,
 )
 from nilweight.cli import run_command
-from nilweight.corpus import builtin_corpus
+from nilweight.corpus import builtin_corpus, parse_definition
 from nilweight.cyclotomic import Cyclotomic, conjugate_dot
-from nilweight.groups import bsgs_construct
+from nilweight.groups import DEFAULT_BOUNDS, bsgs_construct
 from nilweight.linalg import find_splitting_prime
 from nilweight.sigma import PrimeSet, euler_phi
 
@@ -116,8 +116,19 @@ class TestTableConstruction:
         # the identity class acts as the identity: one eigenspace of dimension 3
         identity = next(chartab._class_matrices(s3))
         q = find_splitting_prime(s3.exponent(), s3.order)
-        with pytest.raises(AssertionError, match="dimension > 1"):
-            chartab._split_to_common_eigenvectors([identity], q, len(identity))
+        with pytest.raises(
+            AssertionError, match="dimension > 1 in the table of a group of order 6 at conductor 6"
+        ):
+            chartab._split_to_common_eigenvectors([identity], q, s3)
+
+    def test_a_prime_without_the_roots_of_unity_fails_naming_the_group(self, s3, monkeypatch):
+        # 5 is not 1 mod exp(S3) = 6, so F_5 has no primitive 6th root to lift from
+        monkeypatch.setattr(chartab, "find_splitting_prime", lambda e, order: 5)
+        with pytest.raises(
+            AssertionError,
+            match="do not sum to the degree in the table of a group of order 6 at conductor 6",
+        ):
+            chartab._finite_field_table(s3)
 
     def test_abelian_tables(self):
         for cycles, n in [(("(1,2,3,4,5,6)",), 6), (("(1,2)", "(3,4)"), 2)]:
@@ -469,6 +480,111 @@ def test_certificates_agree_on_every_benchmark_table(workload, tmp_path, monkeyp
     # the largest conductors: S4 x C7:C3 in table-cache, S4xC5 in the other two
     largest = {"table-cache": 84, "global-count": 60, "vertex-search": 60}[workload]
     assert max(tab.conductor for tab in tables) == largest
+
+
+def _corpus_groups(tmp_path):
+    """Every group of the builtins, `tools/groups/*.txt` and the seed-1 files of
+    the three workloads within the table bound, each built afresh, by name."""
+    groups_dir = Path(__file__).resolve().parent.parent / "tools" / "groups"
+    texts = {f"tools/groups/{p.name}": p.read_text() for p in sorted(groups_dir.glob("*.txt"))}
+    workloads = _load_bench_workloads()
+    for workload in workloads.WORKLOADS:
+        for task in workloads.generate(workload, 1, tmp_path / workload):
+            texts.setdefault(task.path, Path(task.path).read_text())
+    definitions = list(BUILTINS.items()) + [(n, parse_definition(t)) for n, t in texts.items()]
+    for name, d in definitions:
+        G = d.build()
+        if G.order <= DEFAULT_BOUNDS["table"]:
+            yield name, G
+
+
+def _exact_values(tab):
+    """(conductor, nums in their order, den) of every value, row by row."""
+    return [
+        (v.conductor, list(v.nums.items()), v.den) for chi in tab.irreducibles for v in chi.values
+    ]
+
+
+def _class_matrix_orders(monkeypatch):
+    """The orders of the groups whose class matrices are built from now on."""
+    orders = []
+    build = chartab._class_matrices
+
+    def recording(G):
+        orders.append(G.order)
+        return build(G)
+
+    monkeypatch.setattr(chartab, "_class_matrices", recording)
+    return orders
+
+
+class TestDirectProducts:
+    """Tables of orbit-wise direct products, read off their factors' tables."""
+
+    def test_the_product_path_gives_the_finite_field_values(self, tmp_path):
+        products = []
+        for name, G in _corpus_groups(tmp_path):
+            if chartab._direct_factors(G) is None:
+                continue
+            products.append(name)
+            want = _exact_values(chartab._finite_field_table(G))
+            assert _exact_values(character_table(G)) == want, name
+        # S3xS3, A4xC3, S4xC5, S4wrC2xC3 and 19 workload files
+        assert len(products) == 23
+
+    def test_s4xc5_builds_no_class_matrix_of_order_120(self, monkeypatch):
+        orders = _class_matrix_orders(monkeypatch)
+        character_table(BUILTINS["S4xC5"].build())
+        assert sorted(set(orders)) == [5, 24]
+
+    def test_three_factors_split_twice(self, monkeypatch):
+        orders = _class_matrix_orders(monkeypatch)
+        G = group(9, "(1,2)", "(1,2,3)", "(4,5)", "(6,7,8,9)")
+        assert G.order == 6 * 2 * 4
+        tab = character_table(G)
+        assert sorted(set(orders)) == [2, 4, 6]
+        assert tab.degrees() == (1,) * 16 + (2,) * 8
+
+    def test_a_diagonal_subdirect_product_stays_on_the_finite_field_path(self, monkeypatch):
+        orders = _class_matrix_orders(monkeypatch)
+        G = group(6, "(1,2)(4,5)", "(1,2,3)(4,5,6)")
+        assert G.order == 6 and chartab._direct_factors(G) is None
+        tab = character_table(G)
+        assert orders == [6]
+        assert tab.degrees() == (1, 1, 2)
+        assert [[v.to_int() for v in chi.values] for chi in tab.irreducibles] == [
+            [1, -1, 1],
+            [1, 1, 1],
+            [2, 0, -1],
+        ]
+
+    def test_a_wrong_split_names_the_group_order(self, monkeypatch):
+        G = group(6, "(1,2)(4,5)", "(1,2,3)(4,5,6)")
+        split = (*chartab._restriction(G, (0, 1, 2)), *chartab._restriction(G, (3, 4, 5)))
+        monkeypatch.setattr(chartab, "_direct_factors", lambda H: split if H is G else None)
+        with pytest.raises(
+            AssertionError,
+            match="classes do not map one-to-one onto class pairs in the table of a group of order 6",
+        ):
+            character_table(G)
+
+    def test_cache_entries_are_byte_identical_on_both_paths(self, tmp_path):
+        checked = []
+        for name, d in BUILTINS.items():
+            G = d.build()
+            if chartab._direct_factors(G) is None:
+                continue
+            entries = []
+            for path in ("product", "field"):
+                H = d.build()
+                if path == "field":
+                    character_table.remember(H, chartab._finite_field_table(H))
+                cache.load_or_compute_table(H, tmp_path / path)
+                entries.append(tmp_path / path / f"chartab-{cache.table_cache_key(H)}.json")
+            assert entries[0].read_bytes() == entries[1].read_bytes(), name
+            checked.append(name)
+        assert checked == ["S3xS3", "A4xC3", "S4xC5"]
+        assert cache.ALGORITHM_VERSION == 1
 
 
 # sha256 of `chartab --group NAME --format machine` for every builtin, as the

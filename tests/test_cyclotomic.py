@@ -18,6 +18,10 @@ def zeta(m, k=1):
     return Cyclotomic.root_of_unity(m, k)
 
 
+def is_zero(v: Cyclotomic) -> bool:
+    return not any(v.canonical())
+
+
 class TestPolynomials:
     def test_small_cyclotomic_polys(self):
         assert cyclotomic_polynomial(1) == (-1, 1)
@@ -59,7 +63,7 @@ class TestBasics:
     def test_vanishing_sum_of_p_th_roots(self):
         for p in (2, 3, 5, 7):
             total = sum((zeta(p, k) for k in range(p)), Cyclotomic.zero())
-            assert total.is_zero()
+            assert is_zero(total)
 
     def test_embedding_consistency(self):
         # zeta_3 seen at conductor 6 or 12 is still the same value
@@ -156,7 +160,7 @@ def test_norm_nonnegative(a):
     # over the complex embeddings)
     v = a * a.conjugate()
     assert v.normalized_trace() >= 0
-    assert v.is_zero() == a.is_zero()
+    assert is_zero(v) == is_zero(a)
 
 
 @settings(max_examples=40)

@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from nilweight.sigma import PrimeSet, divisors, euler_phi, factorize, mobius, sigma_part
+from nilweight.sigma import PrimeSet, euler_phi, factorize, mobius, sigma_part
+
+
+def divisors(n: int) -> list[int]:
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 def test_sigma_part_examples():

@@ -4,7 +4,8 @@
 `bench/tracing.py`; a renamed or removed engine function would break it
 without failing any engine test, so these tests resolve every entry. A
 test keeps the engine free of `random`, as the README's determinism note
-says. The last three check `tools/`: every desk-scale group file builds to
+says, and one keeps its certificates free of bare `assert` statements,
+which `python -O` strips. The last three check `tools/`: every desk-scale group file builds to
 the order it states, `tools/report_sweep.py` names exactly the files that
 are there, and it passes `--bound` on every line whose group is above the
 subgroup-lattice bound.
@@ -74,6 +75,18 @@ def test_only_the_property_suite_imports_random():
     src = ROOT / "src" / "nilweight"
     users = sorted(p.name for p in src.rglob("*.py") if "random" in _imports(p))
     assert users == ["properties.py"]
+
+
+def test_no_certificate_is_a_bare_assert():
+    # `python -O` strips assert statements; every check in the engine raises
+    src = ROOT / "src" / "nilweight"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_every_desk_scale_group_file_builds_to_its_stated_order():
