@@ -53,28 +53,25 @@ def _value_to_json(v: Cyclotomic):
     return out
 
 
-def _is_int(x) -> bool:
-    return type(x) is int
-
-
 def _value_from_json(data, exponent: int) -> Cyclotomic:
     """The inverse of _value_to_json, for a value in Q(zeta_exponent); ValueError otherwise.
 
     Entries must be integers with nonzero denominators, and the conductor
     must divide the group exponent, the conductor a table is certified at.
+    One pass checks the terms and keeps the last of each exponent.
     """
-    if not (
-        isinstance(data, list)
-        and data
-        and _is_int(data[0])
-        and all(
-            isinstance(t, list) and len(t) == 3 and all(map(_is_int, t)) and t[2]
-            for t in data[1:]
-        )
-    ):
+    if not (isinstance(data, list) and data and type(data[0]) is int):
         raise ValueError("malformed cache value")
-    terms = {e: (num, den) for e, num, den in data[1:]}
-    common = math.lcm(*(abs(den) for _, den in terms.values()))
+    terms, common = {}, 1
+    for t in data[1:]:
+        if not (isinstance(t, list) and len(t) == 3):
+            raise ValueError("malformed cache value")
+        e, num, den = t
+        if not (type(e) is int and type(num) is int and type(den) is int and den):
+            raise ValueError("malformed cache value")
+        terms[e] = num, den
+        if common % den:
+            common = math.lcm(common, den)
     value = Cyclotomic(
         data[0], {e: num * (common // den) for e, (num, den) in terms.items()}, common
     )

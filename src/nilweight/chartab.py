@@ -157,8 +157,8 @@ class CharacterTable:
                     f"character degree is not a positive divisor of |G| in row {i} {where}"
                 )
         den = math.lcm(*(v.den for chi in irr for v in chi.values))
-        rows = [[v.numerators_at(e, den) for v in chi.values] for chi in irr]
-        ell1 = max(sum(abs(n) for _, n in x) for row in rows for x in row)
+        # x_ik is den / v.den times the numerators of v = chi_i(g_k), at exponents t e/m
+        ell1 = max(den // v.den * sum(map(abs, v.nums.values())) for chi in irr for v in chi.values)
         z = G.order * (ell1 * ell1 + den * den) + 2
         q = cyclotomic_value(e, z)
         pw = [1] * e
@@ -166,10 +166,15 @@ class CharacterTable:
             pw[t] = pw[t - 1] * z % q
         sizes = [c.size for c in G.conjugacy_classes()]
         # W[i][k] = |C_k| x_ik at zeta -> z, Y[j][k] = x_jk at zeta^-1 -> z^-1
-        W = [
-            [w * sum(n * pw[t] for t, n in x) % q for w, x in zip(sizes, row)] for row in rows
-        ]
-        Y = [[sum(n * pw[-t] for t, n in x) % q for x in row] for row in rows]
+        W, Y = [[0] * len(sizes) for _ in irr], [[0] * len(sizes) for _ in irr]
+        for i, chi in enumerate(irr):
+            for k, v in enumerate(chi.values):
+                s, at_z, at_inverse = e // v.conductor, 0, 0
+                for t, n in v.nums.items():
+                    at_z += n * pw[t * s]
+                    at_inverse += n * pw[-t * s]
+                W[i][k] = sizes[k] * (den // v.den) * at_z % q
+                Y[i][k] = den // v.den * at_inverse % q
         unit = G.order * den * den % q
         for i, w in enumerate(W):
             if sum(map(mul, w, Y[i])) % q != unit:
@@ -308,7 +313,7 @@ def _split_to_common_eigenvectors(mats, q, G: PermGroup):
     for M in mats:
         if all(len(B) == 1 for B in spaces):
             break
-        spaces = [part for B in spaces for part in (_split_space(B, M, q) if len(B) > 1 else [B])]
+        spaces = [s for B in spaces for s in (_split_space(B, M, q, G) if len(B) > 1 else [B])]
     if any(len(B) > 1 for B in spaces):
         raise AssertionError(
             f"the class matrices leave a common eigenspace of dimension > 1 {_where(G)}"
@@ -316,8 +321,8 @@ def _split_to_common_eigenvectors(mats, q, G: PermGroup):
     return [B[0] for B in spaces]
 
 
-def _split_space(B, M, q):
-    """Split an invariant subspace (rows of B in RREF) by eigenvalues of M."""
+def _split_space(B, M, q, G: PermGroup):
+    """Split an invariant subspace (rows of B in RREF) by eigenvalues of M; errors name G."""
     columns = list(zip(*B))
     d = len(B)
     if d == len(M):
@@ -333,7 +338,7 @@ def _split_space(B, M, q):
             # verify w really lies in the span (it must: the space is invariant)
             span = [sum(map(mul, coords, col)) % q for col in columns]
             if span != w:
-                raise AssertionError("subspace not invariant")
+                raise AssertionError(f"subspace not invariant {_where(G)}")
             A.append(coords)
     # M acts as a scalar on the space: it is one eigenspace
     if A == [[A[0][0] * (i == j) for j in range(d)] for i in range(d)]:
@@ -352,7 +357,7 @@ def _split_space(B, M, q):
             found += len(vecs)
             out.append(rref_mod(vecs, q)[0])
     if found != d:
-        raise AssertionError("eigenspaces do not fill the subspace")
+        raise AssertionError(f"eigenspaces do not fill the subspace {_where(G)}")
     return out
 
 

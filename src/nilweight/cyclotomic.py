@@ -12,8 +12,10 @@ vanishing sums of p-th roots of unity, over the same denominator.
 behind inner products of class functions: it runs over int and returns
 power-basis coordinates. Table orthogonality does not go through it:
 `CharacterTable.verify` evaluates every value once at an integer point
-(see there). The reduction modulo the m-th cyclotomic polynomial runs over
-that polynomial's nonzero coefficients only.
+(see there). The one reduction modulo the m-th cyclotomic polynomial,
+`_reduce_mod_phi`, serves canonical forms and `conjugate_dot`: it adds up,
+over the nonzero terms n x^t of a value, n times the power-basis
+coordinates of x^t, read from a table cached per conductor.
 """
 
 from __future__ import annotations
@@ -63,27 +65,28 @@ def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _phi_terms(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The degree of the m-th cyclotomic polynomial, and its (j, c) with c != 0 below x^degree."""
+def _power_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row t < m: the (j, c) with c != 0 of x^t modulo the m-th cyclotomic
+    polynomial. A row has at most 9 terms for m = 84, 6 for m = 60."""
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
-    return deg, tuple((j, c) for j, c in enumerate(phi[:deg]) if c)
+    rows, x = [((t, 1),) for t in range(deg)], [0] * (deg - 1) + [1]
+    for _ in range(deg, m):
+        # x^t = x * x^(t-1), with x^deg replaced by x^deg - Phi_m
+        x = [a - x[-1] * c for a, c in zip([0] + x[:-1], phi)]
+        rows.append(tuple((j, c) for j, c in enumerate(x) if c))
+    return tuple(rows)
 
 
-def _reduce_mod_phi(dense: list[int], m: int) -> list[int]:
-    """Power-basis coordinates of sum dense[i] x^i modulo the m-th cyclotomic polynomial.
-
-    dense has length m and is reduced in place. Each step subtracts along
-    the nonzero coefficients only (8 of 24 for m = 84)."""
-    deg, terms = _phi_terms(m)
-    for i in range(m - 1, deg - 1, -1):
-        n = dense[i]
-        if n:
-            dense[i] = 0
-            base = i - deg
-            for j, c in terms:
-                dense[base + j] -= n * c
-    return dense[:deg]
+def _reduce_mod_phi(terms, m: int) -> list[int]:
+    """Power-basis coordinates of sum n x^t over the (t, n) in terms, 0 <= t < m,
+    modulo the m-th cyclotomic polynomial: the sum of n times row t of `_power_table`."""
+    table = _power_table(m)
+    out = [0] * (len(cyclotomic_polynomial(m)) - 1)
+    for t, n in terms:
+        for j, c in table[t]:
+            out[j] += n * c
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -94,6 +97,17 @@ def _trace_table(m: int) -> tuple[int, ...]:
         d = m // math.gcd(j, m)  # zeta_m^j is a primitive d-th root
         out.append(mobius(d) * euler_phi(m) // euler_phi(d))
     return tuple(out)
+
+
+def _over_common_denominator(terms: dict, den: int, conductor: int):
+    """(nums, den * D) for {e: c} with rational c: the numerators over their
+    common denominator D, merged by exponent modulo the conductor."""
+    fracs = [(e % conductor, Fraction(c)) for e, c in terms.items()]
+    scale = math.lcm(*(c.denominator for _, c in fracs))
+    nums: dict[int, int] = {}
+    for e, c in fracs:
+        nums[e] = nums.get(e, 0) + c.numerator * (scale // c.denominator)
+    return nums, den * scale
 
 
 class Cyclotomic:
@@ -107,16 +121,16 @@ class Cyclotomic:
         Coefficients may be any rationals; den must be a positive int."""
         if conductor < 1:
             raise ValueError("conductor must be positive")
-        if not all(type(c) is int for c in terms.values()):
-            fracs = {e: Fraction(c) for e, c in terms.items()}
-            scale = math.lcm(*(c.denominator for c in fracs.values()))
-            terms = {e: c.numerator * (scale // c.denominator) for e, c in fracs.items()}
-            den *= scale
         nums: dict[int, int] = {}
         for e, n in terms.items():
-            nums[e % conductor] = nums.get(e % conductor, 0) + n
-        nums = {e: n for e, n in nums.items() if n}
-        g = math.gcd(den, *nums.values())
+            if type(n) is not int:
+                nums, den = _over_common_denominator(terms, den, conductor)
+                break
+            e %= conductor
+            nums[e] = nums.get(e, 0) + n
+        if 0 in nums.values():
+            nums = {e: n for e, n in nums.items() if n}
+        g = math.gcd(den, *nums.values()) if den > 1 else 1
         if g > 1:
             nums = {e: n // g for e, n in nums.items()}
             den //= g
@@ -155,10 +169,7 @@ class Cyclotomic:
         cached = self._canon.get(m)
         if cached is not None:
             return cached
-        dense = [0] * m
-        for e, n in self.numerators_at(m, self.den):
-            dense[e] += n
-        out = tuple(_reduce_mod_phi(dense, m))
+        out = tuple(_reduce_mod_phi(self.numerators_at(m, self.den), m))
         self._canon[m] = out
         return out
 
@@ -353,7 +364,7 @@ def conjugate_dot(weights, xs, ys, m: int) -> list[int]:
             for e2, n2 in y:
                 # e1 - e2 lies in (-m, m): a negative index wraps to (e1 - e2) mod m
                 acc[e1 - e2] += wn * n2
-    return _reduce_mod_phi(acc, m)
+    return _reduce_mod_phi([(t, n) for t, n in enumerate(acc) if n], m)
 
 
 def weighted_conjugate_dot(triples) -> Cyclotomic:

@@ -14,40 +14,51 @@ from .sigma import is_prime
 # --- certified integer solving ----------------------------------------------
 
 
-def solve_unique_rational(columns: list[list[int]], target: list[int]):
-    """The integer solution of sum_j x_j * columns[j] = target, or None.
+def integer_solutions(columns: list[list[int]], targets: list[list[int]]):
+    """For each target, the integer solution of sum_j x_j * columns[j] = target, or None.
 
     Every column's first entry (a degree) is at least 1, so a nonnegative
     solution has x_j <= target[0] < p/2: solving mod the prime p and lifting to
     the symmetric range finds it, and one exact integer product certifies it.
     None means no integer solution in the symmetric range, which holds every
-    nonnegative one. While the columns are rank-deficient mod p, the next
-    prime below p is tried; once the primes tried exceed the Hadamard bound on
-    the maximal minors, the columns are dependent and ValueError is raised.
+    nonnegative one. One elimination of [columns | targets] serves every
+    target. While the columns are rank-deficient mod p, the next prime below p
+    is tried; once the primes tried exceed the Hadamard bound on the maximal
+    minors, the columns are dependent and ValueError is raised.
     """
     n = len(columns)
     if any(col[0] < 1 for col in columns):
         raise ValueError("a column has a first entry below 1")
-    rows = [[col[i] for col in columns] + [t] for i, t in enumerate(target)]
+    rows = [list(row) for row in zip(*columns, *targets)]
     hadamard = math.prod(math.isqrt(sum(v * v for v in col)) + 1 for col in columns)
     p, tried = 2**31 - 1, 1
     while tried <= hadamard:
-        if 2 * target[0] >= p:
-            raise ValueError(f"target degree {target[0]} is too large for modulus {p}")
+        for target in targets:
+            if 2 * target[0] >= p:
+                raise ValueError(f"target degree {target[0]} is too large for modulus {p}")
         reduced, pivots = rref_mod(rows, p)
         if pivots[:n] == list(range(n)):
-            if n in pivots:
-                return None  # inconsistent mod p, so no integer solution
-            x = [v if 2 * v < p else v - p for v in (row[n] for row in reduced[:n])]
-            for i, t in enumerate(target):
-                if sum(xj * col[i] for xj, col in zip(x, columns)) != t:
-                    return None
-            return x
+            # reduced is E [columns | targets], E invertible, E columns = [I; 0]:
+            # a target is consistent mod p iff its column is zero below row n
+            out = []
+            for k, target in enumerate(targets, n):
+                x = [v if 2 * v < p else v - p for v in (row[k] for row in reduced[:n])]
+                exact = not any(row[k] for row in reduced[n:]) and all(
+                    sum(xj * col[i] for xj, col in zip(x, columns)) == t
+                    for i, t in enumerate(target)
+                )
+                out.append(x if exact else None)
+            return out
         tried *= p
         p -= 2
         while not is_prime(p):
             p -= 2
     raise ValueError("columns are linearly dependent")
+
+
+def solve_unique_rational(columns: list[list[int]], target: list[int]):
+    """`integer_solutions` for the one target."""
+    return integer_solutions(columns, [target])[0]
 
 
 def nonneg_integer_solution(columns, target):

@@ -40,7 +40,7 @@ from .lattice import (
     subgroup_class_of,
     subgroup_classes,
 )
-from .linalg import nonneg_integer_solution
+from .linalg import integer_solutions, nonneg_integer_solution
 from .perms import Perm
 from .sigma import PrimeSet, factorize
 
@@ -139,12 +139,9 @@ def sigma_partial_characters(G: PermGroup, sigma: PrimeSet) -> tuple[PartialChar
             f"expected {len(sidx)} (the sigma-class count)"
         )
     # every restriction must decompose nonnegative-integrally in the basis
-    columns = [flat[u] for u in accepted]
-    for v in ordered:
-        if nonneg_integer_solution(columns, flat[v]) is None:
-            raise InternalConsistencyError(
-                "a restriction does not decompose over the irreducible set"
-            )
+    solutions = integer_solutions([flat[u] for u in accepted], [flat[v] for v in ordered])
+    if any(x is None or min(x) < 0 for x in solutions):
+        raise InternalConsistencyError("a restriction does not decompose over the irreducible set")
     return tuple(
         PartialCharacter(G, sigma, v, restrictions[v], sidx) for v in accepted
     )
@@ -180,6 +177,12 @@ def induced_partial_values(alpha: PartialCharacter, G: PermGroup):
     H, sigma = alpha.group, alpha.sigma
     h_indices, g_indices = H.sigma_class_indices(sigma), G.sigma_class_indices(sigma)
     return tuple(_induced_values(H, alpha.values, h_indices, G, g_indices))
+
+
+@memoized(lambda G, alpha: ("induced_partial_values", alpha))
+def _induced_in(G: PermGroup, alpha: PartialCharacter):
+    """`induced_partial_values(alpha, G)`, memoized in G under alpha itself."""
+    return induced_partial_values(alpha, G)
 
 
 def partial_character_stabilizer(G: PermGroup, N: PermGroup, theta: PartialCharacter):
@@ -241,7 +244,7 @@ def _vertex_class(G: PermGroup, phi: PartialCharacter) -> SubgroupClass:
         for alpha in sigma_partial_characters(U, sigma):
             if alpha.degree != alpha_degree:
                 continue
-            if induced_partial_values(alpha, G) == phi.values:
+            if _induced_in(G, alpha) == phi.values:
                 hits.append(U)
                 break
     if not hits:

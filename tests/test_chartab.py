@@ -130,6 +130,26 @@ class TestTableConstruction:
         ):
             chartab._finite_field_table(s3)
 
+    def test_a_matrix_that_moves_a_split_space_fails_naming_the_group(self, s3, monkeypatch):
+        # the first matrix splits F^3 into <e0, e1> and <e2>; the second maps e0 to e2
+        first = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
+        second = [[0, 0, 0], [0, 0, 0], [1, 0, 0]]
+        monkeypatch.setattr(chartab, "_class_matrices", lambda G: iter([first, second]))
+        with pytest.raises(
+            AssertionError,
+            match="^subspace not invariant in the table of a group of order 6 at conductor 6$",
+        ):
+            chartab._finite_field_table(s3)
+
+    def test_missing_eigenvalues_fail_naming_the_group(self, s3, monkeypatch):
+        monkeypatch.setattr(chartab, "poly_roots_mod", lambda poly, q: [])
+        with pytest.raises(
+            AssertionError,
+            match="^eigenspaces do not fill the subspace "
+            "in the table of a group of order 6 at conductor 6$",
+        ):
+            chartab._finite_field_table(s3)
+
     def test_abelian_tables(self):
         for cycles, n in [(("(1,2,3,4,5,6)",), 6), (("(1,2)", "(3,4)"), 2)]:
             G = group(max(int(c) for s in cycles for c in s if c.isdigit()), *cycles)

@@ -599,6 +599,45 @@ class TestCache:
         with pytest.raises(ValueError, match="does not divide the group exponent"):
             cache.deserialize_table(s3, _lift_last_value_past_the_exponent(entry))
 
+    @pytest.mark.parametrize(
+        "data, built",
+        [
+            ([True, [0, 1, 1]], None),
+            ([3, [0, True, 1]], None),
+            ([3, [0, 1, False]], None),
+            ([3, [False, 1, 1]], None),
+            ([3, [0, 1, 0]], None),
+            ([3, [1, 1, -2]], (3, {1: -1}, 2)),
+            ([3, [1, 1, -2], [2, 1, 2]], (3, {1: -1, 2: 1}, 2)),
+            ([3, 5], None),
+            ([3, (1, 1, 1)], None),
+            ([3, [1, 1]], None),
+            ([3, [1, 1, 1, 1]], None),
+            ([3, [1, 1, 2], [1, 3, 4]], (3, {1: 3}, 4)),
+            ([3, [1, 1, 0], [1, 3, 4]], None),
+            ([3, [1, 1, 2], [4, 1, 2]], (3, {1: 1}, 1)),
+            ([5, [1, 1, 1]], None),
+            ([0, [0, 1, 1]], None),
+            ([-3, [1, 1, 1]], None),
+            ([], None),
+            ([3], (3, {}, 1)),
+            ([3.0, [1, 1, 1]], None),
+            ([3, [1.0, 1, 1]], None),
+            ([3, [1, 1, 1], [2, 0, 5]], (3, {1: 1}, 1)),
+            ([12, [13, 1, 3], [1, 1, 6]], (12, {1: 1}, 2)),
+            ([6, [1, 2, -4], [5, -3, 9]], (6, {1: -3, 5: -2}, 6)),
+        ],
+    )
+    def test_each_cache_value_is_read_or_refused(self, data, built):
+        # bools, zero denominators, malformed terms and foreign conductors are
+        # refused; a negative denominator is accepted, the last duplicate exponent wins
+        if built is None:
+            with pytest.raises(ValueError):
+                cache._value_from_json(data, 12)
+        else:
+            value = cache._value_from_json(data, 12)
+            assert (value.conductor, value.nums, value.den) == built
+
     def test_concurrent_writers_of_one_entry(self, tmp_path, monkeypatch):
         # both writers finish their temp file before either renames it
         barrier = threading.Barrier(2, timeout=60)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilweight.cyclotomic import (
     Cyclotomic,
+    _power_table,
     _reduce_mod_phi,
     cyclotomic_polynomial,
     cyclotomic_value,
@@ -48,7 +49,23 @@ class TestPolynomials:
             for seed in range(3):
                 vec = [(i * 7919 + seed * 104729 + m) % 23 - 11 for i in range(m)]
                 want = ref_canonical(m, dict(enumerate(vec)), m)
-                assert tuple(_reduce_mod_phi(vec, m)) == want, (m, seed)
+                assert tuple(_reduce_mod_phi(enumerate(vec), m)) == want, (m, seed)
+
+    def test_power_table_gives_every_power_of_x(self):
+        # row t of the table is x^t modulo Phi_m, here by long division over int
+        for m in range(1, 121):
+            phi = cyclotomic_polynomial(m)
+            deg = len(phi) - 1
+            for t in range(m):
+                dense = [0] * max(t + 1, deg)
+                dense[t] = 1
+                for i in range(t, deg - 1, -1):
+                    c, dense[i] = dense[i], 0
+                    for j in range(deg):
+                        dense[i - deg + j] -= c * phi[j]
+                assert _reduce_mod_phi([(t, 1)], m) == dense[:deg], (m, t)
+        assert ref_canonical(84, {83: 1}, 84) == tuple(_reduce_mod_phi([(83, 1)], 84))
+        assert [max(map(len, _power_table(m))) for m in (12, 60, 84, 120, 7)] == [2, 6, 9, 6, 6]
 
 
 class TestBasics:
@@ -266,6 +283,21 @@ def test_kernel_matches_naive_loop_and_reference(triples):
     dot = weighted_conjugate_dot(values)
     assert dot == sum((w * a * b.conjugate() for w, a, b in values), Cyclotomic.zero())
     assert (dot.conductor, dot.canonical()) == ref_dot(triples)
+
+
+@st.composite
+def integer_terms(draw):
+    """(conductor up to 120, {exponent below it: int}), for the power table."""
+    m = draw(st.integers(1, 120))
+    return m, draw(st.dictionaries(st.integers(0, m - 1), st.integers(-9, 9), max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_terms())
+def test_power_table_reduction_matches_fraction_reference(data):
+    m, terms = data
+    assert tuple(_reduce_mod_phi(terms.items(), m)) == ref_canonical(m, terms, m)
+    assert Cyclotomic(m, terms).canonical() == ref_canonical(m, terms, m)
 
 
 def test_half_z3_plus_a_third():

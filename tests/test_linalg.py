@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from nilweight.chartab import _class_matrices
 from nilweight.corpus import builtin_corpus
 from nilweight.cyclotomic import Cyclotomic
-from nilweight.linalg import nonneg_integer_solution, rref_mod, solve_unique_rational
+from nilweight.linalg import (
+    integer_solutions,
+    nonneg_integer_solution,
+    rref_mod,
+    solve_unique_rational,
+)
 from nilweight.perms import Perm
 from nilweight.pipartial import InternalConsistencyError, _flatten
 
@@ -122,6 +127,16 @@ class TestSolver:
         with pytest.raises(ValueError, match="too large"):
             solve_unique_rational([[1]], [P])
 
+    def test_one_elimination_solves_every_target_apart(self):
+        # the inconsistent targets take pivot rows below the columns; the others are solved
+        columns = [[1, 0, 0], [1, 1, 0]]
+        targets = [[1, 0, 1], [2, 1, 0], [0, 1, 0], [3, 2, 0], [1, 1, 1]]
+        assert integer_solutions(columns, targets) == [None, [1, 1], [-1, 1], [1, 2], None]
+        # rank-deficient mod the first prime: both targets move to the next
+        assert integer_solutions([[1, 0], [1, P]], [[5, 2 * P], [2, 0]]) == [[3, 2], [2, 0]]
+        with pytest.raises(ValueError, match="too large"):
+            integer_solutions([[1]], [[1], [P]])
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_exhaustive_search(self, data):
@@ -152,6 +167,8 @@ class TestSolver:
         ]
         assert len(hits) <= 1
         assert nonneg_integer_solution(columns, target) == (hits[0] if hits else None)
+        one = solve_unique_rational(columns, target)
+        assert integer_solutions(columns, [target, target]) == [one, one]
 
 
 class TestFlatten:

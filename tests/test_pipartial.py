@@ -2,11 +2,13 @@ import itertools
 
 import pytest
 
+from nilweight import pipartial
 from nilweight.chartab import character_table, has_sigma_defect_zero
-from nilweight.corpus import builtin_corpus
+from nilweight.corpus import builtin_by_name, builtin_corpus
 from nilweight.cyclotomic import Cyclotomic
 from nilweight import groups
 from nilweight.groups import PermGroup, bsgs_construct, span
+from nilweight.linalg import nonneg_integer_solution
 from nilweight.lattice import (
     nilpotent_sigma_subgroup_classes,
     subgroup_class_of,
@@ -84,6 +86,40 @@ class TestSigmaPartialCharacters:
     def test_full_sigma_on_nonseparable_is_fine(self, a5):
         phis = sigma_partial_characters(a5, PrimeSet([2, 3, 5]))
         assert len(phis) == 5
+
+
+class TestDecompositionCertificate:
+    """Every restriction must decompose over Iso(G), by one batched solve."""
+
+    def test_batched_solutions_equal_the_per_target_solutions(self, monkeypatch):
+        calls = []
+        batched = pipartial.integer_solutions
+
+        def record(columns, targets):
+            calls.append((columns, targets, batched(columns, targets)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(pipartial, "integer_solutions", record)
+        for definition in builtin_corpus():
+            G = definition.build()
+            for sigma in sigma_subsets(G):
+                if sigma.primes and G.is_sigma_separable(sigma):
+                    sigma_partial_characters(G, sigma)
+        assert len(calls) == 61
+        for columns, targets, solutions in calls:
+            assert None not in solutions
+            assert solutions == [nonneg_integer_solution(columns, t) for t in targets]
+
+    def test_a_restriction_that_does_not_decompose_is_refused(self, monkeypatch):
+        batched = pipartial.integer_solutions
+        monkeypatch.setattr(
+            pipartial, "integer_solutions", lambda c, t: batched(c, t)[:-1] + [None]
+        )
+        with pytest.raises(
+            InternalConsistencyError,
+            match="^a restriction does not decompose over the irreducible set$",
+        ):
+            sigma_partial_characters(group(4, "(1,2)", "(1,2,3,4)"), PrimeSet([3]))
 
 
 class TestDecomposition:
@@ -203,6 +239,22 @@ class TestVertices:
         assert vertices(two).order == 1
         three = by_degree(sigma_partial_characters(a4, PrimeSet([2])), 3)
         assert vertices(three).order == 1
+
+    def test_each_alpha_is_induced_once_per_group(self, monkeypatch):
+        induced = []
+        real = pipartial.induced_partial_values
+
+        def count(alpha, G):
+            induced.append((alpha, id(G)))
+            return real(alpha, G)
+
+        monkeypatch.setattr(pipartial, "induced_partial_values", count)
+        for p in (2, 3, 5):
+            G = builtin_by_name("S4xC5").build()
+            for phi in sigma_partial_characters(G, PrimeSet([p])):
+                vertices(phi)
+            assert induced and len(set(induced)) == len(induced), p
+            induced.clear()
 
 
 class TestIpiWithVertex:

@@ -5,10 +5,11 @@
 without failing any engine test, so these tests resolve every entry. A
 test keeps the engine free of `random`, as the README's determinism note
 says, and one keeps its certificates free of bare `assert` statements,
-which `python -O` strips. The last three check `tools/`: every desk-scale group file builds to
+which `python -O` strips. The last four check `tools/`: every desk-scale group file builds to
 the order it states, `tools/report_sweep.py` names exactly the files that
-are there, and it passes `--bound` on every line whose group is above the
-subgroup-lattice bound.
+are there, it passes `--bound` on every line whose group is above the
+bound its command obeys, and it tables every file and reads one table
+back from its cache.
 """
 
 import ast
@@ -109,12 +110,27 @@ def test_report_sweep_names_every_group_file_and_no_other():
 
 
 def test_report_sweep_lifts_the_lattice_bound_above_it():
-    # a line that hit the bound would fingerprint an exit-2 error message
+    # a line that hit the bound would fingerprint an exit-2 error message;
+    # `chartab` needs only the table bound, every other command the lattice's
     lifted = set()
     for command in _sweep().desk_scale_commands():
         path = ROOT / command[command.index("--group") + 1]
         order = parse_group_file(path.read_text()).expected_order
-        if order > DEFAULT_BOUNDS["subgroup-lattice"]:
+        bound = DEFAULT_BOUNDS["table" if command[0] == "chartab" else "subgroup-lattice"]
+        if order > bound:
             assert int(command[command.index("--bound") + 1]) >= order, command
             lifted.add(path.name)
     assert lifted == {"S3wrC4.txt", "S4wrC2xC3.txt"}
+
+
+def test_report_sweep_tables_every_group_file_and_reads_one_back():
+    sweep = _sweep()
+    commands = sweep.desk_scale_commands()
+    tabled = {c[c.index("--group") + 1] for c in commands if c[0] == "chartab"}
+    assert tabled == {f"tools/groups/{p.name}" for p in GROUPS_DIR.glob("*.txt")}
+    # the last two lines write and then read one entry of a fresh cache directory
+    cached = ["chartab", "--group", "tools/groups/S4wrC2xC3.txt", "--cache-dir", sweep.CACHE_DIR]
+    assert commands[-2:] == [cached, cached]
+    assert sum("--cache-dir" in c for c in commands) == 2
+    # the count the sweep's docstring states
+    assert len(sweep.sweep_commands(properties=False)) == 502

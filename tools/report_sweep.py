@@ -19,9 +19,13 @@ S4 wr C2 and S3 wr S3 for each prime. AGL(1,16), whose normal Hall
 `verify-a` and `verify-b` with `--pi 2`, and `verify-a --pi 3,5`. Above
 the subgroup-lattice bound, S3 wr C4 (order 5184, `--bound 6000`) and
 S4 wr C2 x C3 (order 3456, `--bound 4000`) get `verify-a --pi 2` and
-`--pi 3`, about 1 s each. Their paths are given relative to the
-repository root, which the sweep runs in, so the reports that echo the
-group argument agree between two checkouts. `--properties` adds
+`--pi 3`, about 1 s each. Every group file then gets `chartab`, under the
+table bound and well under 1 s each, and S4 wr C2 x C3 gets `chartab
+--cache-dir` twice on one fresh temporary directory: the first line writes
+the cache entry and the second reads it, so the warm read is fingerprinted
+too. Group paths are given relative to the repository root, which the
+sweep runs in, so the reports that echo the group argument agree between
+two checkouts. The sweep prints 502 lines; `--properties` adds a 503rd,
 `properties --seed 0`, which takes minutes.
 
     PYTHONHASHSEED=0 python3 tools/report_sweep.py > sweep.txt
@@ -34,9 +38,13 @@ import hashlib
 import itertools
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+GROUPS = ROOT / "tools" / "groups"
+# printed as is; `main` runs the command on a fresh temporary directory
+CACHE_DIR = "<temporary-dir>"
 sys.path.insert(0, str(ROOT / "src"))
 
 from nilweight.cli import run_command  # noqa: E402
@@ -96,6 +104,9 @@ def desk_scale_commands() -> list[list[str]]:
     commands += [
         ["verify-a", *group("S4wrC2xC3"), "--pi", p, "--bound", "4000"] for p in "23"
     ]
+    commands += [["chartab", *group(path.stem)] for path in sorted(GROUPS.glob("*.txt"))]
+    # cold, then warm: the second reads the entry the first wrote
+    commands += [["chartab", *group("S4wrC2xC3"), "--cache-dir", CACHE_DIR]] * 2
     return commands
 
 
@@ -106,10 +117,12 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     os.chdir(ROOT)
-    for command in sweep_commands(args.properties):
-        code, text = run_command([*command, "--format", "machine"])
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        print(f"{code}\t{digest}\t{' '.join(command)}", flush=True)
+    with tempfile.TemporaryDirectory() as cache_dir:
+        for command in sweep_commands(args.properties):
+            argv = [cache_dir if a == CACHE_DIR else a for a in command]
+            code, text = run_command([*argv, "--format", "machine"])
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            print(f"{code}\t{digest}\t{' '.join(command)}", flush=True)
     return 0
 
 
