@@ -32,10 +32,15 @@ the derived series alone; a subgroup made after its parent is known to be
 solvable is solvable without a series of its own. `is_nilpotent` counts
 p-elements, one count per prime. The normal closure of each class
 representative is computed once, by `PermGroup._class_normal_closure`,
-for `normal_subgroups` and the composition factors. O_sigma is one
-element set, `PermGroup.o_sigma_elements`, and `o_sigma` the subgroup on
-it. One routine, `span`, grows every element set by cosets, for O_sigma
-and for the lattice's candidates <H, z>.
+for `normal_subgroups` and the composition factors. O_sigma has one
+walker, `PermGroup.o_sigma_walk`. From a normal sigma-subgroup it spans
+the class of each sigma-element it meets, in sorted element order, with
+the set so far, and keeps each span of sigma-number order; it builds no
+class list. `o_sigma_elements` runs it to the end from the trivial group,
+`o_sigma` is the subgroup on that set, and the weight gate and the
+vertex certificate stop at the first span it keeps above their subgroup.
+One routine, `span`, grows every element set by cosets, for O_sigma,
+the joins of `normal_subgroups` and the lattice's candidates <H, z>.
 
 Resource bounds (`check_bound`) and memoization (`memoized`) live here
 alone, and every module uses them. A stabilizer chain whose basic orbit
@@ -530,7 +535,9 @@ class PermGroup:
     def normal_subgroups(self) -> tuple["Subgroup", ...]:
         """All normal subgroups, via join-closure of class-rep normal closures.
 
-        Sorted by (order, sorted elements), so the last is the group itself."""
+        Each join <H, A> is spanned as an element set first, as A normalizes
+        H, and built only when it is new. Sorted by (order, sorted elements),
+        so the last is the group itself."""
         atoms = {}
         for i in range(1, len(self.conjugacy_classes())):
             ncl = self._class_normal_closure(i)
@@ -540,10 +547,11 @@ class PermGroup:
         while frontier:
             H = frontier.pop()
             for A in atoms.values():
-                join = self.subgroup(tuple(H.generators) + tuple(A.generators))
-                key = join.element_set()
+                key = span(H.element_set(), [a.images for a in A.generators])
                 if key not in found:
-                    found[key] = join
+                    found[key] = join = self.subgroup(
+                        tuple(H.generators) + tuple(A.generators), order=len(key)
+                    )
                     frontier.append(join)
         subs = sorted(found.values(), key=lambda s: (s.order, sorted(s.element_set())))
         return tuple(subs)
@@ -563,19 +571,43 @@ class PermGroup:
 
     @memoized()
     def o_sigma_elements(self, sigma: PrimeSet) -> frozenset:
-        """The element set of O_sigma, the largest normal sigma-subgroup.
-
-        Each sigma-class outside the set so far is spanned with it, in class
-        order; the span is normal and is kept when its order is a sigma-number.
-        A span is given up once it outgrows |G|_sigma."""
-        bound = sigma_part(self.order, sigma)
+        """The element set of O_sigma, the largest normal sigma-subgroup:
+        the last set `o_sigma_walk` keeps above the trivial group."""
         elems = frozenset([self.identity.images])
-        for c in self.conjugacy_classes()[1:]:
-            if sigma.is_sigma_number(c.element_order) and c.representative.images not in elems:
-                joined = span(elems, c.members, bound)
-                if joined is not None and sigma.is_sigma_number(len(joined)):
-                    elems = joined
+        for elems in self.o_sigma_walk(sigma, elems):
+            pass  # each set the walk keeps contains the one before
         return elems
+
+    def o_sigma_walk(self, sigma: PrimeSet, start: frozenset):
+        """The growing normal sigma-subgroups above `start`, as element sets.
+
+        `start` is the element set of a normal sigma-subgroup S. The walk
+        visits the elements in sorted order and skips each one already
+        covered or with a cycle length that is not a sigma-number. It walks
+        the class of each other element and spans it with S, giving up a
+        span once it outgrows |G|_sigma. A span is normal, and when its
+        order is a sigma-number it is yielded and becomes S. No class list
+        is built.
+
+        A span is kept exactly when the class lies in O_sigma: the span of
+        a class of O_sigma with S <= O_sigma lies in O_sigma, and a normal
+        sigma-subgroup lies in O_sigma. So a set is yielded exactly when
+        O_sigma > start, and the last one yielded is O_sigma.
+        """
+        limit = sigma_part(self.order, sigma)
+        lengths = frozenset(n for n in range(1, self.degree + 1) if sigma.is_sigma_number(n))
+        moves = [(g, conjugation(g)) for g in self.generators]
+        elems, covered = start, set(start)
+        for images in sorted(self._element_images()):
+            if images in covered or not _cycle_lengths(images) <= lengths:
+                continue
+            members = Orbit(self.identity, images, moves).members
+            covered |= members
+            joined = span(elems, members, limit)
+            if joined is not None and sigma.is_sigma_number(len(joined)):
+                elems = joined
+                covered |= joined
+                yield elems
 
     @memoized()
     def o_sigma(self, sigma: PrimeSet) -> "Subgroup":
@@ -740,6 +772,20 @@ def span(h_set: frozenset, gens, limit: float = math.inf) -> frozenset | None:
                 elems.update(map(itemgetter(*y), h_set))  # the coset y H
                 frontier.append(y)
     return frozenset(elems) if len(elems) <= limit else None
+
+
+def _cycle_lengths(images: tuple) -> set[int]:
+    """The cycle lengths of the permutation with these images."""
+    lengths, seen = set(), set()
+    for p in images:
+        if p not in seen:
+            n, q = 0, p
+            while q not in seen:
+                seen.add(q)
+                q = images[q]
+                n += 1
+            lengths.add(n)
+    return lengths
 
 
 def conjugation(g: Perm):

@@ -72,6 +72,11 @@ class SubgroupClass:
         return f"SubgroupClass(order={self.order}, size={self.class_size}, <{gens}>)"
 
 
+def _where(G: PermGroup) -> str:
+    """The place a lattice certificate names: the ambient group's order."""
+    return f"in the lattice of a group of order {G.order}"
+
+
 class _ClassCollector:
     """Dedupes candidate subgroups into conjugacy classes by canonical key."""
 
@@ -96,7 +101,7 @@ class _ClassCollector:
         orbit = self.G.subgroup_orbit(H.element_set())
         key = orbit.canonical_key
         if key in self.by_key:
-            raise AssertionError("subgroup class registered twice")
+            raise AssertionError(f"subgroup class registered twice {_where(self.G)}")
         cls = SubgroupClass(
             representative=H, class_size=len(orbit.members), canonical_key=key
         )
@@ -166,14 +171,14 @@ def _cyclic_extension(G: PermGroup, primes: PrimeSet) -> _ClassCollector:
             # z normalizes H, so K = <H, z> is the union of the cosets z^i H
             k_set = span(h_set, [images])
             if len(k_set) != coset_order * H.order:
-                raise AssertionError("cyclic extension has the wrong order")
+                raise AssertionError(f"cyclic extension has the wrong order {_where(G)}")
             covered |= k_set
             if collector.knows(k_set):
                 continue
             z = Perm(images)
             K = G.subgroup(tuple(H.generators) + (z,), order=coset_order * H.order)
             if K.element_set() != k_set:
-                raise AssertionError("cyclic extension differs from its span")
+                raise AssertionError(f"cyclic extension differs from its span {_where(G)}")
             frontier.append(collector.add(K))
     return collector
 
@@ -224,7 +229,7 @@ def _nonsolvable_completion(G: PermGroup, collector: _ClassCollector) -> None:
                 continue
             K = G.subgroup(tuple(H.generators) + tuple(map(Perm, cyclics[Z])))
             if K.element_set() != k_set:
-                raise AssertionError("join differs from its span")
+                raise AssertionError(f"join differs from its span {_where(G)}")
             frontier.append(collector.add(K))
 
 

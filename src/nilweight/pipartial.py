@@ -320,7 +320,8 @@ def ipi_with_normal_vertex(
     Every vertex of phi contains O_{sigma'}(N), hence R, and has order
     |N|_{sigma'}/phi(1)_{sigma'} (the degree law). So phi has vertex R exactly
     when phi(1)_{sigma'} = |N:R|_{sigma'}, and then R = O_{sigma'}(N), which
-    is checked. Optionally only the members over theta are kept.
+    is checked: the O_{sigma'} walk of N from R keeps no larger set.
+    Optionally only the members over theta are kept.
     """
     coprime = sigma.complement_within(N.order)
     if not (coprime.is_sigma_number(R.order) and N.is_normal(R)):
@@ -331,7 +332,7 @@ def ipi_with_normal_vertex(
         for phi in sigma_partial_characters(N, sigma)
         if coprime.part(phi.degree) == law and (theta is None or lies_over(phi, theta))
     )
-    if out and len(N.o_sigma_elements(coprime)) != R.order:
+    if out and any(N.o_sigma_walk(coprime, R.element_set())):
         raise InternalConsistencyError(
             f"a vertex |R|={R.order} is not O_{{sigma'}} in a group of order "
             f"{N.order}, sigma={{{sigma}}}"
@@ -465,9 +466,11 @@ def _weights_on(G: PermGroup, sigma: PrimeSet, cls: SubgroupClass) -> list[Weigh
     gamma(1) divides theta(1)|H:K| (Isaacs, Cor. 11.29) and theta(1) < |K|, so
     gamma(1)_sigma < |H|_sigma. As O_sigma(N_G(Q)/Q) = O_sigma(N_G(Q))/Q, a
     class with O_sigma(N_G(Q)) > Q gets no quotient and no character table.
+    The O_sigma walk of N_G(Q) from Q answers at the first set it keeps
+    above Q, with no class list of N_G(Q).
     """
     Q = cls.representative
-    if len(G.normalizer(Q).o_sigma_elements(sigma)) > Q.order:
+    if any(G.normalizer(Q).o_sigma_walk(sigma, Q.element_set())):
         return []
     quo, _ = weight_quotient(G, cls)
     return [

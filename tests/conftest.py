@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import pytest
 
+from nilweight.corpus import parse_group_file
 from nilweight.perms import Perm
-from nilweight.groups import PermGroup, bsgs_construct
+from nilweight.groups import DEFAULT_BOUNDS, PermGroup, bsgs_construct
+
+GROUPS_DIR = Path(__file__).resolve().parent.parent / "tools" / "groups"
 
 
 def perm(text: str, degree: int) -> Perm:
@@ -10,6 +15,12 @@ def perm(text: str, degree: int) -> Perm:
 
 def group(degree: int, *cycle_strings: str) -> PermGroup:
     return bsgs_construct([Perm.parse(s, degree) for s in cycle_strings], degree)
+
+
+def lattice_group_files():
+    """The desk-scale group files within the lattice bound, as definitions."""
+    definitions = (parse_group_file(p.read_text()) for p in sorted(GROUPS_DIR.glob("*.txt")))
+    return [d for d in definitions if d.expected_order <= DEFAULT_BOUNDS["subgroup-lattice"]]
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,11 @@
 import hashlib
-from pathlib import Path
 
 import pytest
 
 from nilweight import bruteforce as bf
 from nilweight import lattice
-from nilweight.corpus import builtin_by_name, builtin_corpus, parse_group_file
-from nilweight.groups import DEFAULT_BOUNDS, PermGroup, bsgs_construct
+from nilweight.corpus import builtin_by_name, builtin_corpus
+from nilweight.groups import PermGroup, bsgs_construct
 from nilweight.lattice import (
     carter_fiber,
     carter_members,
@@ -21,15 +20,10 @@ from nilweight.perms import Perm
 from nilweight.sigma import PrimeSet, factorize
 from nilweight.verify import check_weight_count, sigma_subsets
 
-from conftest import group, perm
+from conftest import group, lattice_group_files, perm
 
-GROUPS_DIR = Path(__file__).resolve().parent.parent / "tools" / "groups"
 # every builtin, and every desk-scale group file within the lattice bound
-LATTICE_CORPUS = [*builtin_corpus()] + [
-    d
-    for d in (parse_group_file(p.read_text()) for p in sorted(GROUPS_DIR.glob("*.txt")))
-    if d.expected_order <= DEFAULT_BOUNDS["subgroup-lattice"]
-]
+LATTICE_CORPUS = [*builtin_corpus(), *lattice_group_files()]
 
 
 def _rows(classes):
@@ -160,6 +154,59 @@ class TestCyclicExtension:
         # a subgroup is built only for a candidate of a new class, once each
         keys = [G.subgroup_orbit(k).canonical_key for k in built]
         assert sorted(keys) == sorted(c.canonical_key for c in classes[1:])
+
+
+class TestCertificatesNameTheGroup:
+    """Each lattice certificate, forced by a wrong span, names the group's order."""
+
+    @staticmethod
+    def _corrupt(k_set):
+        """A set of the same size as `k_set` that is no subgroup."""
+        return k_set - {max(k_set)} | {("not an element",)}
+
+    def test_cyclic_extension_of_the_wrong_order(self, monkeypatch):
+        s4 = group(4, "(1,2)", "(1,2,3,4)")  # fresh: the lattice is not memoized
+        monkeypatch.setattr(lattice, "span", lambda h_set, gens: h_set)
+        message = "^cyclic extension has the wrong order in the lattice of a group of order 24$"
+        with pytest.raises(AssertionError, match=message):
+            subgroup_classes(s4)
+
+    def test_cyclic_extension_that_differs_from_its_span(self, monkeypatch):
+        s4 = group(4, "(1,2)", "(1,2,3,4)")
+        real = lattice.span
+        monkeypatch.setattr(lattice, "span", lambda h_set, gens: self._corrupt(real(h_set, gens)))
+        message = "^cyclic extension differs from its span in the lattice of a group of order 24$"
+        with pytest.raises(AssertionError, match=message):
+            subgroup_classes(s4)
+
+    def test_join_that_differs_from_its_span(self, monkeypatch):
+        a5 = group(5, "(1,2,3,4,5)", "(3,4,5)")
+        real_span, real_completion = lattice.span, lattice._nonsolvable_completion
+
+        def completion(G, collector):
+            # the cyclic extension is left whole; the join pass gets wrong spans
+            monkeypatch.setattr(lattice, "span", lambda h_set, gens: self._corrupt(real_span(h_set, gens)))
+            real_completion(G, collector)
+
+        monkeypatch.setattr(lattice, "_nonsolvable_completion", completion)
+        message = "^join differs from its span in the lattice of a group of order 60$"
+        with pytest.raises(AssertionError, match=message):
+            subgroup_classes(a5)
+
+    def test_subgroup_class_registered_twice(self, monkeypatch):
+        s4 = group(4, "(1,2)", "(1,2,3,4)")
+        real = lattice.span
+
+        def forgetful(h_set, gens):
+            # drops the memoized subgroup orbits, so no candidate is known
+            for key in [k for k in s4._memo if k[0] == "subgroup_orbit"]:
+                del s4._memo[key]
+            return real(h_set, gens)
+
+        monkeypatch.setattr(lattice, "span", forgetful)
+        message = "^subgroup class registered twice in the lattice of a group of order 24$"
+        with pytest.raises(AssertionError, match=message):
+            subgroup_classes(s4)
 
 
 class TestSubgroupBuilds:

@@ -38,7 +38,7 @@ from nilweight.pipartial import (
 from nilweight.sigma import PrimeSet
 from nilweight.verify import _local_normalizer, check_weight_count, sigma_subsets
 
-from conftest import group, perm
+from conftest import group, lattice_group_files, perm
 
 
 def values_as_set(phis):
@@ -312,7 +312,8 @@ class TestIpiWithNormalVertex:
     def test_certificate_names_the_group(self, monkeypatch):
         s4 = group(4, "(1,2)", "(1,2,3,4)")
         V4 = s4.subgroup([perm("(1,2)(3,4)", 4), perm("(1,3)(2,4)", 4)])
-        monkeypatch.setattr(PermGroup, "o_sigma_elements", lambda self, sigma: self.element_set())
+        # a walk that keeps the whole group above R
+        monkeypatch.setattr(PermGroup, "o_sigma_walk", lambda self, sigma, start: iter([self.element_set()]))
         with pytest.raises(
             InternalConsistencyError, match=r"\|R\|=4 .* order 24, sigma=\{3\}"
         ):
@@ -448,7 +449,7 @@ def _is_gated(G, sigma, cls):
 
 
 class TestNormalSigmaGate:
-    """`o_sigma_elements` of N_G(Q) decides which classes Q get a weight quotient."""
+    """The O_sigma walk of N_G(Q) from Q decides which classes Q get a weight quotient."""
 
     def test_equals_o_sigma_on_every_weight_quotient(self):
         # O_sigma(N_G(Q)/Q) = O_sigma(N_G(Q))/Q, asked of both groups; a
@@ -484,6 +485,28 @@ class TestNormalSigmaGate:
                     assert N.o_sigma_elements(sigma) == largest.element_set(), where
                     cases += 1
         assert cases == 341
+
+    def test_the_walk_from_q_answers_as_the_normal_subgroups(self):
+        # the gate stops at the first set the walk keeps above Q; it answers
+        # on every builtin and prime set, and on every desk-scale file within
+        # the lattice bound for each prime
+        cases = []
+        for d in builtin_corpus():
+            G = d.build()
+            cases += [(d.name, G, sigma) for sigma in sigma_subsets(G)]
+        for d in lattice_group_files():
+            G = d.build()
+            cases += [(d.name, G, PrimeSet([p])) for p in G.primes()]
+        asked = 0
+        for name, G, sigma in cases:
+            for cls in nilpotent_sigma_subgroup_classes(G, sigma):
+                Q = cls.representative
+                N = G.normalizer(Q)
+                largest = max(K.order for K in N.normal_subgroups() if sigma.is_sigma_number(K.order))
+                gated = any(N.o_sigma_walk(sigma, Q.element_set()))
+                assert gated is (largest > Q.order), (name, sigma, cls.order)
+                asked += 1
+        assert asked == 606  # 341 on the builtins, 265 on the group files
 
     @pytest.mark.parametrize(
         "name, primes, expected",
@@ -554,6 +577,24 @@ class TestNormalSigmaGate:
                     gated += not built
                     kept += built
         assert (gated, kept) == (220, 121)
+
+    def test_verify_a_builds_no_class_list_of_a_normalizer(self):
+        # the gate walks the classes it needs, one at a time; Q = 1 is left
+        # out, as N_G(1)/1 is N_G(1) itself and its table reads its classes
+        asked = 0
+        for definition in builtin_corpus():
+            G = definition.build()  # fresh: no other test's memo
+            sigmas = sigma_subsets(G)
+            for sigma in sigmas:
+                check_weight_count(G, sigma)
+            for sigma in sigmas:
+                for cls in nilpotent_sigma_subgroup_classes(G, sigma):
+                    if cls.order > 1:
+                        N = G.normalizer(cls.representative)
+                        where = (definition.name, sigma, cls)
+                        assert PermGroup.conjugacy_classes.peek(N) is None, where
+                        asked += 1
+        assert asked == 246
 
 
 class TestLiftConsistency:

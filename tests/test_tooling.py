@@ -5,11 +5,12 @@
 without failing any engine test, so these tests resolve every entry. A
 test keeps the engine free of `random`, as the README's determinism note
 says, and one keeps its certificates free of bare `assert` statements,
-which `python -O` strips. The last four check `tools/`: every desk-scale group file builds to
+which `python -O` strips. The last five check `tools/`: every desk-scale group file builds to
 the order it states, `tools/report_sweep.py` names exactly the files that
 are there, it passes `--bound` on every line whose group is above the
-bound its command obeys, and it tables every file and reads one table
-back from its cache.
+bound its command obeys, it tables every file and reads one table
+back from its cache, and the README states its counts of lines and of
+desk-scale commands.
 """
 
 import ast
@@ -134,3 +135,11 @@ def test_report_sweep_tables_every_group_file_and_reads_one_back():
     assert sum("--cache-dir" in c for c in commands) == 2
     # the count the sweep's docstring states
     assert len(sweep.sweep_commands(properties=False)) == 502
+
+
+def test_readme_states_the_sweep_sizes():
+    # the README's sweep paragraph counts the lines and desk-scale commands
+    text = " ".join((ROOT / "README.md").read_text().split())
+    sweep = _sweep()
+    assert f"Then come {len(sweep.desk_scale_commands())} desk-scale commands" in text
+    assert f"({len(sweep.sweep_commands(properties=False))} lines in all" in text
