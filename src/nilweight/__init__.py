@@ -65,7 +65,6 @@ from .verify import (
     check_normalizer_counting,
     check_weight_count,
     scan_corpus,
-    scan_summary,
     sigma_subsets,
 )
 from .properties import PropertyOutcome, PropertyReport, run_property_suite

@@ -252,18 +252,16 @@ def cmd_verify_b(args, out: Output) -> int:
     if args.r is not None:
         try:
             gens = [Perm.parse(s, G.degree) for s in args.r.split(";") if s.strip()]
-            R = G.subgroup(gens)
+            Rs = [G.subgroup(gens)]
         except (MalformedPermError, ValueError) as exc:
             raise UsageError(f"bad --r value: {exc}") from None
-        reports = [check_carter_refinement(G, sigma, R, definition.name)]
-    else:
+    # the checks build G's full lattice anyway, so the Hall flag and the R's
+    # are read off it
+    subgroup_classes(G)
+    if args.r is None:
         coprime = sigma.complement_within(G.order)
-        # the checks build G's full lattice anyway, so the R's are read off it
-        subgroup_classes(G)
-        reports = [
-            check_carter_refinement(G, sigma, cls.representative, definition.name)
-            for cls in nilpotent_sigma_subgroup_classes(G, coprime)
-        ]
+        Rs = [cls.representative for cls in nilpotent_sigma_subgroup_classes(G, coprime)]
+    reports = [check_carter_refinement(G, sigma, R, definition.name) for R in Rs]
     for rep in reports:
         _emit_report(out, rep)
         if rep.verdict == FAILS:

@@ -153,15 +153,6 @@ class Cyclotomic:
     def zero(cls) -> "Cyclotomic":
         return cls(1, {})
 
-    @classmethod
-    def one(cls) -> "Cyclotomic":
-        return cls.from_rational(1)
-
-    @classmethod
-    def root_of_unity(cls, m: int, k: int = 1) -> "Cyclotomic":
-        """zeta_m^k."""
-        return cls(m, {k: 1})
-
     # --- canonical form -------------------------------------------------------
 
     def _coords_at(self, m: int) -> tuple[int, ...]:
@@ -183,10 +174,6 @@ class Cyclotomic:
             raise ValueError("denominator does not divide target")
         s, k = m // self.conductor, den // self.den
         return [(e * s, n * k) for e, n in self.nums.items()]
-
-    def canonical(self) -> tuple:
-        """Coefficients in the power basis 1, z, .., z^(phi(m)-1), zero-padded."""
-        return self.sort_key()
 
     def sort_key(self, conductor: int | None = None) -> tuple:
         """Power-basis coefficients in Q(zeta_conductor); ints when den is 1, else Fractions."""
@@ -282,12 +269,6 @@ class Cyclotomic:
 
     def conjugate(self) -> "Cyclotomic":
         return Cyclotomic(self.conductor, {-e: n for e, n in self.nums.items()}, self.den)
-
-    def galois(self, k: int) -> "Cyclotomic":
-        """Apply zeta -> zeta^k; k must be invertible modulo the conductor."""
-        if math.gcd(k, self.conductor) != 1:
-            raise ValueError("galois exponent not coprime to conductor")
-        return Cyclotomic(self.conductor, {e * k: n for e, n in self.nums.items()}, self.den)
 
     def normalized_trace(self) -> Fraction:
         """trace over Q divided by the field degree; conductor-independent."""

@@ -266,10 +266,6 @@ class PermGroup:
             j = process(i)
             i = i - 1 if j is None else j
 
-    @property
-    def base(self) -> tuple[int, ...]:
-        return tuple(lvl.point for lvl in self._levels)
-
     def contains(self, g: Perm) -> bool:
         if g.degree != self.degree:
             raise MalformedPermError("degree mismatch in membership test")
@@ -294,11 +290,6 @@ class PermGroup:
         if len(out) != self.order:
             raise AssertionError(f"element count is not the group order {self.order}")
         return tuple(out)
-
-    @memoized()
-    def elements(self) -> tuple[Perm, ...]:
-        """All group elements, materialized once and cached."""
-        return tuple(map(Perm, self._element_images()))
 
     @memoized()
     def element_set(self) -> frozenset:
@@ -623,15 +614,17 @@ class PermGroup:
 
     @memoized()
     def find_hall_sigma_subgroup(self, sigma: PrimeSet) -> "Subgroup | None":
-        """A subgroup of order |G|_sigma, found by subgroup-class search; None if none."""
-        target = sigma_part(self.order, sigma)
-        if target == 1:
-            return self.subgroup([])
-        if target == self.order:
-            return self.subgroup(self.generators)
-        from .lattice import subgroup_classes
+        """A solvable Hall sigma-subgroup, or None if G has none.
 
-        for cls in subgroup_classes(self):
+        It is the representative of the first class of order |G|_sigma among
+        the solvable sigma-subgroup classes, read off G's full lattice when
+        that is memoized and otherwise found by cyclic extension through
+        indices in sigma alone.
+        """
+        from .lattice import solvable_sigma_subgroup_classes
+
+        target = sigma_part(self.order, sigma)
+        for cls in solvable_sigma_subgroup_classes(self, sigma):
             if cls.order == target:
                 return cls.representative
         return None

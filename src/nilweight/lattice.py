@@ -19,8 +19,8 @@ K > 1 has a normal subgroup of prime index, itself a solvable sigma-group,
 and a subgroup that is not a solvable sigma-group has no overgroup that
 is. So the restricted run is the full run with whole subtrees of its
 frontier pruned: it reaches the classes it keeps in the same order, with
-the same representatives. The weights and the Hall hypothesis of the
-weight count read these classes only.
+the same representatives. The weights and every Hall question
+(`PermGroup.find_hall_sigma_subgroup`) read these classes only.
 
 Conjugacy of candidates is decided by the canonical key of their orbit.
 `PermGroup.subgroup_orbit` walks each class's orbit once and memoizes it

@@ -451,11 +451,17 @@ class Weight:
         return f"Weight(|Q|={self.q_order}, deg={self.character.values[0]})"
 
 
+def _local_normalizer(G: PermGroup, R: PermGroup) -> PermGroup:
+    """N_G(R); G itself when R is normal, so that it shares G's memo."""
+    NR = G.normalizer(R)
+    return G if NR.order == G.order else NR
+
+
 @memoized(lambda G, cls: ("weight_quotient", cls.canonical_key))
 def weight_quotient(G: PermGroup, cls: SubgroupClass):
     """N_G(Q)/Q with its projection, memoized per subgroup class."""
     Q = cls.representative
-    return G.normalizer(Q).quotient(Q)
+    return _local_normalizer(G, Q).quotient(Q)
 
 
 def _weights_on(G: PermGroup, sigma: PrimeSet, cls: SubgroupClass) -> list[Weight]:
@@ -470,7 +476,7 @@ def _weights_on(G: PermGroup, sigma: PrimeSet, cls: SubgroupClass) -> list[Weigh
     above Q, with no class list of N_G(Q).
     """
     Q = cls.representative
-    if any(G.normalizer(Q).o_sigma_walk(sigma, Q.element_set())):
+    if any(_local_normalizer(G, Q).o_sigma_walk(sigma, Q.element_set())):
         return []
     quo, _ = weight_quotient(G, cls)
     return [

@@ -146,13 +146,22 @@ def _prop_subgroup_completeness(corpus):
 def _prop_hall(corpus):
     for name, G in corpus:
         for sigma in sigma_subsets(G):
-            H = G.find_hall_sigma_subgroup(sigma)
             target = sigma_part(G.order, sigma)
-            if H is not None:
-                yield PropertyOutcome(
-                    "hall-consistency", f"{name} sigma={sigma}", H.order == target
-                )
             hall_classes = [c for c in subgroup_classes(G) if c.order == target]
+            if hall_classes:
+                # a Hall subgroup is found exactly when some Hall class is
+                # solvable, and it is a member of such a class
+                H = G.find_hall_sigma_subgroup(sigma)
+                solvable = [
+                    G.subgroup_orbit(c.representative.element_set()).members
+                    for c in hall_classes
+                    if c.is_solvable()
+                ]
+                if H is None:
+                    ok = not solvable
+                else:
+                    ok = any(H.element_set() in members for members in solvable)
+                yield PropertyOutcome("hall-consistency", f"{name} sigma={sigma}", ok)
             if G.is_sigma_separable(sigma):
                 yield PropertyOutcome(
                     "hall-conjugacy",
@@ -529,11 +538,9 @@ def _prop_carter_refinement(corpus):
     for name, G in corpus:
         for sigma in sigma_subsets(G):
             coprime = sigma.complement_within(G.order)
-            hallc = G.find_hall_sigma_subgroup(coprime)
             if not (
                 G.is_sigma_separable(sigma)
-                and hallc is not None
-                and hallc.is_solvable()
+                and G.find_hall_sigma_subgroup(coprime) is not None
             ):
                 continue
             lhs_total = rhs_total = 0

@@ -138,9 +138,6 @@ class PrimeSet:
         """The primes dividing n that are not in this set."""
         return PrimeSet(p for p in prime_divisors(n) if p not in self.primes)
 
-    def union(self, other: "PrimeSet") -> "PrimeSet":
-        return PrimeSet(self.primes + other.primes)
-
 
 def sigma_part(n: int, sigma: PrimeSet) -> int:
     """n_sigma: the largest divisor of n all of whose prime factors lie in sigma."""

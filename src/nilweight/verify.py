@@ -41,6 +41,7 @@ from .perms import Perm
 from .pipartial import (
     GlaubermanAction,
     InternalConsistencyError,
+    _local_normalizer,
     decompose_on_subgroup,
     enumerate_weights,
     glauberman_correspondent,
@@ -88,16 +89,6 @@ class VerificationReport:
             return FAILS
         return HOLDS if self.hypotheses_met else UNMET
 
-    def summary_line(self) -> str:
-        hyp = ", ".join(f"{name}={'ok' if ok else 'UNMET'}" for name, ok in self.hypotheses)
-        lhs = "n/a" if self.lhs is None else self.lhs
-        rhs = "n/a" if self.rhs is None else self.rhs
-        detail = f" {self.detail}" if self.detail else ""
-        return (
-            f"[{self.check}] {self.group_name} sigma={{{self.sigma}}}{detail}: "
-            f"lhs {lhs} rhs {rhs} -> {self.verdict} ({hyp})"
-        )
-
 
 def _class_label(c) -> str:
     return f"order={c.element_order} size={c.size} rep={c.representative.cycle_string()}"
@@ -107,12 +98,6 @@ def _subgroup_label(cls: SubgroupClass) -> str:
     return f"|Q|={cls.order} reps={cls.class_size} <{cls.representative.generator_label()}>"
 
 
-def _local_normalizer(G: PermGroup, R: PermGroup) -> PermGroup:
-    """N_G(R); G itself when R is normal, so that it shares Iso(G)."""
-    NR = G.normalizer(R)
-    return G if NR.order == G.order else NR
-
-
 # --- global weight count ------------------------------------------------------
 
 
@@ -120,18 +105,12 @@ def check_weight_count(G: PermGroup, sigma: PrimeSet, name: str = "G") -> Verifi
     """Classes of sigma'-elements vs nilpotent sigma-weight classes.
 
     The hypotheses are that G is sigma-separable and that a solvable Hall
-    sigma-subgroup exists, that is, some solvable sigma-subgroup has order
-    |G|_sigma. Both the flag and the weights read the solvable
+    sigma-subgroup exists. Both the flag and the weights read the solvable
     sigma-subgroup classes only, not G's whole lattice.
     """
-    separable = G.is_sigma_separable(sigma)
-    hall_order = sigma_part(G.order, sigma)
-    hall_solvable = any(
-        cls.order == hall_order for cls in solvable_sigma_subgroup_classes(G, sigma)
-    )
     hypotheses = (
-        ("sigma-separable", separable),
-        ("solvable Hall subgroup", hall_solvable),
+        ("sigma-separable", G.is_sigma_separable(sigma)),
+        ("solvable Hall subgroup", G.find_hall_sigma_subgroup(sigma) is not None),
     )
     coprime = sigma.complement_within(G.order)
     lhs_classes = G.sigma_element_classes(coprime)
@@ -165,12 +144,10 @@ def check_carter_refinement(
     """Union of Iso(G|Q) over Q with Carter subgroup R vs Iso(N_G(R)|R)."""
     coprime = sigma.complement_within(G.order)
     separable = G.is_sigma_separable(sigma)
-    hallc = G.find_hall_sigma_subgroup(coprime)
-    hallc_solvable = hallc is not None and hallc.is_solvable()
     r_ok = R.is_nilpotent() and coprime.is_sigma_number(R.order)
     hypotheses = (
         ("sigma-separable", separable),
-        ("solvable Hall complement", hallc_solvable),
+        ("solvable Hall complement", G.find_hall_sigma_subgroup(coprime) is not None),
         ("R nilpotent sigma'-subgroup", r_ok),
     )
     detail = f"R=<{R.generator_label()}> |R|={R.order}"
@@ -485,10 +462,14 @@ def bijection_setup(G: PermGroup, sigma: PrimeSet):
     N = G.o_sigma(sigma)
     if N.order != sigma_part(G.order, sigma):
         return None
-    H = G.find_hall_sigma_subgroup(sigma.complement_within(G.order))
-    if H is None or not H.is_solvable():
+    # N has complements, all isomorphic to G/N (Schur-Zassenhaus). None is
+    # solvable unless G/N is, and then the check reads G's full lattice, so
+    # it is built first and H is read off it
+    if not G.quotient(N)[0].is_solvable():
         return None
-    return N, H
+    subgroup_classes(G)
+    H = G.find_hall_sigma_subgroup(sigma.complement_within(G.order))
+    return None if H is None else (N, H)
 
 
 # --- scanning ------------------------------------------------------------------
@@ -512,10 +493,3 @@ def scan_corpus(corpus):
         solvable_sigma_subgroup_classes(G, PrimeSet(G.primes()))
         reports += [check_weight_count(G, sigma, name) for sigma in sigma_subsets(G)]
     return reports
-
-
-def scan_summary(reports):
-    counts = {HOLDS: 0, FAILS: 0, UNMET: 0}
-    for rep in reports:
-        counts[rep.verdict] += 1
-    return counts

@@ -17,6 +17,11 @@ def group(degree: int, *cycle_strings: str) -> PermGroup:
     return bsgs_construct([Perm.parse(s, degree) for s in cycle_strings], degree)
 
 
+def elements(G: PermGroup) -> tuple[Perm, ...]:
+    """All elements of G, in the order of its stabilizer chain's image tuples."""
+    return tuple(map(Perm, G._element_images()))
+
+
 def lattice_group_files():
     """The desk-scale group files within the lattice bound, as definitions."""
     definitions = (parse_group_file(p.read_text()) for p in sorted(GROUPS_DIR.glob("*.txt")))

@@ -53,6 +53,18 @@ def corpus():
     return [(d.name, d.build()) for d in builtin_corpus()]
 
 
+def _summary(rep) -> str:
+    """One line naming a report: check, group, sigma, counts, verdict and flags."""
+    hyp = ", ".join(f"{name}={'ok' if ok else 'UNMET'}" for name, ok in rep.hypotheses)
+    lhs = "n/a" if rep.lhs is None else rep.lhs
+    rhs = "n/a" if rep.rhs is None else rep.rhs
+    detail = f" {rep.detail}" if rep.detail else ""
+    return (
+        f"[{rep.check}] {rep.group_name} sigma={{{rep.sigma}}}{detail}: "
+        f"lhs {lhs} rhs {rhs} -> {rep.verdict} ({hyp})"
+    )
+
+
 def _report(label: str, ok: bool, note: str = ""):
     status = "PASS" if ok else "FAIL"
     print(f"\nCRITERION {status}: {label}" + (f" ({note})" if note else ""))
@@ -96,7 +108,7 @@ def test_solvable_corpus_sweep(corpus):
             if rep.hypotheses_met:
                 n_qualifying += 1
                 if rep.verdict != HOLDS:
-                    failures.append(rep.summary_line())
+                    failures.append(_summary(rep))
     elapsed = time.time() - t0
     ok = not failures and elapsed < 600.0
     _report(
@@ -171,7 +183,7 @@ def test_canonical_bijection_on_qualifying_corpus(corpus):
                 )
                 checked += 1
                 if rep.verdict != HOLDS or "THEOREM-VIOLATION" in rep.detail:
-                    bad.append(rep.summary_line())
+                    bad.append(_summary(rep))
                 if (name, str(sigma)) in (("A4", "2"), ("C3xC3:C2", "3")):
                     named_seen.add((name, str(sigma)))
     ok = not bad and {("A4", "2"), ("C3xC3:C2", "3")} <= named_seen and checked >= 20

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -264,6 +265,34 @@ class TestBijection:
         assert code == 1
         assert text.count("rhs\t-1") == text.count("verdict\tfails") == 2
         assert text.count(" THEOREM-VIOLATION\n") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-b", "--group", "S4", "--pi", "3"],
+        ["verify-b", "--group", "S4", "--pi", "3", "--r", "(1,2)"],
+        ["verify-b", "--group", "S4", "--pi", "2", "--r", "(1,2,3)"],
+        ["bijection", "--group", "A4", "--pi", "2"],
+        ["bijection", "--group", "C3xC3:C2", "--pi", "3"],
+    ],
+    ids=" ".join,
+)
+def test_the_hall_question_runs_no_second_cyclic_extension(monkeypatch, argv):
+    # the full lattice is built before the Hall question, which then filters it
+    from nilweight import lattice
+
+    groups_seen = []
+    real = lattice._cyclic_extension
+
+    def counting(G, primes):
+        groups_seen.append(G)  # held, so that no two groups share an id
+        return real(G, primes)
+
+    monkeypatch.setattr(lattice, "_cyclic_extension", counting)
+    code, _ = run_command(argv)
+    assert code == 0
+    assert groups_seen and max(Counter(map(id, groups_seen)).values()) == 1
 
 
 class TestOtherCommands:

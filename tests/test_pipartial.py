@@ -19,6 +19,7 @@ from nilweight.pipartial import (
     InternalConsistencyError,
     _flatten,
     _hall_coprime_class,
+    _local_normalizer,
     clifford_correspondent,
     decompose_on_subgroup,
     enumerate_weights,
@@ -36,7 +37,7 @@ from nilweight.pipartial import (
     weights_with_first_component,
 )
 from nilweight.sigma import PrimeSet
-from nilweight.verify import _local_normalizer, check_weight_count, sigma_subsets
+from nilweight.verify import check_weight_count, sigma_subsets
 
 from conftest import group, lattice_group_files, perm
 
@@ -335,7 +336,7 @@ class TestGlauberman:
         action = GlaubermanAction(G, N, S)
         C = action.fixed
         assert C.order == 3
-        omega = Cyclotomic.root_of_unity(3)
+        omega = Cyclotomic(3, {1: 1})
         tab = character_table(N)
         a = perm("(1,2,3)", 6)
         b = perm("(4,5,6)", 6)
@@ -577,6 +578,14 @@ class TestNormalSigmaGate:
                     gated += not built
                     kept += built
         assert (gated, kept) == (220, 121)
+
+    def test_verify_a_tables_g_itself_for_a_kept_trivial_class(self):
+        # O_2(S3) = 1 keeps the trivial class at sigma = {2}; N_G(1)/1 is G
+        # itself, so the weights read G's table and N_G(1) builds no classes
+        G = group(3, "(1,2)", "(1,2,3)")
+        check_weight_count(G, PrimeSet([2]))
+        assert character_table.peek(G) is not None
+        assert PermGroup.conjugacy_classes.peek(G.normalizer(G.subgroup([]))) is None
 
     def test_verify_a_builds_no_class_list_of_a_normalizer(self):
         # the gate walks the classes it needs, one at a time; Q = 1 is left

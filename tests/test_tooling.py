@@ -5,12 +5,14 @@
 without failing any engine test, so these tests resolve every entry. A
 test keeps the engine free of `random`, as the README's determinism note
 says, and one keeps its certificates free of bare `assert` statements,
-which `python -O` strips. The last five check `tools/`: every desk-scale group file builds to
-the order it states, `tools/report_sweep.py` names exactly the files that
-are there, it passes `--bound` on every line whose group is above the
-bound its command obeys, it tables every file and reads one table
-back from its cache, and the README states its counts of lines and of
-desk-scale commands.
+which `python -O` strips. One keeps every engine function in use by the
+engine itself or the tracer, so that no test-only code lives in `src/`.
+The last five check `tools/`: every desk-scale group file builds to the
+order it states, `tools/report_sweep.py` names exactly the files that are
+there, it passes `--bound` on every line whose group is above the bound
+its command obeys, it tables every file and reads one table back from its
+cache, and the README states its counts of lines and of desk-scale
+commands.
 """
 
 import ast
@@ -89,6 +91,55 @@ def test_no_certificate_is_a_bare_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _defined_functions(tree: ast.Module):
+    """(owner, node) for every function in a module; owner is the class of a method."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.append((owner, child))
+                visit(child, None)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            else:
+                visit(child, owner)
+
+    visit(tree, None)
+    return out
+
+
+def test_no_test_only_code_in_src():
+    # every engine function is called by the engine or wrapped by the
+    # benchmark's tracer; bruteforce.py holds the oracles the tests compare
+    # against, and Python itself calls the dunder methods
+    src = ROOT / "src" / "nilweight"
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    del trees["__init__"]
+    # name -> (module, line) of each use; a method is used only as an attribute
+    names, attributes = {}, {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.setdefault(node.id, []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                attributes.setdefault(node.attr, []).append((module, node.lineno))
+    traced = {(module, owner, attr) for module, owner, attr in ENTRIES.values()}
+    unused = []
+    for module, tree in trees.items():
+        if module == "bruteforce":
+            continue
+        for owner, fn in _defined_functions(tree):
+            name = fn.name
+            if name.startswith("__") and name.endswith("__") or (module, owner, name) in traced:
+                continue
+            uses = attributes.get(name, []) + ([] if owner else names.get(name, []))
+            inside = range(fn.lineno, fn.end_lineno + 1)
+            if all(m == module and line in inside for m, line in uses):
+                unused.append(f"{module}.{owner + '.' if owner else ''}{name}")
+    assert unused == []
 
 
 def test_every_desk_scale_group_file_builds_to_its_stated_order():

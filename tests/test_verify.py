@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from nilweight.lattice import (
     subgroup_classes,
 )
 from nilweight.pipartial import sigma_partial_characters
-from nilweight.sigma import PrimeSet
+from nilweight.sigma import PrimeSet, sigma_part
 from nilweight.verify import (
     FAILS,
     HOLDS,
@@ -24,11 +25,10 @@ from nilweight.verify import (
     check_normalizer_counting,
     check_weight_count,
     scan_corpus,
-    scan_summary,
     sigma_subsets,
 )
 
-from conftest import group, perm
+from conftest import group, lattice_group_files, perm
 
 AGL116 = Path(__file__).resolve().parent.parent / "tools" / "groups" / "AGL116.txt"
 # (C5 x C5) : S3, the sum-zero vectors of C5^3 with S3 permuting coordinates.
@@ -232,6 +232,13 @@ class TestCanonicalBijection:
         rep = check_canonical_bijection(s4, sigma, N, H, H, "S4")
         assert rep.verdict == UNMET
 
+    def test_a_nonsolvable_quotient_builds_no_lattice(self):
+        # N = O_7(A5) = 1 is a normal Hall 7-subgroup, and its only
+        # complement A5 is not solvable
+        a5 = group(5, "(1,2,3,4,5)", "(3,4,5)")  # fresh: no lattice memoized
+        assert bijection_setup(a5, PrimeSet([7])) is None
+        assert subgroup_classes.peek(a5) is None
+
     def test_q_sets_from_the_fiber_of_g_equal_those_from_the_lattice_of_h(self):
         # the Q's are the subgroups of H containing R as Carter subgroup,
         # grouped by class in G; H's own lattice lists them too
@@ -302,6 +309,41 @@ class TestCanonicalBijection:
             assert rep.lhs and rep.verdict == HOLDS
 
 
+def _full_lattice_hall(G, sigma):
+    """The reference Hall subgroup: the first class of order |G|_sigma in G's
+    full lattice, if that class is solvable; else None."""
+    target = sigma_part(G.order, sigma)
+    first = next((c for c in subgroup_classes(G) if c.order == target), None)
+    return first.representative if first is not None and first.is_solvable() else None
+
+
+class TestHallFlags:
+    def test_match_the_first_hall_class_of_the_full_lattice(self):
+        cases = 0
+        for definition in [*builtin_corpus(), *lattice_group_files()]:
+            # with G's full lattice memoized the flags filter it, as in verify-b;
+            # TestSolvableSigmaClasses checks that the restricted lattices agree
+            G = definition.build()
+            for sigma in sigma_subsets(G):
+                where = (definition.name, sigma)
+                coprime = sigma.complement_within(G.order)
+                hall = _full_lattice_hall(G, sigma)
+                hallc = _full_lattice_hall(G, coprime)
+                flags = dict(check_weight_count(G, sigma).hypotheses)
+                assert flags["solvable Hall subgroup"] == (hall is not None), where
+                # R is generated by a sigma-element: for sigma nonempty it fails
+                # the R hypothesis, and the check stops after its flags
+                R = G.subgroup([G.sigma_element_classes(sigma)[-1].representative])
+                flags = dict(check_carter_refinement(G, sigma, R).hypotheses)
+                assert flags["solvable Hall complement"] == (hallc is not None), where
+                setup = bijection_setup(G, sigma)
+                normal_hall = G.o_sigma(sigma).order == sigma_part(G.order, sigma)
+                want = hallc.element_set() if normal_hall and hallc is not None else None
+                assert (setup and setup[1].element_set()) == want, where
+                cases += 1
+        assert cases == 143
+
+
 class TestScan:
     def test_solvable_corpus_all_hold(self, s3, s4, a4, d8):
         corpus = [("S3", s3), ("S4", s4), ("A4", a4), ("D8", d8)]
@@ -322,7 +364,7 @@ class TestScan:
 
     def test_summary_counts(self, a5):
         reports = scan_corpus([("A5", a5)])
-        counts = scan_summary(reports)
+        counts = Counter(rep.verdict for rep in reports)
         assert counts == {HOLDS: 1, FAILS: 4, UNMET: 3}
 
     def test_trivial_scan(self):
