@@ -14,6 +14,14 @@ Schreier generator the full run would still sift gives the identity, and
 the chain is the one the full run builds. If the product stays short of
 the bound, the run completes as without it.
 
+Schreier generators are formed and sifted as image tuples, and only a
+residue that joins the chain becomes a `Perm`. A level's transversal is
+rebuilt exactly when its generators change, and a level resumes after the
+(point, generator) pair that last added a generator: the pairs before it
+sifted to the identity through a complete deeper chain, and the deeper
+groups only grow. The chain is the one a run that rechecks every pair
+builds.
+
 Conjugacy classes, centralizers and normalizers are computed by explicit
 orbit/stabilizer runs at desk scale; resource bounds guard against inputs
 far beyond the intended corpus. Every orbit is walked by one class,
@@ -22,7 +30,9 @@ far beyond the intended corpus. Every orbit is walked by one class,
 point orbits (`PermGroup.point_orbits`, read by `PermGroup.quotient` for
 a normal subgroup and by the character tables' direct-product test), the
 subgroup orbits that `PermGroup.subgroup_orbit` memoizes and normalizers
-read off, and the lattice's orbits of cyclic subgroups. The action of a
+read off, and the lattice's orbits of cyclic subgroups. A normalizer is
+read as an element set (`Orbit.normalizer_elements`) wherever no group is
+needed, and built as a subgroup only by `PermGroup.normalizer`. The action of a
 normalizing element on the classes comes from one memoized map,
 `PermGroup.class_image`, and class functions are conjugated through it by
 `PermGroup.conjugate_class_function`.
@@ -133,13 +143,15 @@ def memoized(key=None, bound: str | None = None):
 
 
 class _ChainLevel:
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "transversal", "resume")
 
     def __init__(self, point: int):
         self.point = point
         self.gens: list[Perm] = []
         # transversal[p] = u with point^u = p
         self.transversal: dict[int, Perm] = {}
+        # the (point, generator) pairs before this index sift to the identity
+        self.resume = 0
 
     def rebuild(self, identity: Perm) -> None:
         trans = {self.point: identity}
@@ -155,6 +167,7 @@ class _ChainLevel:
                         nxt.append(q)
             frontier = sorted(nxt)
         self.transversal = trans
+        self.resume = 0
 
 
 def _greedy_point(perms: list[Perm], degree: int) -> int:
@@ -225,28 +238,39 @@ class PermGroup:
             ]
             lvl.rebuild(self.identity)
 
-        def strip(g: Perm, start: int):
+        identity = self.identity.images
+
+        def strip(g: tuple, start: int):
+            """Sift the image tuple g from level `start`: (residue, level it stops at)."""
             for j in range(start, len(levels)):
                 lvl = levels[j]
-                p = g.images[lvl.point]
-                if p not in lvl.transversal:
+                u = lvl.transversal.get(g[lvl.point])
+                if u is None:
                     return g, j
-                g = g * lvl.transversal[p].inverse()
+                g = itemgetter(*g)(u.inverse().images)  # g * u^-1
             return g, len(levels)
 
         def process(i: int):
+            """Sift the Schreier generators u * x * t^-1 of level i from its
+            resume point; the first residue joins the chain at the levels it
+            passes, and the level it stops at is returned."""
             lvl = levels[i]
-            lvl.rebuild(self.identity)
-            for p in sorted(lvl.transversal):
-                u = lvl.transversal[p]
-                for x in lvl.gens:
-                    target = lvl.transversal[x.images[p]]
-                    sg = u * x * target.inverse()
-                    if sg.is_identity():
+            trans, gens = lvl.transversal, lvl.gens
+            first_point, first_gen = divmod(lvl.resume, len(gens))
+            for a, p in enumerate(sorted(trans)[first_point:], first_point):
+                times_u = itemgetter(*trans[p].images)  # x -> u * x
+                for b in range(first_gen, len(gens)):
+                    x = gens[b].images
+                    target = trans[x[p]].inverse().images
+                    sg = itemgetter(*times_u(x))(target)
+                    if sg == identity:
                         continue
                     h, j = strip(sg, i + 1)
-                    if h.is_identity():
+                    if h == identity:
                         continue
+                    # a complete deeper chain sifts every pair up to this one
+                    lvl.resume = a * len(gens) + b + 1
+                    h = Perm(h)
                     if j == len(levels):
                         new_level([h])
                         levels[-1].rebuild(self.identity)
@@ -254,6 +278,7 @@ class PermGroup:
                         levels[k].gens.append(h)
                         levels[k].rebuild(self.identity)
                     return j
+                first_gen = 0
             return None
 
         limit = _bound_override.get() or max(DEFAULT_BOUNDS.values())
@@ -267,14 +292,20 @@ class PermGroup:
             i = i - 1 if j is None else j
 
     def contains(self, g: Perm) -> bool:
+        """Membership, read off the element set when it is memoized and
+        otherwise sifted through the chain on image tuples."""
         if g.degree != self.degree:
             raise MalformedPermError("degree mismatch in membership test")
+        x = g.images
+        elems = PermGroup.element_set.peek(self)
+        if elems is not None:
+            return x in elems
         for lvl in self._levels:
-            p = g.images[lvl.point]
-            if p not in lvl.transversal:
+            u = lvl.transversal.get(x[lvl.point])
+            if u is None:
                 return False
-            g = g * lvl.transversal[p].inverse()
-        return g.is_identity()
+            x = itemgetter(*x)(u.inverse().images)  # x * u^-1
+        return x == self.identity.images
 
     __contains__ = contains
 
@@ -818,17 +849,22 @@ class Orbit:
     elements, and the Schreier generators of the start's stabilizer, are
     multiplied out when first asked for, so an orbit read only for its
     members costs no products (the Schreier lemma; Holt, Eick and O'Brien,
-    Handbook of Computational Group Theory, section 4.1). Set iteration
-    depends on insertion order, and reports show generator lists read from
-    orbits of element sets, so the walk order is part of the output.
+    Handbook of Computational Group Theory, section 4.1). In an orbit of
+    element sets of subgroups, `normalizer_elements` spans a member's
+    normalizer from only as many Schreier generators as it needs. Set
+    iteration depends on insertion order, and reports show generator lists
+    read from orbits of element sets, so the walk order is part of the
+    output.
     """
 
     def __init__(self, identity: Perm, start, moves):
         self.members = members = {start}
+        self._start = start
         self._moves = moves
         self._conjugators = {start: identity}
         self._tree = tree = {}  # member -> (member reached from, g)
         self._popped = popped = []  # members in the order the walk left them
+        self._normalizers: dict = {}  # member -> `normalizer_elements(member)`
         frontier = [start]
         while frontier:
             current = frontier.pop()
@@ -856,24 +892,35 @@ class Orbit:
             self._conjugators[member] = u
         return u
 
-    @functools.cached_property
-    def _schreier(self) -> list[Perm]:
-        """Schreier generators of the start's stabilizer, one per step off the tree.
+    def _walk_schreier(self):
+        """The Schreier generators of the start's stabilizer as image tuples,
+        one per step off the tree, with repeats and the identity.
 
         The steps are retaken in walk order. A tree step would give the
         identity, so it is skipped unretaken, told apart by the identity of
-        the member and generator objects the walk recorded.
+        the member and generator objects the walk recorded. Generators exist
+        only for degree >= 2, where `itemgetter` returns a tuple.
         """
-        out: list[Perm] = []
+        if not self._moves:
+            return  # a trivial group, perhaps of degree 0, where `itemgetter()` fails
         tree_steps = {(id(c), id(g)) for c, g in self._tree.values()}
         for current in self._popped:
+            times_u = itemgetter(*self._reach(current).images)  # x -> u * x
             for g, f in self._moves:
-                if (id(current), id(g)) in tree_steps:
-                    continue
-                image = f(current)
-                sg = self._reach(current) * g * self._reach(image).inverse()
-                if not sg.is_identity() and sg not in out:
-                    out.append(sg)
+                if (id(current), id(g)) not in tree_steps:
+                    target = self._reach(f(current)).inverse().images
+                    yield itemgetter(*times_u(g.images))(target)
+
+    @functools.cached_property
+    def _schreier(self) -> list[Perm]:
+        """Schreier generators of the start's stabilizer, without repeats or the identity."""
+        identity = self._conjugators[self._start].images
+        seen = {identity}
+        out: list[Perm] = []
+        for sg in self._walk_schreier():
+            if sg not in seen:
+                seen.add(sg)
+                out.append(Perm(sg))
         # `stabilizer` conjugates these by a member's conjugator, so every
         # conjugator is formed now and the walk's records are dropped
         for member in self.members:
@@ -893,6 +940,34 @@ class Orbit:
         if t.is_identity():
             return list(self._schreier)
         return [s.conjugate(t) for s in self._schreier]
+
+    def normalizer_elements(self, member: frozenset, order: int) -> frozenset:
+        """In an orbit of element sets of subgroups under a group of `order`,
+        the element set of N(member), with no subgroup built.
+
+        N(member) has order / len(members) elements (orbit-stabilizer) and
+        holds `member`. It is spanned from `member` by the Schreier
+        generators of its stabilizer in turn, keeping one only when it lies
+        outside the span so far, until the span has that many elements. They
+        come straight from the walk when it started at `member` and still
+        has its records, and otherwise from `stabilizer(member)`.
+        """
+        if member in self._normalizers:
+            return self._normalizers[member]
+        size = order // len(self.members)
+        if member == self._start and hasattr(self, "_tree"):  # `_schreier` drops the records
+            schreier = self._walk_schreier()
+        else:
+            schreier = (s.images for s in self.stabilizer(member))
+        elems, found = member, []
+        while len(elems) < size and (sg := next(schreier, None)) is not None:
+            if sg not in elems:
+                found.append(sg)
+                elems = span(member, found)
+        if len(elems) != size:
+            raise AssertionError(f"orbit length times normalizer order is not {order}")
+        self._normalizers[member] = elems
+        return elems
 
 
 @dataclass(frozen=True)

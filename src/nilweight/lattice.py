@@ -2,10 +2,12 @@
 
 Subgroup classes are enumerated bottom-up by cyclic extension: a known
 class representative H is extended by elements z of its normalizer with
-z^p in H, so that <H, z> contains H with prime index. Each candidate
-K = <H, z> is first formed as an element set, the union of the cosets
-z^i H, from image tuples; the order of z modulo H comes from membership in
-H's element set. K is formed once per H: every z' in K outside H also has
+z^p in H, so that <H, z> contains H with prime index. The normalizer is
+read as an element set off H's orbit (`Orbit.normalizer_elements`), so
+the lattice builds no normalizer subgroup. Each candidate K = <H, z> is
+first formed as an element set, the union of the cosets z^i H, from image
+tuples; the order of z modulo H comes from membership in H's element
+set. K is formed once per H: every z' in K outside H also has
 prime order modulo H, so <H, z'> = K, and those z' are skipped. That
 reaches exactly the solvable subgroups; for a non-solvable ambient group a
 join-closure pass with prime-power cyclic subgroups picks up the perfect
@@ -32,8 +34,10 @@ walked from that subgroup's element set.
 
 A conjugate Q of a class contains a nilpotent R as a Carter subgroup when
 N_Q(R) = N_G(R) ∩ Q has |R| elements, one set intersection per conjugate
-(`carter_members`). Callers read such members as element sets; the Carter
-fiber builds a subgroup only for the first member of each class.
+(`carter_members`, with N_G(R) read as an element set too). Callers read
+such members as element sets; the Carter fiber builds a subgroup only for
+the first member of each class. A class is self-normalizing when |G| over
+its size is its order (`carter_subgroups`).
 """
 
 from __future__ import annotations
@@ -159,10 +163,9 @@ def _cyclic_extension(G: PermGroup, primes: PrimeSet) -> _ClassCollector:
     while frontier:
         cls = frontier.pop()
         H = cls.representative
-        N = G.normalizer(H)
         h_set = H.element_set()
         covered = set(h_set)
-        for images in sorted(N.element_set()):
+        for images in sorted(G.subgroup_orbit(h_set).normalizer_elements(h_set, G.order)):
             if images in covered:
                 continue  # in H, or in a K = <H, z> formed for an earlier z
             coset_order = _coset_order(images, h_set)
@@ -281,7 +284,7 @@ def carter_subgroups(G: PermGroup) -> SubgroupClass:
     hits = [
         cls
         for cls in subgroup_classes(G)
-        if cls.is_nilpotent() and G.normalizer(cls.representative).order == cls.order
+        if cls.is_nilpotent() and G.order // cls.class_size == cls.order  # |N_G(H)| = |H|
     ]
     if len(hits) != 1:
         raise AssertionError(
@@ -330,7 +333,7 @@ def carter_members(G: PermGroup, cls: SubgroupClass, R: PermGroup):
     in Q exactly when that intersection has |R| elements.
     """
     r_set = R.element_set()
-    nr_set = G.normalizer(R).element_set()
+    nr_set = G.subgroup_orbit(r_set).normalizer_elements(r_set, G.order)
     members = G.subgroup_orbit(cls.representative.element_set()).members
     for member in sorted((m for m in members if r_set <= m), key=sorted):
         if len(nr_set & member) == len(r_set):

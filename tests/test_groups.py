@@ -1,12 +1,13 @@
 import ast
 import hashlib
+import math
 from pathlib import Path
 
 import pytest
 
 from nilweight import bruteforce as bf
 from nilweight.chartab import character_table
-from nilweight.corpus import builtin_corpus
+from nilweight.corpus import builtin_corpus, parse_group_file
 from nilweight.perms import MalformedPermError, Perm
 from nilweight import groups
 from nilweight.groups import PermGroup, ResourceLimitError, bsgs_construct, resource_bound
@@ -14,7 +15,7 @@ from nilweight.lattice import subgroup_classes
 from nilweight.properties import BRUTE_MAX_ORDER
 from nilweight.sigma import PrimeSet, prime_divisors, sigma_part
 
-from conftest import elements, group, perm
+from conftest import GROUPS_DIR, elements, group, perm
 
 
 def brute_order(G):
@@ -75,14 +76,16 @@ def chain(G):
 
 class TestKnownOrder:
     def test_stopping_at_the_order_gives_the_full_chain(self, monkeypatch):
+        # the chain forms and sifts Schreier generators on image tuples,
+        # one `itemgetter` per product
         products = [0]
-        real_mul = Perm.__mul__
+        real_itemgetter = groups.itemgetter
 
-        def mul(a, b):
+        def itemgetter(*items):
             products[0] += 1
-            return real_mul(a, b)
+            return real_itemgetter(*items)
 
-        monkeypatch.setattr(Perm, "__mul__", mul)
+        monkeypatch.setattr(groups, "itemgetter", itemgetter)
         saved = 0
         for definition in builtin_corpus():
             gens = [Perm.parse(s, definition.degree) for s in definition.generators]
@@ -99,6 +102,113 @@ class TestKnownOrder:
             loose = PermGroup(definition.degree, gens, order=2 * full.order)
             assert chain(loose) == chain(full), definition.name
         assert saved > 0  # the stop skips work somewhere in the corpus
+
+
+class _ReferenceChain(PermGroup):
+    """A group whose stabilizer chain is built by the earlier Schreier-Sims on
+    `Perm` products, which rebuilt a level's transversal on every visit and
+    took its (point, generator) pairs from the first each time."""
+
+    def _schreier_sims(self, order):
+        if not self.generators:
+            return
+        levels = self._levels
+
+        def new_level(seed_gens):
+            levels.append(groups._ChainLevel(groups._greedy_point(seed_gens, self.degree)))
+
+        new_level(list(self.generators))
+        for g in self.generators:
+            if all(g.images[lvl.point] == lvl.point for lvl in levels):
+                new_level([g])
+        for i, lvl in enumerate(levels):
+            lvl.gens = [
+                g
+                for g in self.generators
+                if all(g.images[levels[k].point] == levels[k].point for k in range(i))
+            ]
+            lvl.rebuild(self.identity)
+
+        def strip(g, start):
+            for j in range(start, len(levels)):
+                lvl = levels[j]
+                p = g.images[lvl.point]
+                if p not in lvl.transversal:
+                    return g, j
+                g = g * lvl.transversal[p].inverse()
+            return g, len(levels)
+
+        def process(i):
+            lvl = levels[i]
+            lvl.rebuild(self.identity)
+            for p in sorted(lvl.transversal):
+                u = lvl.transversal[p]
+                for x in lvl.gens:
+                    target = lvl.transversal[x.images[p]]
+                    sg = u * x * target.inverse()
+                    if sg.is_identity():
+                        continue
+                    h, j = strip(sg, i + 1)
+                    if h.is_identity():
+                        continue
+                    if j == len(levels):
+                        new_level([h])
+                        levels[-1].rebuild(self.identity)
+                    for k in range(i + 1, j + 1):
+                        levels[k].gens.append(h)
+                        levels[k].rebuild(self.identity)
+                    return j
+            return None
+
+        limit = groups._bound_override.get() or max(groups.DEFAULT_BOUNDS.values())
+        i = len(levels) - 1
+        while i >= 0 and (size := math.prod(len(l.transversal) for l in levels)) != order:
+            if size > limit:
+                raise ResourceLimitError(
+                    f"group order at least {size} exceeds the largest bound {limit}"
+                )
+            j = process(i)
+            i = i - 1 if j is None else j
+
+
+class TestChainOnImageTuples:
+    """Sifting image tuples, resuming each level where it left off, gives the
+    chain of the reference Schreier-Sims with fewer `Perm` products."""
+
+    @staticmethod
+    def _generator_lists():
+        """(name, degree, generators, order) for every builtin, every group
+        file, and every lattice representative of the builtins."""
+        files = [parse_group_file(p.read_text()) for p in sorted(GROUPS_DIR.glob("*.txt"))]
+        for definition in [*builtin_corpus(), *files]:
+            gens = [Perm.parse(s, definition.degree) for s in definition.generators]
+            yield definition.name, definition.degree, gens, None
+        for definition in builtin_corpus():
+            for cls in subgroup_classes(definition.build()):
+                H = cls.representative
+                yield definition.name, H.degree, H.generators, None
+                yield definition.name, H.degree, H.generators, H.order
+
+    def test_same_chain_as_the_reference(self, monkeypatch):
+        products = [0]
+        real_mul = Perm.__mul__
+
+        def mul(a, b):
+            products[0] += 1
+            return real_mul(a, b)
+
+        monkeypatch.setattr(Perm, "__mul__", mul)
+        saved = 0
+        for name, degree, gens, order in self._generator_lists():
+            products[0] = 0
+            reference = _ReferenceChain(degree, gens, order)
+            reference_products = products[0]
+            products[0] = 0
+            G = PermGroup(degree, gens, order)
+            assert chain(G) == chain(reference), name
+            assert products[0] <= reference_products, name
+            saved += reference_products - products[0]
+        assert saved > 0
 
 
 class TestLargestBound:
@@ -136,6 +246,17 @@ class TestMembership:
     def test_degree_mismatch(self, s3):
         with pytest.raises(MalformedPermError):
             s3.contains(perm("(1,2)", 4))
+
+    def test_sifting_and_the_element_set_agree(self):
+        from itertools import permutations
+
+        G = group(5, "(1,2,3,4,5)", "(1,2)(3,4)")  # D10, fresh: no element set yet
+        elems = bf.closure([g.images for g in G.generators], 5)
+        sifted = [G.contains(Perm(images)) for images in permutations(range(5))]
+        assert PermGroup.element_set.peek(G) is None
+        G.element_set()
+        looked_up = [G.contains(Perm(images)) for images in permutations(range(5))]
+        assert sifted == looked_up == [images in elems for images in permutations(range(5))]
 
 
 class TestElements:
@@ -248,6 +369,12 @@ class TestNormalizer:
             assert s4.normalizer(H).element_set() == frozenset(
                 bf.normalizer(elems, member)
             )
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_trivial_groups_of_degree_below_two(self, degree):
+        G = PermGroup(degree, [])
+        assert G.normalizer(G.subgroup([])).order == 1
+        assert [c.order for c in subgroup_classes(G)] == [1]
 
     def test_not_a_subgroup(self, a5):
         H = bsgs_construct([perm("(1,2)", 5)], 5)

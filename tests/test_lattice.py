@@ -3,9 +3,9 @@ import hashlib
 import pytest
 
 from nilweight import bruteforce as bf
-from nilweight import lattice
+from nilweight import groups, lattice
 from nilweight.corpus import builtin_by_name, builtin_corpus
-from nilweight.groups import PermGroup, bsgs_construct
+from nilweight.groups import Orbit, PermGroup, bsgs_construct
 from nilweight.lattice import (
     carter_fiber,
     carter_members,
@@ -113,15 +113,15 @@ class TestCyclicExtension:
         formed = []  # (H, K) element sets, one per candidate formed in H's loop
         built = []  # element sets of the subgroups built in the loops
         current = []
-        real_normalizer, real_subgroup = PermGroup.normalizer, PermGroup.subgroup
+        real_normalizer, real_subgroup = Orbit.normalizer_elements, PermGroup.subgroup
         real_span = lattice.span
 
-        def normalizer(self, H):
-            # each representative's loop starts with its normalizer
+        def normalizer(self, member, order):
+            # each representative's loop starts with its normalizer's element set
             current.clear()
-            N = real_normalizer(self, H)
-            current.append(H.element_set())
-            return N
+            n_set = real_normalizer(self, member, order)
+            current.append(member)
+            return n_set
 
         def span(h_set, gens):
             K = real_span(h_set, gens)
@@ -134,7 +134,7 @@ class TestCyclicExtension:
                 built.append(K.element_set())
             return K
 
-        monkeypatch.setattr(PermGroup, "normalizer", normalizer)
+        monkeypatch.setattr(Orbit, "normalizer_elements", normalizer)
         monkeypatch.setattr(PermGroup, "subgroup", subgroup)
         monkeypatch.setattr(lattice, "span", span)
         classes = subgroup_classes(G)
@@ -225,14 +225,66 @@ class TestSubgroupBuilds:
         classes = subgroup_classes(G)
         monkeypatch.undo()
         if solvable:
-            # a representative and its normalizer per class
-            assert len(builds) == 2 * len(classes)
+            # a representative per class, and no normalizer
+            assert len(builds) == len(classes)
         else:
             # plus one cyclic subgroup per prime-power element class
             prime_power = [
                 c for c in G.conjugacy_classes() if len(factorize(c.element_order)) == 1
             ]
-            assert len(builds) <= 2 * len(classes) + len(prime_power)
+            assert len(builds) <= len(classes) + len(prime_power)
+
+
+class TestNormalizerElements:
+    """N_G(H) as an element set, spanned off H's orbit with no subgroup built."""
+
+    @pytest.mark.parametrize(
+        "definition",
+        [d for d in builtin_corpus() if "nonsolvable" not in d.tags],
+        ids=lambda d: d.name,
+    )
+    def test_a_solvable_lattice_builds_no_normalizer(self, definition):
+        G = definition.build()  # a fresh group, so the lattice is not memoized
+        subgroup_classes(G)
+        carter_subgroups(G)
+        assert [key for key in G._memo if key[0] == "normalizer"] == []
+
+    @pytest.mark.parametrize("definition", LATTICE_CORPUS, ids=lambda d: d.name)
+    def test_equals_the_normalizer_subgroup(self, definition):
+        G = definition.build()
+        g_set = G.element_set()
+        for cls in subgroup_classes(G):
+            h_set = cls.representative.element_set()
+            got = G.subgroup_orbit(h_set).normalizer_elements(h_set, G.order)
+            assert got == G.normalizer(cls.representative).element_set(), cls
+            if G.order <= 120:
+                assert got == frozenset(bf.normalizer(g_set, h_set)), cls
+
+    @pytest.mark.parametrize("name", ["S4", "S3xS3", "A5"])
+    def test_every_member_and_a_walk_without_records(self, name):
+        G = builtin_by_name(name).build()
+        g_set = G.element_set()
+        for cls in subgroup_classes(G):
+            orbit = G.subgroup_orbit(cls.representative.element_set())
+            for member in orbit.members:  # all but the start read `stabilizer`
+                want = frozenset(bf.normalizer(g_set, member))
+                assert orbit.normalizer_elements(member, G.order) == want
+        H = builtin_by_name(name).build()  # fresh: its walks keep their records
+        for cls in subgroup_classes(G):
+            h_set = cls.representative.element_set()
+            orbit = H.subgroup_orbit(h_set)
+            orbit.stabilizer(h_set)  # forms `_schreier`, which drops the records
+            assert orbit.normalizer_elements(h_set, H.order) == G.normalizer(
+                cls.representative
+            ).element_set()
+
+    def test_too_few_schreier_generators_name_the_order(self, monkeypatch):
+        s4 = group(4, "(1,2)", "(1,2,3,4)")
+        trivial = s4.subgroup([]).element_set()
+        orbit = s4.subgroup_orbit(trivial)
+        monkeypatch.setattr(groups, "span", lambda h_set, gens: h_set)
+        with pytest.raises(AssertionError, match="^orbit length times normalizer order is not 24$"):
+            orbit.normalizer_elements(trivial, s4.order)
 
 
 class TestSolvableSigmaClasses:

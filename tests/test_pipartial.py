@@ -589,7 +589,7 @@ class TestNormalSigmaGate:
 
     def test_verify_a_builds_no_class_list_of_a_normalizer(self):
         # the gate walks the classes it needs, one at a time; Q = 1 is left
-        # out, as N_G(1)/1 is N_G(1) itself and its table reads its classes
+        # out, as N_G(1)/1 is G itself and its table reads its classes
         asked = 0
         for definition in builtin_corpus():
             G = definition.build()  # fresh: no other test's memo
