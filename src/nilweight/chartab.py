@@ -58,6 +58,11 @@ class Character:
     def degree(self) -> int:
         return self.values[0].to_int()
 
+    @property
+    def class_indices(self) -> range:
+        """The classes the values are given on: all of them."""
+        return range(len(self.values))
+
     def __call__(self, g: Perm) -> Cyclotomic:
         return self.values[self.group.class_index_of(g)]
 
@@ -500,16 +505,24 @@ def has_sigma_defect_zero(chi: Character, sigma: PrimeSet) -> bool:
     return sigma_part(chi.degree, sigma) == sigma_part(chi.group.order, sigma)
 
 
-def character_stabilizer(G: PermGroup, N: PermGroup, theta: Character):
-    """The stabilizer G_theta of theta in Irr(N) under conjugation.
+def character_stabilizer(G: PermGroup, N: PermGroup, theta):
+    """The stabilizer G_theta of theta under conjugation, for theta a
+    character or a partial character of N.
 
     G must normalize N (it need not contain it)."""
     if theta.group is not N:
         raise ValueError("theta must live on N")
 
-    classes = range(len(theta.values))
-
     def act(values, g):
-        return N.conjugate_class_function(values, classes, g)
+        return N.conjugate_class_function(values, theta.class_indices, g)
 
     return G.stabilizer(theta.values, act)
+
+
+def is_invariant_character(chi, elements) -> bool:
+    """True iff conjugation by every element of `elements` fixes chi, a
+    character or a partial character; each element must normalize chi's group."""
+    group, indices = chi.group, chi.class_indices
+    return all(
+        group.conjugate_class_function(chi.values, indices, g) == chi.values for g in elements
+    )

@@ -30,9 +30,10 @@ far beyond the intended corpus. Every orbit is walked by one class,
 point orbits (`PermGroup.point_orbits`, read by `PermGroup.quotient` for
 a normal subgroup and by the character tables' direct-product test), the
 subgroup orbits that `PermGroup.subgroup_orbit` memoizes and normalizers
-read off, and the lattice's orbits of cyclic subgroups. A normalizer is
-read as an element set (`Orbit.normalizer_elements`) wherever no group is
-needed, and built as a subgroup only by `PermGroup.normalizer`. The action of a
+read off, and the lattice's orbits of cyclic subgroups. N_G(H) has one
+computation, `PermGroup.normalizer_elements`: H's element set spanned by
+the Schreier images of H's orbit, with the generators it kept, and
+`PermGroup.normalizer` is the subgroup on it. The action of a
 normalizing element on the classes comes from one memoized map,
 `PermGroup.class_image`, and class functions are conjugated through it by
 `PermGroup.conjugate_class_function`.
@@ -40,9 +41,10 @@ normalizing element on the classes comes from one memoized map,
 Each normal-structure question has one implementation. `is_solvable` runs
 the derived series alone; a subgroup made after its parent is known to be
 solvable is solvable without a series of its own. `is_nilpotent` counts
-p-elements, one count per prime. The normal closure of each class
-representative is computed once, by `PermGroup._class_normal_closure`,
-for `normal_subgroups` and the composition factors. O_sigma has one
+p-elements, one count per prime. A normal closure is spanned from the
+classes of its seeds; that of each class representative is computed
+once, by `PermGroup._class_normal_closure`, for `normal_subgroups` and
+the composition factors. O_sigma has one
 walker, `PermGroup.o_sigma_walk`. From a normal sigma-subgroup it spans
 the class of each sigma-element it meets, in sorted element order, with
 the set so far, and keeps each span of sigma-number order; it builds no
@@ -50,7 +52,9 @@ class list. `o_sigma_elements` runs it to the end from the trivial group,
 `o_sigma` is the subgroup on that set, and the weight gate and the
 vertex certificate stop at the first span it keeps above their subgroup.
 One routine, `span`, grows every element set by cosets, for O_sigma,
-the joins of `normal_subgroups` and the lattice's candidates <H, z>.
+normal closures, normalizers, the joins of `normal_subgroups` and the
+lattice's candidates <H, z>; one step, `PermGroup._generated`, builds the
+subgroup on a spanned set.
 
 Resource bounds (`check_bound`) and memoization (`memoized`) live here
 alone, and every module uses them. A stabilizer chain whose basic orbit
@@ -394,16 +398,19 @@ class PermGroup:
     def stabilizer(self, start, act) -> "PermGroup":
         """The stabilizer of `start` under the right action `act(point, g)`.
 
-        The orbit walk collects Schreier generators of the stabilizer, and
-        the orbit-stabilizer theorem certifies their span. The group itself
-        is returned when it fixes `start`.
+        The orbit walk gives the Schreier generators of the stabilizer,
+        taken without repeats or the identity, and the orbit-stabilizer
+        theorem certifies their span. The group itself is returned when it
+        fixes `start`.
         """
         moves = [(g, lambda point, g=g: act(point, g)) for g in self.generators]
         orbit = Orbit(self.identity, start, moves)
         n = len(orbit.members)
         if n == 1:
             return self
-        T = self.subgroup(orbit.stabilizer(start), order=self.order // n)
+        schreier = dict.fromkeys(orbit.schreier_images(start))
+        schreier.pop(self.identity.images, None)
+        T = self.subgroup(map(Perm, schreier), order=self.order // n)
         if n * T.order != self.order:
             raise AssertionError(f"orbit length times stabilizer order is not {self.order}")
         return T
@@ -474,36 +481,64 @@ class PermGroup:
             PermGroup.subgroup_orbit.remember(self, orbit, member)
         return orbit
 
+    @memoized(bound="normalizer")
+    def normalizer_elements(self, h_set: frozenset) -> tuple[frozenset, tuple[Perm, ...]]:
+        """N_self(H) for the subgroup H with element set `h_set`: its element
+        set, and the Schreier generators that span it from H.
+
+        N_self(H) has |self| / |H's orbit| elements (orbit-stabilizer).
+        The Schreier generators of H's stabilizer are taken in walk order,
+        and one is kept only when it lies outside the span so far, until the
+        span has that many elements. Each kept one at least doubles the
+        span, and with H's generators the kept ones generate N_self(H).
+        """
+        orbit = self.subgroup_orbit(h_set)
+        size = self.order // len(orbit.members)
+        elems, kept = h_set, []
+        schreier = orbit.schreier_images(h_set)
+        while len(elems) < size and (sg := next(schreier, None)) is not None:
+            if sg not in elems:
+                kept.append(sg)
+                # each kept one normalizes H, so <kept> <H, kept> = <H, kept>
+                elems = span(elems, kept)
+        if len(elems) != size:
+            raise AssertionError(f"orbit length times normalizer order is not {self.order}")
+        return elems, tuple(map(Perm, kept))
+
     @memoized(lambda G, H: ("normalizer", H.element_set()), bound="normalizer")
     def normalizer(self, H: "PermGroup") -> "Subgroup":
-        """N_self(H) for a subgroup H of self."""
+        """N_self(H) for a subgroup H of self, built on H's generators and
+        the Schreier generators of `normalizer_elements`."""
         if not H.is_subset(self):
             raise ValueError("H is not a subgroup of the group")
-        orbit = self.subgroup_orbit(H.element_set())
-        # every generator normalizes H, so |N| is at most |G| over the orbit
-        N = self.subgroup(
-            orbit.stabilizer(H.element_set()) + list(H.generators),
-            order=self.order // len(orbit.members),
-        )
-        if len(orbit.members) * N.order != self.order:
-            raise AssertionError(f"orbit length times normalizer order is not {self.order}")
+        elems, kept = self.normalizer_elements(H.element_set())
+        N = self.subgroup(H.generators + kept, order=len(elems))
+        if N.order != len(elems):
+            raise AssertionError(
+                f"normalizer chain misses its span in a group of order {self.order}"
+            )
         return N
 
     # --- normal structure ---------------------------------------------------
 
     def normal_closure(self, seeds) -> "Subgroup":
-        gens = [g for g in seeds if not g.is_identity()]
-        K = self.subgroup(gens)
-        queue = list(gens)
-        while queue:
-            x = queue.pop()
-            for g in self.generators:
-                y = x.conjugate(g)
-                if not K.contains(y):
-                    gens.append(y)
-                    K = self.subgroup(gens)
-                    queue.append(y)
-        return K
+        """The least normal subgroup holding `seeds`, spanned by their classes."""
+        moves = [(g, conjugation(g)) for g in self.generators]
+        members: set = set()
+        for g in seeds:
+            if g.images not in members:
+                members |= Orbit(self.identity, g.images, moves).members
+        return self._generated(members)
+
+    def _generated(self, elements) -> "Subgroup":
+        """The subgroup generated by the image tuples `elements`, built on the
+        least of them that each leave the span of those before."""
+        gens, spanned = [], frozenset([self.identity.images])
+        for x in sorted(elements):
+            if x not in spanned:
+                gens.append(x)
+                spanned = span(spanned, gens)
+        return self.subgroup(map(Perm, gens), order=len(spanned))
 
     def derived_subgroup(self) -> "Subgroup":
         comms = []
@@ -550,8 +585,9 @@ class PermGroup:
 
     @memoized()
     def _class_normal_closure(self, i: int) -> "Subgroup":
-        """The normal closure of class i's representative; class 0 is the identity's."""
-        return self.normal_closure([self.conjugacy_classes()[i].representative])
+        """The normal closure of class i's representative, spanned by class i;
+        class 0 is the identity's."""
+        return self._generated(self.conjugacy_classes()[i].members)
 
     @memoized()
     def normal_subgroups(self) -> tuple["Subgroup", ...]:
@@ -633,15 +669,8 @@ class PermGroup:
 
     @memoized()
     def o_sigma(self, sigma: PrimeSet) -> "Subgroup":
-        """The largest normal sigma-subgroup, generated by the least elements
-        of `o_sigma_elements` that each leave the span of those before."""
-        elems = self.o_sigma_elements(sigma)
-        gens, spanned = [], frozenset([self.identity.images])
-        for x in sorted(elems):
-            if x not in spanned:
-                gens.append(x)
-                spanned = span(spanned, gens)
-        return self.subgroup(map(Perm, gens), order=len(elems))
+        """The largest normal sigma-subgroup, on `o_sigma_elements`."""
+        return self._generated(self.o_sigma_elements(sigma))
 
     @memoized()
     def find_hall_sigma_subgroup(self, sigma: PrimeSet) -> "Subgroup | None":
@@ -771,7 +800,10 @@ class Subgroup(PermGroup):
                 raise ValueError(f"{g!r} is not an element of the parent group")
         super().__init__(parent.degree, gens, order)
         if parent.order % self.order != 0:
-            raise AssertionError("Lagrange violation; stabilizer chain is broken")
+            raise AssertionError(
+                f"Lagrange violation: a subgroup of order {self.order} in a group of "
+                f"order {parent.order}; stabilizer chain is broken"
+            )
         if PermGroup.is_solvable.peek(parent):
             # every subgroup of a solvable group is solvable
             PermGroup.is_solvable.remember(self, True)
@@ -846,15 +878,12 @@ class Orbit:
     g's right action on points. The walk pops the point found last, steps
     from it by each move in turn, and adds each new image to `members`,
     recording the point and the generator that reached it. Conjugating
-    elements, and the Schreier generators of the start's stabilizer, are
+    elements, and the Schreier generators of a member's stabilizer, are
     multiplied out when first asked for, so an orbit read only for its
     members costs no products (the Schreier lemma; Holt, Eick and O'Brien,
-    Handbook of Computational Group Theory, section 4.1). In an orbit of
-    element sets of subgroups, `normalizer_elements` spans a member's
-    normalizer from only as many Schreier generators as it needs. Set
-    iteration depends on insertion order, and reports show generator lists
-    read from orbits of element sets, so the walk order is part of the
-    output.
+    Handbook of Computational Group Theory, section 4.1). Set iteration
+    depends on insertion order, and reports show generator lists read from
+    orbits of element sets, so the walk order is part of the output.
     """
 
     def __init__(self, identity: Perm, start, moves):
@@ -864,7 +893,6 @@ class Orbit:
         self._conjugators = {start: identity}
         self._tree = tree = {}  # member -> (member reached from, g)
         self._popped = popped = []  # members in the order the walk left them
-        self._normalizers: dict = {}  # member -> `normalizer_elements(member)`
         frontier = [start]
         while frontier:
             current = frontier.pop()
@@ -892,41 +920,28 @@ class Orbit:
             self._conjugators[member] = u
         return u
 
-    def _walk_schreier(self):
-        """The Schreier generators of the start's stabilizer as image tuples,
-        one per step off the tree, with repeats and the identity.
+    def schreier_images(self, member):
+        """The Schreier generators of the stabilizer of `member` as image
+        tuples, one per step off the tree, with repeats and the identity.
 
         The steps are retaken in walk order. A tree step would give the
         identity, so it is skipped unretaken, told apart by the identity of
-        the member and generator objects the walk recorded. Generators exist
-        only for degree >= 2, where `itemgetter` returns a tuple.
+        the member and generator objects the walk recorded. Those of another
+        member than the start are the start's, conjugated by the element
+        taking the start to it. Generators exist only for degree >= 2, where
+        `itemgetter` returns a tuple.
         """
         if not self._moves:
             return  # a trivial group, perhaps of degree 0, where `itemgetter()` fails
+        moved = None if member == self._start else conjugation(self._reach(member))
         tree_steps = {(id(c), id(g)) for c, g in self._tree.values()}
         for current in self._popped:
             times_u = itemgetter(*self._reach(current).images)  # x -> u * x
             for g, f in self._moves:
                 if (id(current), id(g)) not in tree_steps:
                     target = self._reach(f(current)).inverse().images
-                    yield itemgetter(*times_u(g.images))(target)
-
-    @functools.cached_property
-    def _schreier(self) -> list[Perm]:
-        """Schreier generators of the start's stabilizer, without repeats or the identity."""
-        identity = self._conjugators[self._start].images
-        seen = {identity}
-        out: list[Perm] = []
-        for sg in self._walk_schreier():
-            if sg not in seen:
-                seen.add(sg)
-                out.append(Perm(sg))
-        # `stabilizer` conjugates these by a member's conjugator, so every
-        # conjugator is formed now and the walk's records are dropped
-        for member in self.members:
-            self._reach(member)
-        del self._moves, self._popped, self._tree
-        return out
+                    sg = itemgetter(*times_u(g.images))(target)
+                    yield sg if moved is None else moved(sg)
 
     @functools.cached_property
     def canonical_key(self) -> tuple:
@@ -934,40 +949,6 @@ class Orbit:
         for conjugate element sets."""
         return min(tuple(sorted(s)) for s in self.members)
 
-    def stabilizer(self, member) -> list[Perm]:
-        """Generators of the stabilizer of `member`; in a subgroup orbit, its normalizer."""
-        t = self._reach(member)
-        if t.is_identity():
-            return list(self._schreier)
-        return [s.conjugate(t) for s in self._schreier]
-
-    def normalizer_elements(self, member: frozenset, order: int) -> frozenset:
-        """In an orbit of element sets of subgroups under a group of `order`,
-        the element set of N(member), with no subgroup built.
-
-        N(member) has order / len(members) elements (orbit-stabilizer) and
-        holds `member`. It is spanned from `member` by the Schreier
-        generators of its stabilizer in turn, keeping one only when it lies
-        outside the span so far, until the span has that many elements. They
-        come straight from the walk when it started at `member` and still
-        has its records, and otherwise from `stabilizer(member)`.
-        """
-        if member in self._normalizers:
-            return self._normalizers[member]
-        size = order // len(self.members)
-        if member == self._start and hasattr(self, "_tree"):  # `_schreier` drops the records
-            schreier = self._walk_schreier()
-        else:
-            schreier = (s.images for s in self.stabilizer(member))
-        elems, found = member, []
-        while len(elems) < size and (sg := next(schreier, None)) is not None:
-            if sg not in elems:
-                found.append(sg)
-                elems = span(member, found)
-        if len(elems) != size:
-            raise AssertionError(f"orbit length times normalizer order is not {order}")
-        self._normalizers[member] = elems
-        return elems
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Subgroup classes are enumerated bottom-up by cyclic extension: a known
 class representative H is extended by elements z of its normalizer with
 z^p in H, so that <H, z> contains H with prime index. The normalizer is
-read as an element set off H's orbit (`Orbit.normalizer_elements`), so
-the lattice builds no normalizer subgroup. Each candidate K = <H, z> is
+read as an element set (`PermGroup.normalizer_elements`), so the lattice
+builds no normalizer subgroup; the join pass walks N_G(H)'s orbits under
+the generators that element set was spanned by. Each candidate K = <H, z> is
 first formed as an element set, the union of the cosets z^i H, from image
 tuples; the order of z modulo H comes from membership in H's element
 set. K is formed once per H: every z' in K outside H also has
@@ -37,7 +38,8 @@ N_Q(R) = N_G(R) ∩ Q has |R| elements, one set intersection per conjugate
 (`carter_members`, with N_G(R) read as an element set too). Callers read
 such members as element sets; the Carter fiber builds a subgroup only for
 the first member of each class. A class is self-normalizing when |G| over
-its size is its order (`carter_subgroups`).
+its size is its order (`carter_subgroups`), and R is self-normalizing in
+Q when |Q| over the length of R's orbit under Q is |R| (`is_carter_in`).
 """
 
 from __future__ import annotations
@@ -165,7 +167,8 @@ def _cyclic_extension(G: PermGroup, primes: PrimeSet) -> _ClassCollector:
         H = cls.representative
         h_set = H.element_set()
         covered = set(h_set)
-        for images in sorted(G.subgroup_orbit(h_set).normalizer_elements(h_set, G.order)):
+        n_set, _ = G.normalizer_elements(h_set)
+        for images in sorted(n_set):
             if images in covered:
                 continue  # in H, or in a K = <H, z> formed for an earlier z
             coset_order = _coset_order(images, h_set)
@@ -222,9 +225,8 @@ def _nonsolvable_completion(G: PermGroup, collector: _ClassCollector) -> None:
         H = cls.representative
         h_set = H.element_set()
         h_gens = [h.images for h in H.generators]
-        # the Schreier generators of H's orbit generate N_G(H), which
-        # keeps the cyclic subgroups inside H among themselves
-        normalizing = G.subgroup_orbit(h_set).stabilizer(h_set)
+        # N_G(H) keeps the cyclic subgroups inside H among themselves
+        normalizing = H.generators + G.normalizer_elements(h_set)[1]
         outside = [Z for Z in cyclics if generator[Z] not in h_set]
         for Z in _orbit_firsts(G.identity, normalizing, outside, generator, cyclic_of):
             k_set = span(h_set, h_gens + [generator[Z]])
@@ -288,7 +290,8 @@ def carter_subgroups(G: PermGroup) -> SubgroupClass:
     ]
     if len(hits) != 1:
         raise AssertionError(
-            f"expected exactly one self-normalizing nilpotent class, found {len(hits)}"
+            f"expected exactly one self-normalizing nilpotent class, found {len(hits)} "
+            + _where(G)
         )
     return hits[0]
 
@@ -299,7 +302,8 @@ def is_carter_in(R: PermGroup, Q: PermGroup) -> bool:
         raise ValueError("R is not a subgroup of Q")
     if not R.is_nilpotent():
         return False
-    return Q.normalizer(R).order == R.order
+    # |N_Q(R)| is |Q| over the length of R's orbit
+    return Q.order == R.order * len(Q.subgroup_orbit(R.element_set()).members)
 
 
 def carter_fiber(G: PermGroup, sigma: PrimeSet, R: PermGroup) -> tuple[SubgroupClass, ...]:
@@ -333,7 +337,7 @@ def carter_members(G: PermGroup, cls: SubgroupClass, R: PermGroup):
     in Q exactly when that intersection has |R| elements.
     """
     r_set = R.element_set()
-    nr_set = G.subgroup_orbit(r_set).normalizer_elements(r_set, G.order)
+    nr_set, _ = G.normalizer_elements(r_set)
     members = G.subgroup_orbit(cls.representative.element_set()).members
     for member in sorted((m for m in members if r_set <= m), key=sorted):
         if len(nr_set & member) == len(r_set):

@@ -27,9 +27,11 @@ import math
 from .chartab import (
     Character,
     _induced_values,
+    character_stabilizer,
     character_table,
     decompose_into_irreducibles,
     has_sigma_defect_zero,
+    is_invariant_character,
     restrict_character,
 )
 from .cyclotomic import Cyclotomic
@@ -185,13 +187,8 @@ def _induced_in(G: PermGroup, alpha: PartialCharacter):
     return induced_partial_values(alpha, G)
 
 
-def partial_character_stabilizer(G: PermGroup, N: PermGroup, theta: PartialCharacter):
-    """G_theta for theta in Iso(N), N normal in G."""
-
-    def act(values, g):
-        return N.conjugate_class_function(values, theta.class_indices, g)
-
-    return G.stabilizer(theta.values, act)
+# G_theta for theta in Iso(N): one stabilizer serves every class function
+partial_character_stabilizer = character_stabilizer
 
 
 def clifford_correspondent(
@@ -203,7 +200,7 @@ def clifford_correspondent(
         raise ValueError("N is not normal")
     if not lies_over(phi, theta):
         raise ValueError("theta does not lie under phi")
-    T = partial_character_stabilizer(G, N, theta)
+    T = character_stabilizer(G, N, theta)
     hits = [
         mu
         for mu in sigma_partial_characters(T, phi.sigma)
@@ -371,14 +368,6 @@ def _fixed_points(acted: PermGroup, acting: PermGroup) -> PermGroup:
     return acted.centralizer_of_subgroup(acting)
 
 
-def is_invariant_character(chi: Character, acting: PermGroup) -> bool:
-    classes = range(len(chi.values))
-    return all(
-        chi.group.conjugate_class_function(chi.values, classes, s) == chi.values
-        for s in acting.generators
-    )
-
-
 def _largest_proper_normal(S: PermGroup) -> PermGroup:
     """The last proper member of `normal_subgroups`, which ends with S itself."""
     return S.normal_subgroups()[-2]
@@ -394,7 +383,7 @@ def glauberman_correspondent(
     the fixed-point subgroup whose multiplicity is prime to the step.
     """
     S = action.acting
-    if not is_invariant_character(chi, S):
+    if not is_invariant_character(chi, S.generators):
         raise ValueError("character is not invariant under the action")
     if S.order == 1:
         return restrict_character(chi, action.fixed)
@@ -403,7 +392,7 @@ def glauberman_correspondent(
     if T.order > 1:
         inner = GlaubermanAction(action.ambient, action.acted, T)
         chi = glauberman_correspondent(inner, chi, _series_choice)
-        if not is_invariant_character(chi, S):
+        if not is_invariant_character(chi, S.generators):
             raise InternalConsistencyError("descent lost invariance")
     p = S.order // T.order
     step = factorize(p)
@@ -423,7 +412,8 @@ def glauberman_correspondent(
 def glauberman_map(action: GlaubermanAction):
     """The full correspondence Irr_S(G) -> Irr(C), verified bijective."""
     tab = character_table(action.acted)
-    invariant = [chi for chi in tab.irreducibles if is_invariant_character(chi, action.acting)]
+    S = action.acting
+    invariant = [chi for chi in tab.irreducibles if is_invariant_character(chi, S.generators)]
     images = [glauberman_correspondent(action, chi) for chi in invariant]
     c_tab = character_table(action.fixed)
     if len({tuple(img.values) for img in images}) != len(images):
@@ -452,9 +442,11 @@ class Weight:
 
 
 def _local_normalizer(G: PermGroup, R: PermGroup) -> PermGroup:
-    """N_G(R); G itself when R is normal, so that it shares G's memo."""
-    NR = G.normalizer(R)
-    return G if NR.order == G.order else NR
+    """N_G(R); G itself when R is normal, so that it shares G's memo, and
+    then no normalizer is built."""
+    if len(G.subgroup_orbit(R.element_set()).members) == 1:
+        return G
+    return G.normalizer(R)
 
 
 @memoized(lambda G, cls: ("weight_quotient", cls.canonical_key))

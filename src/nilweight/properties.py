@@ -13,11 +13,13 @@ from dataclasses import dataclass
 
 from . import bruteforce
 from .chartab import (
+    character_stabilizer,
     character_table,
     conjugate_character,
     has_sigma_defect_zero,
     induce_character,
     inner_product,
+    is_invariant_character,
     restrict_character,
 )
 from .groups import PermGroup
@@ -37,8 +39,6 @@ from .pipartial import (
     glauberman_map,
     induced_partial_values,
     ipi_with_vertex,
-    is_invariant_character,
-    partial_character_stabilizer,
     sigma_partial_characters,
     vertices,
 )
@@ -200,7 +200,8 @@ def _prop_carter(corpus):
             continue
         cls = carter_subgroups(G)
         R = cls.representative
-        ok = R.is_nilpotent() and G.normalizer(R).order == R.order
+        r_set = R.element_set()
+        ok = R.is_nilpotent() and G.normalizer_elements(r_set)[0] == r_set
         yield PropertyOutcome("carter-uniqueness", name, ok, f"|C|={cls.order}")
 
 
@@ -228,9 +229,10 @@ def _prop_carter_lifting(corpus):
                     R = rcls.representative
                     if not R.is_nilpotent():
                         continue
-                    r_orbit = K.subgroup_orbit(R.element_set())
-                    nk_r = K.subgroup(r_orbit.stabilizer(R.element_set()))
-                    if not nk_r.is_subset(R):
+                    # N_K(R) holds K ∩ R, and lies in R exactly when it has no more elements
+                    r_set = R.element_set()
+                    nk_r = K.order // len(K.subgroup_orbit(r_set).members)
+                    if nk_r != len(K.element_set() & r_set):
                         continue
                     r_img = quo.subgroup([proj(g) for g in R.generators])
                     lifted = is_carter_in(R, Q)
@@ -395,7 +397,7 @@ def _prop_glauberman(corpus):
             C_T = t_action.fixed
             ok_eq = True
             for chi in character_table(N).irreducibles:
-                if not is_invariant_character(chi, T):
+                if not is_invariant_character(chi, T.generators):
                     continue
                 img = glauberman_correspondent(t_action, chi)
                 for s in S.generators:
@@ -429,10 +431,10 @@ def _prop_lemma_intersection_counts(corpus):
                 for cls in q_classes[:3]:
                     Q = cls.representative
                     for tau in sigma_partial_characters(N, sigma):
-                        if not _is_q_invariant_partial(tau, N, Q):
+                        if not is_invariant_character(tau, Q.generators):
                             continue
                         lhs = len(ipi_with_vertex(G, sigma, Q, theta=tau))
-                        T = partial_character_stabilizer(G, N, tau)
+                        T = character_stabilizer(G, N, tau)
                         rhs = 0
                         t_set = T.element_set()
                         reps = {}  # one member of each T-orbit inside T
@@ -449,9 +451,9 @@ def _prop_lemma_intersection_counts(corpus):
                             ok = False
                         instances += 1
                         # simplified form when G_tau N_G(Q) = G
-                        NQ = G.normalizer(Q)
-                        inter = len(NQ.element_set() & T.element_set())
-                        if T.order * NQ.order // inter == G.order:
+                        nq_set, _ = G.normalizer_elements(Q.element_set())
+                        inter = len(nq_set & T.element_set())
+                        if T.order * len(nq_set) // inter == G.order:
                             q_in_t = T.subgroup(Q.generators) if all(
                                 T.contains(g) for g in Q.generators
                             ) else None
@@ -468,13 +470,6 @@ def _prop_lemma_intersection_counts(corpus):
                     ok,
                     f"{instances} instances",
                 )
-
-
-def _is_q_invariant_partial(tau, N, Q) -> bool:
-    return all(
-        N.conjugate_class_function(tau.values, tau.class_indices, q) == tau.values
-        for q in Q.generators
-    )
 
 
 def _prop_normalizer_counting(corpus):

@@ -388,17 +388,8 @@ def check_canonical_bijection(
 def _invariant_constituents(constituents: list[Character], member: frozenset):
     """The constituents of phi on the sigma-group N fixed by every element of
     Q, for Q given by its element set."""
-    N = constituents[0].group
-    classes = range(len(N.conjugacy_classes()))
     elements = [Perm(x) for x in member]
-    out = [
-        theta_char
-        for theta_char in constituents
-        if all(
-            N.conjugate_class_function(theta_char.values, classes, g) == theta_char.values
-            for g in elements
-        )
-    ]
+    out = [theta for theta in constituents if is_invariant_character(theta, elements)]
     if not out:
         raise InternalConsistencyError("no invariant constituent over the vertex")
     return out
@@ -428,9 +419,10 @@ def _product_decomposition_holds(G, N, H) -> bool:
     """N_G(Q) = C_N(Q) N_H(Q) for every subgroup class representative Q of H."""
     for cls in subgroup_classes(H):
         Q = cls.representative
-        ngq = G.normalizer(Q).order
+        # |N_X(Q)| is |X| over the length of Q's orbit under X
+        ngq = G.order // len(G.subgroup_orbit(Q.element_set()).members)
         cnq = N.centralizer_of_subgroup(Q).order
-        nhq = H.normalizer(Q).order
+        nhq = H.order // cls.class_size
         if ngq != cnq * nhq:
             return False
     return True
@@ -440,15 +432,16 @@ def _self_normalizing_stabilizers_hold(H, N, R, NR, action, CR, n_tab) -> bool:
     """Stabilizer condition: tau with N_G(R)_tau = C_N(R) x R forces R = N_{H_gamma}(R)."""
     C = action.fixed
     for gamma in n_tab.irreducibles:
-        if not is_invariant_character(gamma, R):
+        if not is_invariant_character(gamma, R.generators):
             continue
         tau = glauberman_correspondent(action, gamma)
         stab = character_stabilizer(NR, C, tau)
         if stab.element_set() != CR.element_set():
             continue
         H_gamma = character_stabilizer(H, N, gamma)
-        # gamma is R-invariant, so R <= H_gamma
-        if H_gamma.normalizer(R).element_set() != R.element_set():
+        # gamma is R-invariant, so R <= H_gamma, and R = N_{H_gamma}(R)
+        # exactly when R's orbit under H_gamma has |H_gamma : R| members
+        if len(H_gamma.subgroup_orbit(R.element_set()).members) * R.order != H_gamma.order:
             return False
     return True
 

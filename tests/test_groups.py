@@ -58,6 +58,13 @@ class TestConstruction:
         for G in cases:
             assert G.order == brute_order(G), G
 
+    def test_lagrange_violation_names_both_orders(self, monkeypatch):
+        c3 = group(3, "(1,2,3)")
+        monkeypatch.setattr(c3, "contains", lambda g: True)  # lets (1,2) through
+        message = "^Lagrange violation: a subgroup of order 2 in a group of order 3;"
+        with pytest.raises(AssertionError, match=message):
+            c3.subgroup([perm("(1,2)", 3)])
+
     def test_order_certificate_product_of_orbits(self, s4):
         import math
 
@@ -387,19 +394,20 @@ class TestNormalizer:
             (
                 4,
                 ["(1,2)", "(1,2,3,4)"],
-                "671c1e06281008a0d943181020041adb89a07399340058b4ad4f8ee701822d8e",
+                "36c5615e1979c7f851a599a7841c0ffa9bc6c85dcd3b34f9bfd035b20b8a2bfc",
             ),
             (
                 5,
                 ["(1,2,3,4,5)", "(3,4,5)"],
-                "ab639ce9a35008c21b723f9751428aa8cd3b6d87c06440960404bd9183f060e8",
+                "b4e060182c06867b58d1f0f0edabb0410fbad618fb3db77058ea7d3e1506a5f2",
             ),
         ],
         ids=["S4", "A5"],
     )
     def test_generator_labels_are_pinned(self, degree, gens, digest):
-        # normalizer generators are Schreier generators in orbit-walk order,
-        # and reports print generator lists, so the order is pinned
+        # normalizer generators are H's, then the Schreier generators that
+        # `normalizer_elements` kept in orbit-walk order; reports print
+        # generator lists, so the order is pinned
         G = group(degree, *gens)
         classes = subgroup_classes(G)
         labels = [G.normalizer(c.representative).generator_label() for c in classes]
@@ -629,6 +637,25 @@ class TestNormalStructure:
                 for N in G.normal_subgroups():
                     if sigma.is_sigma_number(N.order):
                         assert N.is_subset(O)
+
+    def test_a_normal_closure_is_one_build_on_the_classes_of_its_seeds(self, monkeypatch):
+        s4 = group(4, "(1,2)", "(1,2,3,4)")
+        g_elems = bf.closure([g.images for g in s4.generators], 4)
+        builds = []
+        real = PermGroup.subgroup
+
+        def subgroup(self, generators, order=None):
+            builds.append(self)
+            return real(self, generators, order)
+
+        monkeypatch.setattr(PermGroup, "subgroup", subgroup)
+        for cycles in (["(1,2)"], ["(1,2,3)"], ["(1,2)(3,4)"], ["(1,3)(2,4)", "(1,2)(3,4)"], []):
+            seeds = [perm(c, 4) for c in cycles]
+            builds.clear()
+            K = s4.normal_closure(seeds)
+            conjugates = [s.conjugate(Perm(x)).images for s in seeds for x in g_elems]
+            assert K.element_set() == frozenset(bf.closure(conjugates, 4)), cycles
+            assert builds == [s4], cycles
 
     def test_normal_subgroups_of_s4(self, s4):
         orders = sorted(N.order for N in s4.normal_subgroups())

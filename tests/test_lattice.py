@@ -5,7 +5,7 @@ import pytest
 from nilweight import bruteforce as bf
 from nilweight import groups, lattice
 from nilweight.corpus import builtin_by_name, builtin_corpus
-from nilweight.groups import Orbit, PermGroup, bsgs_construct
+from nilweight.groups import PermGroup, bsgs_construct
 from nilweight.lattice import (
     carter_fiber,
     carter_members,
@@ -18,7 +18,12 @@ from nilweight.lattice import (
 )
 from nilweight.perms import Perm
 from nilweight.sigma import PrimeSet, factorize, sigma_part
-from nilweight.verify import check_weight_count, sigma_subsets
+from nilweight.verify import (
+    bijection_setup,
+    check_canonical_bijection,
+    check_weight_count,
+    sigma_subsets,
+)
 
 from conftest import group, lattice_group_files, perm
 
@@ -113,14 +118,14 @@ class TestCyclicExtension:
         formed = []  # (H, K) element sets, one per candidate formed in H's loop
         built = []  # element sets of the subgroups built in the loops
         current = []
-        real_normalizer, real_subgroup = Orbit.normalizer_elements, PermGroup.subgroup
+        real_normalizer, real_subgroup = PermGroup.normalizer_elements, PermGroup.subgroup
         real_span = lattice.span
 
-        def normalizer(self, member, order):
+        def normalizer(self, h_set):
             # each representative's loop starts with its normalizer's element set
             current.clear()
-            n_set = real_normalizer(self, member, order)
-            current.append(member)
+            n_set = real_normalizer(self, h_set)
+            current.append(h_set)
             return n_set
 
         def span(h_set, gens):
@@ -134,7 +139,7 @@ class TestCyclicExtension:
                 built.append(K.element_set())
             return K
 
-        monkeypatch.setattr(Orbit, "normalizer_elements", normalizer)
+        monkeypatch.setattr(PermGroup, "normalizer_elements", normalizer)
         monkeypatch.setattr(PermGroup, "subgroup", subgroup)
         monkeypatch.setattr(lattice, "span", span)
         classes = subgroup_classes(G)
@@ -208,6 +213,23 @@ class TestCertificatesNameTheGroup:
         with pytest.raises(AssertionError, match=message):
             subgroup_classes(s4)
 
+    def test_no_carter_class(self, monkeypatch):
+        s4 = group(4, "(1,2)", "(1,2,3,4)")
+        real = lattice.subgroup_classes
+
+        def without_carter(G):
+            # drops the self-normalizing nilpotent class, D8
+            carter = [c for c in real(G) if c.is_nilpotent() and G.order == c.order * c.class_size]
+            return tuple(c for c in real(G) if c not in carter)
+
+        monkeypatch.setattr(lattice, "subgroup_classes", without_carter)
+        message = (
+            "^expected exactly one self-normalizing nilpotent class, found 0 "
+            "in the lattice of a group of order 24$"
+        )
+        with pytest.raises(AssertionError, match=message):
+            carter_subgroups(s4)
+
 
 class TestSubgroupBuilds:
     @pytest.mark.parametrize("definition", builtin_corpus(), ids=lambda d: d.name)
@@ -236,7 +258,8 @@ class TestSubgroupBuilds:
 
 
 class TestNormalizerElements:
-    """N_G(H) as an element set, spanned off H's orbit with no subgroup built."""
+    """N_G(H) as an element set, spanned off H's orbit with no subgroup built,
+    and `PermGroup.normalizer` as the subgroup on it."""
 
     @pytest.mark.parametrize(
         "definition",
@@ -255,7 +278,7 @@ class TestNormalizerElements:
         g_set = G.element_set()
         for cls in subgroup_classes(G):
             h_set = cls.representative.element_set()
-            got = G.subgroup_orbit(h_set).normalizer_elements(h_set, G.order)
+            got, _ = G.normalizer_elements(h_set)
             assert got == G.normalizer(cls.representative).element_set(), cls
             if G.order <= 120:
                 assert got == frozenset(bf.normalizer(g_set, h_set)), cls
@@ -266,25 +289,56 @@ class TestNormalizerElements:
         g_set = G.element_set()
         for cls in subgroup_classes(G):
             orbit = G.subgroup_orbit(cls.representative.element_set())
-            for member in orbit.members:  # all but the start read `stabilizer`
+            for member in orbit.members:  # all but the start conjugate the start's
                 want = frozenset(bf.normalizer(g_set, member))
-                assert orbit.normalizer_elements(member, G.order) == want
-        H = builtin_by_name(name).build()  # fresh: its walks keep their records
+                assert G.normalizer_elements(member)[0] == want
+        H = builtin_by_name(name).build()  # fresh: no normalizer is memoized
         for cls in subgroup_classes(G):
             h_set = cls.representative.element_set()
             orbit = H.subgroup_orbit(h_set)
-            orbit.stabilizer(h_set)  # forms `_schreier`, which drops the records
-            assert orbit.normalizer_elements(h_set, H.order) == G.normalizer(
+            list(orbit.schreier_images(h_set))  # reading them first changes nothing
+            assert H.normalizer_elements(h_set)[0] == G.normalizer(
                 cls.representative
             ).element_set()
 
     def test_too_few_schreier_generators_name_the_order(self, monkeypatch):
         s4 = group(4, "(1,2)", "(1,2,3,4)")
         trivial = s4.subgroup([]).element_set()
-        orbit = s4.subgroup_orbit(trivial)
+        s4.subgroup_orbit(trivial)
         monkeypatch.setattr(groups, "span", lambda h_set, gens: h_set)
         with pytest.raises(AssertionError, match="^orbit length times normalizer order is not 24$"):
-            orbit.normalizer_elements(trivial, s4.order)
+            s4.normalizer_elements(trivial)
+
+    @pytest.mark.parametrize("definition", LATTICE_CORPUS, ids=lambda d: d.name)
+    def test_each_kept_generator_at_least_doubles_the_span(self, definition):
+        # so N_G(H) has at most |gens(H)| + log2 |N_G(H) : H| generators
+        G = definition.build()
+        for cls in subgroup_classes(G):
+            H = cls.representative
+            N = G.normalizer(H)
+            assert 2 ** (len(N.generators) - len(H.generators)) <= N.order // H.order, cls
+
+    def test_bijection_and_carter_tests_build_only_the_local_normalizer(self, monkeypatch):
+        G = next(d for d in lattice_group_files() if d.name == "AGL116").build()
+        sigma = PrimeSet([2])
+        N, H = bijection_setup(G, sigma)
+        built = []
+        real = PermGroup.normalizer
+
+        def normalizer(self, K):
+            built.append((self, K.element_set()))
+            return real(self, K)
+
+        monkeypatch.setattr(PermGroup, "normalizer", normalizer)
+        nilpotent = [c.representative for c in subgroup_classes(H) if c.is_nilpotent()]
+        assert len(nilpotent) > 1
+        for R in nilpotent:
+            is_carter_in(R, H)
+            assert built == []
+            check_canonical_bijection(G, sigma, N, H, R, "AGL116")
+            # N_G(R) for `_local_normalizer`, unless R is normal
+            assert set(built) <= {(G, R.element_set())}
+            built.clear()
 
 
 class TestSolvableSigmaClasses:

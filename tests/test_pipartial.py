@@ -3,7 +3,12 @@ import itertools
 import pytest
 
 from nilweight import pipartial
-from nilweight.chartab import character_table, has_sigma_defect_zero
+from nilweight.chartab import (
+    Character,
+    character_stabilizer,
+    character_table,
+    has_sigma_defect_zero,
+)
 from nilweight.corpus import builtin_by_name, builtin_corpus
 from nilweight.cyclotomic import Cyclotomic
 from nilweight import groups
@@ -193,6 +198,18 @@ class TestClifford:
         )
         assert partial_character_stabilizer(s4, V, triv).order == 24
 
+    def test_one_action_serves_characters_and_partial_characters(self, a4):
+        assert partial_character_stabilizer is character_stabilizer
+        sigma = PrimeSet([2])
+        V = a4.subgroup([perm("(1,2)(3,4)", 4), perm("(1,3)(2,4)", 4)])
+        for tau in sigma_partial_characters(V, sigma):
+            chi = Character(V, tau.values)  # V is a 2-group: every class is a 2-class
+            assert tau.class_indices == tuple(chi.class_indices)
+            orders = {character_stabilizer(a4, V, theta).order for theta in (tau, chi)}
+            invariant = {is_invariant_character(theta, a4.generators) for theta in (tau, chi)}
+            assert orders == ({12} if all(v == 1 for v in tau.values) else {4})
+            assert invariant == {orders == {12}}
+
     def test_correspondent_of_invariant_is_itself(self, s4):
         sigma = PrimeSet([3])
         V = s4.subgroup([perm("(1,2)(3,4)", 4), perm("(1,3)(2,4)", 4)])
@@ -345,7 +362,7 @@ class TestGlauberman:
             for chi in tab.irreducibles
             if chi(a) == omega and chi(b) == omega
         )
-        assert is_invariant_character(alpha_alpha, S)
+        assert is_invariant_character(alpha_alpha, S.generators)
         image = glauberman_correspondent(action, alpha_alpha)
         d = perm("(1,2,3)(4,5,6)", 6)
         assert image(d) == omega * omega
@@ -398,7 +415,7 @@ class TestGlauberman:
 
         tab = character_table(N)
         invariant = [
-            chi for chi in tab.irreducibles if is_invariant_character(chi, S)
+            chi for chi in tab.irreducibles if is_invariant_character(chi, S.generators)
         ]
         assert len(invariant) == 5
         for chi in invariant:

@@ -6,7 +6,9 @@ without failing any engine test, so these tests resolve every entry. A
 test keeps the engine free of `random`, as the README's determinism note
 says, and one keeps its certificates free of bare `assert` statements,
 which `python -O` strips. One keeps every engine function in use by the
-engine itself or the tracer, so that no test-only code lives in `src/`.
+engine itself or the tracer, so that no test-only code lives in `src/`,
+and one keeps the engine from building a normalizer subgroup only to read
+its order or its elements.
 The last five check `tools/`: every desk-scale group file builds to the
 order it states, `tools/report_sweep.py` names exactly the files that are
 there, it passes `--bound` on every line whose group is above the bound
@@ -89,6 +91,29 @@ def test_no_certificate_is_a_bare_assert():
         for path in sorted(src.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_normalizer_is_built_for_its_order_or_elements():
+    # |N_G(H)| is |G| over the length of H's orbit, and its element set is
+    # `normalizer_elements`; a normalizer subgroup is built only to be used
+    src = ROOT / "src" / "nilweight"
+
+    def is_normalizer_call(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "normalizer"
+        )
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("order", "element_set")
+        and is_normalizer_call(node.value)
     ]
     assert found == []
 
