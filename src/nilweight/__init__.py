@@ -42,7 +42,6 @@ from .chartab import (
 from .pipartial import (
     GlaubermanAction,
     InternalConsistencyError,
-    PartialCharacter,
     Weight,
     clifford_correspondent,
     decompose_on_subgroup,

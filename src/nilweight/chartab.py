@@ -17,12 +17,18 @@ read from disk, by (degree, values) and certifies it before it is used:
 row orthogonality is checked exactly by evaluating every value once at
 an integer point z modulo Phi_e(z), with z large enough that no nonzero
 sum can vanish there (`CharacterTable.verify`).
+
+A `Character` is a class function of one of two kinds: on all classes of
+its group, or, given a prime set sigma, on its sigma-classes only, which
+makes it a sigma-partial character. Evaluation, restriction, induction,
+conjugation and the stabilizer all work on the character's own classes.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 from operator import itemgetter, mul
 
 from .cyclotomic import Cyclotomic, cyclotomic_value, weighted_conjugate_dot
@@ -38,17 +44,28 @@ from .linalg import (
 from .perms import Perm
 from .sigma import PrimeSet, sigma_part
 
+
 class Character:
-    """A class function on a group, given by its values on the ordered classes."""
+    """A class function on a group, given by its values on the classes it lives on.
 
-    __slots__ = ("group", "values", "_hash")
+    With `sigma` None those are all classes, in order; with a prime set they
+    are the sigma-classes, `group.sigma_class_indices(sigma)`, and the
+    character is a sigma-partial character.
+    """
 
-    def __init__(self, group: PermGroup, values):
-        vals = tuple(v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(v) for v in values)
-        if len(vals) != len(group.conjugacy_classes()):
+    __slots__ = ("group", "values", "sigma", "class_indices", "_hash")
+
+    def __init__(self, group: PermGroup, values, sigma: PrimeSet | None = None):
+        vals = tuple(values)
+        if not all(map(isinstance, vals, repeat(Cyclotomic))):
+            vals = tuple(v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(v) for v in vals)
+        indices = _class_indices(group, sigma)
+        if len(vals) != len(indices):
             raise ValueError("value count differs from class count")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "class_indices", indices)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
@@ -58,38 +75,40 @@ class Character:
     def degree(self) -> int:
         return self.values[0].to_int()
 
-    @property
-    def class_indices(self) -> range:
-        """The classes the values are given on: all of them."""
-        return range(len(self.values))
-
     def __call__(self, g: Perm) -> Cyclotomic:
-        return self.values[self.group.class_index_of(g)]
+        idx = self.group.class_index_of(g)
+        try:
+            return self.values[self.class_indices.index(idx)]
+        except ValueError:
+            raise ValueError("element is not a sigma-element") from None
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Character)
             and self.group is other.group
+            and self.sigma == other.sigma
             and self.values == other.values
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
             object.__setattr__(
-                self, "_hash", hash((id(self.group),) + tuple(hash(v) for v in self.values))
+                self,
+                "_hash",
+                hash((id(self.group), self.sigma) + tuple(hash(v) for v in self.values)),
             )
         return self._hash
 
-    def __add__(self, other: "Character") -> "Character":
-        if other.group is not self.group:
-            raise ValueError("characters live on different groups")
-        return Character(self.group, [a + b for a, b in zip(self.values, other.values)])
-
-    def __rmul__(self, n: int) -> "Character":
-        return Character(self.group, [v * n for v in self.values])
-
     def __repr__(self) -> str:
         return f"Character(deg={self.values[0]}, [{', '.join(map(str, self.values))}])"
+
+
+@memoized()
+def _class_indices(G: PermGroup, sigma: PrimeSet | None):
+    """The classes of G a character of kind sigma lives on: all of them for None."""
+    if sigma is None:
+        return range(len(G.conjugacy_classes()))
+    return G.sigma_class_indices(sigma)
 
 
 class CharacterTable:
@@ -446,12 +465,12 @@ def inner_product(alpha: Character, beta: Character) -> Fraction:
 
 
 def restrict_character(chi: Character, H: PermGroup) -> Character:
-    """Values of chi on the classes of a subgroup H."""
-    G = chi.group
-    if not H.is_subset(G):
+    """chi on the classes of a subgroup H of its kind: all classes, or the sigma-classes."""
+    if not H.is_subset(chi.group):
         raise ValueError("H is not a subgroup of the character's group")
+    classes = H.conjugacy_classes()
     return Character(
-        H, [chi.values[G.class_index_of(c.representative)] for c in H.conjugacy_classes()]
+        H, [chi(classes[i].representative) for i in _class_indices(H, chi.sigma)], chi.sigma
     )
 
 
@@ -471,22 +490,24 @@ def _induced_values(H: PermGroup, values, h_indices, G: PermGroup, g_indices):
 
 
 def induce_character(theta: Character, G: PermGroup) -> Character:
-    """The induced class function theta^G from a subgroup to G."""
+    """The induced class function theta^G from a subgroup to G, of theta's kind."""
     H = theta.group
     if not H.is_subset(G):
         raise ValueError("theta does not live on a subgroup of G")
-    every_h, every_g = range(len(theta.values)), range(len(G.conjugacy_classes()))
-    return Character(G, _induced_values(H, theta.values, every_h, G, every_g))
+    g_indices = _class_indices(G, theta.sigma)
+    values = _induced_values(H, theta.values, theta.class_indices, G, g_indices)
+    return Character(G, values, theta.sigma)
 
 
 def conjugate_character(chi: Character, g: Perm, target: PermGroup) -> Character:
-    """chi^g on H^g, where chi lives on H; target must equal H^g as a group."""
-    H = chi.group
-    values = []
-    for c in target.conjugacy_classes():
-        x = c.representative
-        values.append(chi.values[H.class_index_of(g * x * g.inverse())])
-    return Character(target, values)
+    """chi^g on H^g, of chi's kind, where chi lives on H; target must equal
+    H^g as a group."""
+    classes = target.conjugacy_classes()
+    values = [
+        chi(g * classes[i].representative * g.inverse())
+        for i in _class_indices(target, chi.sigma)
+    ]
+    return Character(target, values, chi.sigma)
 
 
 def decompose_into_irreducibles(chi: Character, table: CharacterTable):

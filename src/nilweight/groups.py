@@ -974,7 +974,7 @@ def _composition_factors(G: PermGroup) -> list[int]:
     if M.is_abelian():
         factors_m = [p for p, e in factorize(M.order) for _ in range(e)]
     else:
-        factors_m = _composition_factors(PermGroup(M.degree, M.generators))
+        factors_m = _composition_factors(M)
     Q, _ = G.quotient(M)
     return factors_m + _composition_factors(Q)
 

@@ -1,11 +1,12 @@
 """Irreducible sigma-partial characters, vertices, and weights.
 
 A sigma-partial character is the restriction of an ordinary character to
-the sigma-elements; the irreducible ones are found by peeling distinct
-restrictions in increasing degree order and rejecting any that decompose
-as nonnegative integer combinations of the smaller ones. The count is
-certified against the number of sigma-element classes, which the theory
-forces to match, so a wrong set cannot survive construction.
+the sigma-elements, a `chartab.Character` with the prime set sigma; the
+irreducible ones are found by peeling distinct restrictions in increasing
+degree order and rejecting any that decompose as nonnegative integer
+combinations of the smaller ones. The count is certified against the
+number of sigma-element classes, which the theory forces to match, so a
+wrong set cannot survive construction.
 
 Vertices are located by exhaustive search over pairs (U, alpha) of a
 subgroup class and a sigma-degree member of Iso(U) inducing the target;
@@ -26,15 +27,14 @@ import math
 
 from .chartab import (
     Character,
-    _induced_values,
     character_stabilizer,
     character_table,
     decompose_into_irreducibles,
     has_sigma_defect_zero,
+    induce_character,
     is_invariant_character,
     restrict_character,
 )
-from .cyclotomic import Cyclotomic
 from .groups import PermGroup, memoized
 from .lattice import (
     SubgroupClass,
@@ -43,60 +43,11 @@ from .lattice import (
     subgroup_classes,
 )
 from .linalg import integer_solutions, nonneg_integer_solution
-from .perms import Perm
 from .sigma import PrimeSet, factorize
 
 
 class InternalConsistencyError(AssertionError):
     """A certified identity failed; the engine itself is wrong somewhere."""
-
-
-class PartialCharacter:
-    """A class function on the sigma-elements, with its lifts in Irr(G)."""
-
-    __slots__ = ("group", "sigma", "values", "lifts", "class_indices", "_hash")
-
-    def __init__(self, group: PermGroup, sigma: PrimeSet, values, lifts, class_indices):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "values", tuple(values))
-        object.__setattr__(self, "lifts", tuple(lifts))
-        object.__setattr__(self, "class_indices", tuple(class_indices))
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PartialCharacter is immutable")
-
-    @property
-    def degree(self) -> int:
-        return self.values[0].to_int()
-
-    def value_at(self, g: Perm) -> Cyclotomic:
-        idx = self.group.class_index_of(g)
-        try:
-            return self.values[self.class_indices.index(idx)]
-        except ValueError:
-            raise ValueError("element is not a sigma-element") from None
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PartialCharacter)
-            and self.group is other.group
-            and self.sigma == other.sigma
-            and self.values == other.values
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(
-                self,
-                "_hash",
-                hash((id(self.group), self.sigma) + tuple(hash(v) for v in self.values)),
-            )
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"PartialCharacter(deg={self.values[0]}, [{', '.join(map(str, self.values))}])"
 
 
 def _flatten(values, conductor) -> list[int]:
@@ -114,16 +65,13 @@ def _flatten(values, conductor) -> list[int]:
 
 
 @memoized()
-def sigma_partial_characters(G: PermGroup, sigma: PrimeSet) -> tuple[PartialCharacter, ...]:
+def sigma_partial_characters(G: PermGroup, sigma: PrimeSet) -> tuple[Character, ...]:
     """The set Iso(G) of irreducible sigma-partial characters."""
     if not G.is_sigma_separable(sigma):
         raise ValueError("partial-character theory requires a sigma-separable group")
     tab = character_table(G)
     sidx = G.sigma_class_indices(sigma)
-    restrictions: dict[tuple, list[int]] = {}
-    for i, chi in enumerate(tab.irreducibles):
-        v = tuple(chi.values[j] for j in sidx)
-        restrictions.setdefault(v, []).append(i)
+    restrictions = {tuple(chi.values[j] for j in sidx) for chi in tab.irreducibles}
     e = G.exponent()
     ordered = sorted(
         restrictions, key=lambda v: (v[0].to_int(), [x.sort_key(e) for x in v])
@@ -144,45 +92,33 @@ def sigma_partial_characters(G: PermGroup, sigma: PrimeSet) -> tuple[PartialChar
     solutions = integer_solutions([flat[u] for u in accepted], [flat[v] for v in ordered])
     if any(x is None or min(x) < 0 for x in solutions):
         raise InternalConsistencyError("a restriction does not decompose over the irreducible set")
-    return tuple(
-        PartialCharacter(G, sigma, v, restrictions[v], sidx) for v in accepted
-    )
+    return tuple(Character(G, v, sigma) for v in accepted)
 
 
-def partial_restriction_values(phi: PartialCharacter, H: PermGroup):
-    """Values of phi on the sigma-classes of a subgroup H."""
-    return tuple(
-        phi.value_at(H.conjugacy_classes()[i].representative)
-        for i in H.sigma_class_indices(phi.sigma)
-    )
-
-
-def decompose_on_subgroup(phi: PartialCharacter, H: PermGroup):
+def decompose_on_subgroup(phi: Character, H: PermGroup):
     """phi restricted to H as a multiset over Iso(H); multiplicities certified."""
     basis = sigma_partial_characters(H, phi.sigma)
     # exp(H) divides exp(G), so the parent exponent is a common conductor
     e = phi.group.exponent()
-    target = _flatten(partial_restriction_values(phi, H), e)
+    target = _flatten(restrict_character(phi, H).values, e)
     sol = nonneg_integer_solution([_flatten(mu.values, e) for mu in basis], target)
     if sol is None:
         raise InternalConsistencyError("restriction is not a nonnegative combination")
     return [(mu, m) for mu, m in zip(basis, sol) if m]
 
 
-def lies_over(phi: PartialCharacter, theta: PartialCharacter) -> bool:
+def lies_over(phi: Character, theta: Character) -> bool:
     """True iff theta appears in the restriction of phi to theta's group."""
     return any(mu == theta for mu, _ in decompose_on_subgroup(phi, theta.group))
 
 
-def induced_partial_values(alpha: PartialCharacter, G: PermGroup):
+def induced_partial_values(alpha: Character, G: PermGroup):
     """Values of the induced partial character alpha^G on G's sigma-classes."""
-    H, sigma = alpha.group, alpha.sigma
-    h_indices, g_indices = H.sigma_class_indices(sigma), G.sigma_class_indices(sigma)
-    return tuple(_induced_values(H, alpha.values, h_indices, G, g_indices))
+    return induce_character(alpha, G).values
 
 
 @memoized(lambda G, alpha: ("induced_partial_values", alpha))
-def _induced_in(G: PermGroup, alpha: PartialCharacter):
+def _induced_in(G: PermGroup, alpha: Character):
     """`induced_partial_values(alpha, G)`, memoized in G under alpha itself."""
     return induced_partial_values(alpha, G)
 
@@ -191,9 +127,7 @@ def _induced_in(G: PermGroup, alpha: PartialCharacter):
 partial_character_stabilizer = character_stabilizer
 
 
-def clifford_correspondent(
-    phi: PartialCharacter, N: PermGroup, theta: PartialCharacter
-):
+def clifford_correspondent(phi: Character, N: PermGroup, theta: Character):
     """The unique mu in Iso(G_theta | theta) inducing phi; returns (mu, G_theta)."""
     G = phi.group
     if not G.is_normal(N):
@@ -213,13 +147,13 @@ def clifford_correspondent(
     return hits[0], T
 
 
-def vertices(phi: PartialCharacter) -> SubgroupClass:
+def vertices(phi: Character) -> SubgroupClass:
     """The conjugacy class of vertices of phi, found by exhaustive (U, alpha) search."""
     return _vertex_class(phi.group, phi)
 
 
 @memoized()
-def _vertex_class(G: PermGroup, phi: PartialCharacter) -> SubgroupClass:
+def _vertex_class(G: PermGroup, phi: Character) -> SubgroupClass:
     """`vertices(phi)` for phi in Iso(G), memoized in G."""
     sigma = phi.sigma
     where = f"in a group of order {G.order}, sigma={{{sigma}}}"
@@ -290,7 +224,7 @@ def ipi_with_vertex(
     G: PermGroup,
     sigma: PrimeSet,
     Q: PermGroup,
-    theta: PartialCharacter | None = None,
+    theta: Character | None = None,
 ):
     """Members of Iso(G) with vertex class containing Q, optionally over theta."""
     if not sigma.complement_within(G.order).is_sigma_number(Q.order):
@@ -310,7 +244,7 @@ def ipi_with_normal_vertex(
     N: PermGroup,
     sigma: PrimeSet,
     R: PermGroup,
-    theta: PartialCharacter | None = None,
+    theta: Character | None = None,
 ):
     """Members of Iso(N) with vertex R, for a normal sigma'-subgroup R of N.
 
@@ -344,7 +278,6 @@ def ipi_with_normal_vertex(
 class GlaubermanAction:
     """A coprime action: `acting` normalizes `acted` inside a common group."""
 
-    ambient: PermGroup
     acted: PermGroup
     acting: PermGroup
 
@@ -390,7 +323,7 @@ def glauberman_correspondent(
     choose = _series_choice or _largest_proper_normal
     T = choose(S)
     if T.order > 1:
-        inner = GlaubermanAction(action.ambient, action.acted, T)
+        inner = GlaubermanAction(action.acted, T)
         chi = glauberman_correspondent(inner, chi, _series_choice)
         if not is_invariant_character(chi, S.generators):
             raise InternalConsistencyError("descent lost invariance")

@@ -48,6 +48,7 @@ from .verify import (
     bijection_setup,
     check_canonical_bijection,
     check_carter_refinement,
+    check_normalizer_counting,
     check_weight_count,
     sigma_subsets,
 )
@@ -371,7 +372,7 @@ def _prop_glauberman(corpus):
         if key in seen:
             continue
         seen.add(key)
-        action = GlaubermanAction(G, N, S)
+        action = GlaubermanAction(N, S)
         try:
             pairs = glauberman_map(action)
             ok = True
@@ -393,7 +394,7 @@ def _prop_glauberman(corpus):
         for T in S.normal_subgroups():
             if not 1 < T.order < S.order:
                 continue
-            t_action = GlaubermanAction(G, N, T)
+            t_action = GlaubermanAction(N, T)
             C_T = t_action.fixed
             ok_eq = True
             for chi in character_table(N).irreducibles:
@@ -474,8 +475,6 @@ def _prop_lemma_intersection_counts(corpus):
 
 def _prop_normalizer_counting(corpus):
     """|Iso(G|Q,phi)| = |Iso(N_G(Q)|Q,phi)| in the normal-LQ situation."""
-    from .verify import check_normalizer_counting
-
     for name, G in corpus:
         center = G.center()
         for sigma in sigma_subsets(G):

@@ -320,7 +320,7 @@ def check_canonical_bijection(
     target_by_values = {phi.values: phi for phi in target}
 
     n_tab = character_table(N)
-    action = GlaubermanAction(G, N, R)
+    action = GlaubermanAction(N, R)
     C = action.fixed
     CR = G.subgroup(tuple(C.generators) + tuple(R.generators))
     if CR.order != C.order * R.order:
@@ -328,7 +328,7 @@ def check_canonical_bijection(
     images = {}
     well_defined = True
     for phi, members in domain:
-        constituents = [Character(N, mu.values) for mu, _ in decompose_on_subgroup(phi, N)]
+        constituents = [mu for mu, _ in decompose_on_subgroup(phi, N)]
         thetas = {}
         for member in members:
             for theta_char in _invariant_constituents(constituents, member):

@@ -666,6 +666,37 @@ class TestNormalStructure:
         assert a5.composition_factor_orders() == (60,)
         assert q8.composition_factor_orders() == (2, 2, 2)
 
+    def test_a_nonabelian_minimal_normal_subgroup_is_recursed_on_as_built(self, monkeypatch):
+        # S5 > A5 and S6 > A6: the least proper normal subgroup is not
+        # abelian, so the factors recurse on it; the builtin A5 is simple
+        # and has no such step
+        built, called = [], []
+        init, factors = PermGroup.__init__, groups._composition_factors
+
+        def count(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        def record(G):
+            called.append(G)
+            return factors(G)
+
+        monkeypatch.setattr(PermGroup, "__init__", count)
+        monkeypatch.setattr(groups, "_composition_factors", record)
+        s6 = parse_group_file((GROUPS_DIR / "S6.txt").read_text()).build()
+        a5 = next(d for d in builtin_corpus() if d.name == "A5").build()
+        for G, expected, builds in (
+            (group(5, "(1,2)", "(1,2,3,4,5)"), (2, 60), 13),
+            (s6, (2, 360), 19),
+            (a5, (60,), 4),
+        ):
+            built.clear()
+            called.clear()
+            assert G.composition_factor_orders() == expected
+            assert len(built) == builds, G.order
+            closures = [G._class_normal_closure(i) for i in range(len(G.conjugacy_classes()))]
+            assert all(any(M is K for K in closures) for M in called[1:-1]), G.order
+
     def test_separability(self, s4, a5):
         assert s4.is_sigma_separable(PrimeSet([2]))
         assert not a5.is_sigma_separable(PrimeSet([2]))

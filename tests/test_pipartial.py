@@ -7,7 +7,10 @@ from nilweight.chartab import (
     Character,
     character_stabilizer,
     character_table,
+    conjugate_character,
     has_sigma_defect_zero,
+    induce_character,
+    restrict_character,
 )
 from nilweight.corpus import builtin_by_name, builtin_corpus
 from nilweight.cyclotomic import Cyclotomic
@@ -65,7 +68,13 @@ class TestSigmaPartialCharacters:
             (Cyclotomic.from_rational(1), Cyclotomic.from_rational(1)),
             (Cyclotomic.from_rational(2), Cyclotomic.from_rational(-1)),
         }
-        assert len(by_degree(phis, 1).lifts) == 2  # both linear characters restrict to it
+        sidx = s3.sigma_class_indices(PrimeSet([3]))
+        lifts = [
+            chi
+            for chi in character_table(s3).irreducibles
+            if tuple(chi.values[j] for j in sidx) == by_degree(phis, 1).values
+        ]
+        assert len(lifts) == 2  # both linear characters restrict to it
 
     def test_sigma_group_gives_irr(self, d8):
         phis = sigma_partial_characters(d8, PrimeSet([2]))
@@ -92,6 +101,98 @@ class TestSigmaPartialCharacters:
     def test_full_sigma_on_nonseparable_is_fine(self, a5):
         phis = sigma_partial_characters(a5, PrimeSet([2, 3, 5]))
         assert len(phis) == 5
+
+
+def reference_restriction_values(phi, H):
+    """phi on the sigma-classes of H, looked up in phi's values by class index."""
+    G, sigma = phi.group, phi.sigma
+    g_indices = G.sigma_class_indices(sigma)
+    return tuple(
+        phi.values[g_indices.index(G.class_index_of(H.conjugacy_classes()[i].representative))]
+        for i in H.sigma_class_indices(sigma)
+    )
+
+
+def reference_induced_values(alpha, G):
+    """alpha^G on the sigma-classes of G, summed class by class from alpha's group."""
+    H, sigma = alpha.group, alpha.sigma
+    h_classes, g_classes = H.conjugacy_classes(), G.conjugacy_classes()
+    by_target = {}
+    for i, v in zip(H.sigma_class_indices(sigma), alpha.values):
+        c = h_classes[i]
+        j = G.class_index_of(c.representative)
+        by_target[j] = by_target.get(j, Cyclotomic.zero()) + v * c.size
+    return tuple(
+        by_target.get(j, Cyclotomic.zero()) * (G.order // g_classes[j].size) / H.order
+        for j in G.sigma_class_indices(sigma)
+    )
+
+
+class TestOneClassFunctionType:
+    """A sigma-partial character is a `Character` on the sigma-classes."""
+
+    def test_every_member_is_a_character_on_the_sigma_classes(self):
+        for definition in builtin_corpus():
+            G = definition.build()
+            for sigma in sigma_subsets(G):
+                if not G.is_sigma_separable(sigma):
+                    continue
+                for phi in sigma_partial_characters(G, sigma):
+                    where = (definition.name, sigma)
+                    assert isinstance(phi, Character), where
+                    assert phi.sigma == sigma, where
+                    assert phi.class_indices == G.sigma_class_indices(sigma), where
+
+    def test_the_two_kinds_stay_unequal_on_a_sigma_group(self, d8):
+        # every class of D8 is a 2-class, so the two kinds have equal values
+        irreducibles = character_table(d8).irreducibles
+        for phi, chi in zip(sigma_partial_characters(d8, PrimeSet([2])), irreducibles):
+            assert phi.values == chi.values and phi != chi
+            assert phi == Character(d8, chi.values, PrimeSet([2]))
+
+    def test_restriction_and_induction_keep_the_partial_values(self):
+        for definition in builtin_corpus():
+            G = definition.build()
+            for p in G.primes():
+                sigma = PrimeSet([p])
+                separable = G.is_sigma_separable(sigma)
+                for cls in subgroup_classes(G):
+                    U = cls.representative
+                    where = (definition.name, p, cls.order)
+                    if separable:
+                        for phi in sigma_partial_characters(G, sigma):
+                            res = restrict_character(phi, U)
+                            assert res.group is U and res.sigma == sigma, where
+                            assert res.values == reference_restriction_values(phi, U), where
+                    if not U.is_sigma_separable(sigma):
+                        continue  # A5 itself
+                    for alpha in sigma_partial_characters(U, sigma):
+                        ind = induce_character(alpha, G)
+                        assert ind.group is G and ind.sigma == sigma, where
+                        assert ind.values == reference_induced_values(alpha, G), where
+                        assert induced_partial_values(alpha, G) == ind.values, where
+
+    def test_conjugation_keeps_the_kind(self, s4):
+        for p in (2, 3):
+            sigma = PrimeSet([p])
+            for cls in subgroup_classes(s4):
+                U = cls.representative
+                sidx = U.sigma_class_indices(sigma)
+                for g in s4.generators:
+                    Ug = s4.subgroup([x.conjugate(g) for x in U.generators])
+                    g_sidx = Ug.sigma_class_indices(sigma)
+                    for chi in character_table(U).irreducibles:
+                        phi = Character(U, [chi.values[j] for j in sidx], sigma)
+                        conjugate = conjugate_character(phi, g, Ug)
+                        expected = conjugate_character(chi, g, Ug).values
+                        assert conjugate.sigma == sigma
+                        assert conjugate.values == tuple(expected[j] for j in g_sidx)
+
+    def test_a_class_outside_the_sigma_classes_has_no_value(self, s3):
+        phi = by_degree(sigma_partial_characters(s3, PrimeSet([3])), 2)
+        assert phi(perm("(1,2,3)", 3)) == -1
+        with pytest.raises(ValueError, match="not a sigma-element"):
+            phi(perm("(1,2)", 3))
 
 
 class TestDecompositionCertificate:
@@ -341,7 +442,7 @@ class TestIpiWithNormalVertex:
 class TestGlauberman:
     def test_trivial_acting_group(self, s4):
         S = s4.subgroup([])
-        action = GlaubermanAction(s4, s4, S)
+        action = GlaubermanAction(s4, S)
         tab = character_table(s4)
         for chi in tab.irreducibles:
             assert glauberman_correspondent(action, chi).values == chi.values
@@ -350,7 +451,7 @@ class TestGlauberman:
         G = c3xc3_c2
         N = G.subgroup([perm("(1,2,3)", 6), perm("(4,5,6)", 6)])
         S = G.subgroup([perm("(1,4)(2,5)(3,6)", 6)])
-        action = GlaubermanAction(G, N, S)
+        action = GlaubermanAction(N, S)
         C = action.fixed
         assert C.order == 3
         omega = Cyclotomic(3, {1: 1})
@@ -371,7 +472,7 @@ class TestGlauberman:
         G = c3xc3_c2
         N = G.subgroup([perm("(1,2,3)", 6), perm("(4,5,6)", 6)])
         S = G.subgroup([perm("(1,4)(2,5)(3,6)", 6)])
-        pairs = glauberman_map(GlaubermanAction(G, N, S))
+        pairs = glauberman_map(GlaubermanAction(N, S))
         assert len(pairs) == 3
 
     def test_frobenius_c7_c3(self):
@@ -379,7 +480,7 @@ class TestGlauberman:
         assert G.order == 21
         N = G.subgroup([perm("(1,2,3,4,5,6,7)", 7)])
         S = G.subgroup([perm("(2,3,5)(4,7,6)", 7)])
-        action = GlaubermanAction(G, N, S)
+        action = GlaubermanAction(N, S)
         assert action.fixed.order == 1
         pairs = glauberman_map(action)
         # only the trivial character of C7 is invariant
@@ -389,7 +490,7 @@ class TestGlauberman:
         N = s4.subgroup([perm("(1,2)(3,4)", 4), perm("(1,3)(2,4)", 4)])
         S = s4.subgroup([perm("(1,2)", 4)])
         with pytest.raises(ValueError):
-            GlaubermanAction(s4, N, S)
+            GlaubermanAction(N, S)
 
     def test_series_independence_for_c6_action(self):
         # C6 = <x -> 3x on C7> acting on C7 x C5 (trivially on the C5 part);
@@ -400,7 +501,7 @@ class TestGlauberman:
         )
         S = ambient.subgroup([perm("(2,4,3,7,5,6)", 12)])
         assert S.order == 6 and N.order == 35
-        action = GlaubermanAction(ambient, N, S)
+        action = GlaubermanAction(N, S)
         assert action.fixed.order == 5
 
         from nilweight.sigma import is_prime
@@ -624,17 +725,16 @@ class TestNormalSigmaGate:
 
 
 class TestLiftConsistency:
-    def test_values_match_every_listed_lift(self, s4, a4, c3xc3_c2):
+    def test_every_member_is_the_restriction_of_an_irreducible(self, s4, a4, c3xc3_c2):
         for G in (s4, a4, c3xc3_c2):
             for primes in ([2], [3]):
                 sigma = PrimeSet(primes)
-                tab = character_table(G)
                 sidx = G.sigma_class_indices(sigma)
+                restrictions = {
+                    tuple(chi.values[j] for j in sidx) for chi in character_table(G).irreducibles
+                }
                 for phi in sigma_partial_characters(G, sigma):
-                    assert phi.lifts
-                    for i in phi.lifts:
-                        chi = tab.irreducibles[i]
-                        assert tuple(chi.values[j] for j in sidx) == phi.values
+                    assert phi.values in restrictions
 
 
 class TestHallClassByScan:
