@@ -2,11 +2,12 @@
 
 Entries are keyed by a content hash of the canonical generators, the class
 order fingerprint and an algorithm version, so changes to the table
-algorithm invalidate old entries. A deserialized table is rebuilt through
-the CharacterTable constructor, which puts its rows in canonical order and
-certifies them before the table is used. Each write goes through its own
-temp file in the cache directory and an atomic replace, so concurrent
-writers of one entry do not collide.
+algorithm invalidate old entries. The fingerprint is memoized on the group,
+so the key and the entry written or checked share one list. A deserialized
+table is rebuilt through the CharacterTable constructor, which puts its
+rows in canonical order and certifies them before the table is used. Each
+write goes through its own temp file in the cache directory and an atomic
+replace, so concurrent writers of one entry do not collide.
 """
 
 from __future__ import annotations
@@ -25,7 +26,10 @@ from .groups import PermGroup, check_bound, memoized
 ALGORITHM_VERSION = 1
 
 
-def _class_fingerprint(G: PermGroup):
+@memoized()
+def _class_fingerprint(G: PermGroup) -> list:
+    """The class order as JSON gives it back: one list per class, shared by
+    the key, the entry written and the entry check."""
     return [
         [c.element_order, c.size, list(c.representative.images)]
         for c in G.conjugacy_classes()
@@ -113,11 +117,12 @@ def load_or_compute_table(G: PermGroup, cache_dir):
     """Return (table, source) with source "warm" on a cache hit, else "cold"."""
     if cache_dir is None:
         return character_table(G), "cold"
+    # a warm read obeys the bound a cold computation does, checked before the
+    # key builds a class list and before the directory is made
+    check_bound("table", G.order)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"chartab-{table_cache_key(G)}.json"
-    # a warm read obeys the bound a cold computation does
-    check_bound("table", G.order)
     if path.exists():
         try:
             tab = deserialize_table(G, json.loads(path.read_text()))

@@ -13,10 +13,11 @@ from the eigenvalue multiplicities of each power map. The class matrices
 split the space one at a time, in class order, each acting only on the
 eigenspaces that are not yet lines (Schneider's refinement of Dixon's
 method). The `CharacterTable` constructor sorts every table, computed or
-read from disk, by (degree, values) and certifies it before it is used:
-row orthogonality is checked exactly by evaluating every value once at
-an integer point z modulo Phi_e(z), with z large enough that no nonzero
-sum can vanish there (`CharacterTable.verify`).
+read from disk, by (degree, values), reading a value's canonical
+coordinates only where the earlier columns tie, and certifies it before it
+is used: row orthogonality is checked exactly by evaluating every value
+once at an integer point z modulo Phi_e(z), with z large enough that no
+nonzero sum can vanish there (`CharacterTable.verify`).
 
 A `Character` is a class function of one of two kinds: on all classes of
 its group, or, given a prime set sigma, on its sigma-classes only, which
@@ -122,13 +123,7 @@ class CharacterTable:
         self.group = group
         self.conductor = group.exponent()
         self.irreducibles: tuple[Character, ...] = tuple(
-            sorted(
-                irreducibles,
-                key=lambda chi: (
-                    chi.degree,
-                    [v.sort_key(self.conductor) for v in chi.values],
-                ),
-            )
+            sorted(irreducibles, key=lambda chi: (chi.degree, _RowKey(chi.values, self.conductor)))
         )
         self.verify()
 
@@ -209,6 +204,31 @@ class CharacterTable:
 
     def __repr__(self) -> str:
         return f"CharacterTable(order={self.group.order}, degrees={self.degrees()})"
+
+
+class _RowKey:
+    """A row's values, ordered as the list of their `sort_key(conductor)`s.
+
+    Two rows are compared column by column, and a column's canonical
+    coordinates are computed only when every earlier column ties: two values
+    with the same terms tie without them.
+    """
+
+    __slots__ = ("values", "conductor")
+
+    def __init__(self, values, conductor: int):
+        self.values = values
+        self.conductor = conductor
+
+    def __lt__(self, other: "_RowKey") -> bool:
+        e = self.conductor
+        for a, b in zip(self.values, other.values):
+            if a.nums == b.nums and a.den == b.den and a.conductor == b.conductor:
+                continue
+            ka, kb = a.sort_key(e), b.sort_key(e)
+            if ka != kb:
+                return ka < kb
+        return False
 
 
 def _where(G: PermGroup) -> str:

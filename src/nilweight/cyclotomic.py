@@ -160,7 +160,8 @@ class Cyclotomic:
         cached = self._canon.get(m)
         if cached is not None:
             return cached
-        out = tuple(_reduce_mod_phi(self.numerators_at(m, self.den), m))
+        terms = self.nums.items() if m == self.conductor else self.numerators_at(m, self.den)
+        out = tuple(_reduce_mod_phi(terms, m))
         self._canon[m] = out
         return out
 

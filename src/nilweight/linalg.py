@@ -13,6 +13,9 @@ from .sigma import is_prime
 
 # --- certified integer solving ----------------------------------------------
 
+#: the first modulus of every certified solve; later ones are the primes below it
+FIRST_PRIME = 2**31 - 1
+
 
 def integer_solutions(columns: list[list[int]], targets: list[list[int]]):
     """For each target, the integer solution of sum_j x_j * columns[j] = target, or None.
@@ -31,7 +34,7 @@ def integer_solutions(columns: list[list[int]], targets: list[list[int]]):
         raise ValueError("a column has a first entry below 1")
     rows = [list(row) for row in zip(*columns, *targets)]
     hadamard = math.prod(math.isqrt(sum(v * v for v in col)) + 1 for col in columns)
-    p, tried = 2**31 - 1, 1
+    p, tried = FIRST_PRIME, 1
     while tried <= hadamard:
         for target in targets:
             if 2 * target[0] >= p:
@@ -50,10 +53,16 @@ def integer_solutions(columns: list[list[int]], targets: list[list[int]]):
                 out.append(x if exact else None)
             return out
         tried *= p
-        p -= 2
-        while not is_prime(p):
-            p -= 2
+        p = prime_below(p)
     raise ValueError("columns are linearly dependent")
+
+
+def prime_below(p: int) -> int:
+    """The largest prime below the odd number p > 3."""
+    p -= 2
+    while not is_prime(p):
+        p -= 2
+    return p
 
 
 def solve_unique_rational(columns: list[list[int]], target: list[int]):

@@ -1,12 +1,15 @@
 """Irreducible sigma-partial characters, vertices, and weights.
 
 A sigma-partial character is the restriction of an ordinary character to
-the sigma-elements, a `chartab.Character` with the prime set sigma; the
-irreducible ones are found by peeling distinct restrictions in increasing
-degree order and rejecting any that decompose as nonnegative integer
-combinations of the smaller ones. The count is certified against the
-number of sigma-element classes, which the theory forces to match, so a
-wrong set cannot survive construction.
+the sigma-elements, a `chartab.Character` with the prime set sigma. The
+irreducible ones are the distinct restrictions, in increasing (degree,
+values) order, that are independent of all before them: the pivot columns
+of one elimination. One batched solve certifies them: their count is the
+number of sigma-element classes, which the theory forces to match, and
+every other restriction is a nonnegative integer combination of members of
+smaller degree. So the set is the one that peeling the restrictions and
+rejecting any that decompose over the smaller ones would keep, and a wrong
+set cannot survive construction.
 
 Vertices are located by exhaustive search over pairs (U, alpha) of a
 subgroup class and a sigma-degree member of Iso(U) inducing the target;
@@ -42,7 +45,13 @@ from .lattice import (
     subgroup_class_of,
     subgroup_classes,
 )
-from .linalg import integer_solutions, nonneg_integer_solution
+from .linalg import (
+    FIRST_PRIME,
+    integer_solutions,
+    nonneg_integer_solution,
+    prime_below,
+    rref_mod,
+)
 from .sigma import PrimeSet, factorize
 
 
@@ -64,35 +73,77 @@ def _flatten(values, conductor) -> list[int]:
     return out
 
 
+def _where(G: PermGroup, sigma: PrimeSet) -> str:
+    """The place an error on the Iso path names: the group order and sigma."""
+    return f"in a group of order {G.order}, sigma={{{sigma}}}"
+
+
 @memoized()
 def sigma_partial_characters(G: PermGroup, sigma: PrimeSet) -> tuple[Character, ...]:
-    """The set Iso(G) of irreducible sigma-partial characters."""
+    """The set Iso(G) of irreducible sigma-partial characters.
+
+    Let v_1, ..., v_n be the distinct restrictions of Irr(G) to the
+    sigma-classes, in (degree, canonical coordinates) order. Iso(G) is the
+    set a peel along that order accepts: v_i is accepted unless it is a
+    nonnegative integer combination of accepted members of smaller degree.
+    It is read off one elimination: the set K of pivot columns of
+    [v_1 ... v_n] mod p is the v_i independent of v_1, ..., v_{i-1} mod p.
+    One `integer_solutions(K, all)` call certifies that |K| is the number of
+    sigma-classes, that every v_i is an exact nonnegative integer
+    combination of K, and that each v_i outside K uses only members of K of
+    smaller degree. These facts force K to be the peel's set, by induction
+    along the order. A v_i in K is independent mod p, hence over Q, of the
+    members before it, so the peel accepts it. A v_i outside K is a
+    certified nonnegative sum of members of K of smaller degree, which come
+    before it and so were accepted, and the peel's solve over those
+    independent members finds that unique sum and rejects v_i.
+
+    A failed certificate means either a wrong table or a prime p at which
+    some v_i is dependent on earlier members only mod p; the pass is
+    redone once at the next prime below before an error is raised.
+    """
     if not G.is_sigma_separable(sigma):
         raise ValueError("partial-character theory requires a sigma-separable group")
-    tab = character_table(G)
+    where = _where(G, sigma)
     sidx = G.sigma_class_indices(sigma)
-    restrictions = {tuple(chi.values[j] for j in sidx) for chi in tab.irreducibles}
     e = G.exponent()
-    ordered = sorted(
-        restrictions, key=lambda v: (v[0].to_int(), [x.sort_key(e) for x in v])
-    )
-    flat = {v: _flatten(v, e) for v in ordered}
-    accepted: list[tuple] = []
-    for v in ordered:
-        smaller = [flat[u] for u in accepted if u[0].to_int() < v[0].to_int()]
-        if smaller and nonneg_integer_solution(smaller, flat[v]) is not None:
-            continue  # a sum of smaller members, hence reducible
-        accepted.append(v)
-    if len(accepted) != len(sidx):
-        raise InternalConsistencyError(
-            f"found {len(accepted)} irreducible partial characters, "
-            f"expected {len(sidx)} (the sigma-class count)"
-        )
-    # every restriction must decompose nonnegative-integrally in the basis
-    solutions = integer_solutions([flat[u] for u in accepted], [flat[v] for v in ordered])
-    if any(x is None or min(x) < 0 for x in solutions):
-        raise InternalConsistencyError("a restriction does not decompose over the irreducible set")
-    return tuple(Character(G, v, sigma) for v in accepted)
+    # keyed by (degree, canonical coordinates): equal restrictions share a
+    # key, and the keys sort in (degree, values) order
+    distinct: dict[tuple, tuple] = {}
+    for chi in character_table(G).irreducibles:
+        v = tuple(chi.values[j] for j in sidx)
+        distinct.setdefault((chi.degree, tuple(x.sort_key(e) for x in v)), v)
+    keys = sorted(distinct)
+    ordered = [distinct[k] for k in keys]
+    degrees = [degree for degree, _ in keys]
+    flat = [_flatten(v, e) for v in ordered]
+    rows = list(zip(*flat))
+    p = FIRST_PRIME
+    for _ in range(2):
+        kept = rref_mod(rows, p)[1]
+        if len(kept) != len(sidx):
+            failure = (
+                f"found {len(kept)} irreducible partial characters, "
+                f"expected {len(sidx)} (the sigma-class count)"
+            )
+        else:
+            try:
+                solutions = integer_solutions([flat[k] for k in kept], flat)
+            except ValueError as exc:
+                raise InternalConsistencyError(f"{exc} {where}") from exc
+            if any(x is None or min(x) < 0 for x in solutions):
+                failure = "a restriction does not decompose over the irreducible set"
+            elif any(
+                m and degrees[k] >= degrees[i]
+                for i, x in enumerate(solutions)
+                if i not in kept
+                for k, m in zip(kept, x)
+            ):
+                failure = "a restriction decomposes over a member of no smaller degree"
+            else:
+                return tuple(Character(G, ordered[k], sigma) for k in kept)
+        p = prime_below(p)
+    raise InternalConsistencyError(f"{failure} {where}")
 
 
 def decompose_on_subgroup(phi: Character, H: PermGroup):
@@ -103,7 +154,10 @@ def decompose_on_subgroup(phi: Character, H: PermGroup):
     target = _flatten(restrict_character(phi, H).values, e)
     sol = nonneg_integer_solution([_flatten(mu.values, e) for mu in basis], target)
     if sol is None:
-        raise InternalConsistencyError("restriction is not a nonnegative combination")
+        raise InternalConsistencyError(
+            f"the restriction to a subgroup of order {H.order} is not a nonnegative "
+            f"combination {_where(phi.group, phi.sigma)}"
+        )
     return [(mu, m) for mu, m in zip(basis, sol) if m]
 
 
@@ -142,7 +196,8 @@ def clifford_correspondent(phi: Character, N: PermGroup, theta: Character):
     ]
     if len(hits) != 1:
         raise InternalConsistencyError(
-            f"Clifford correspondence produced {len(hits)} candidates instead of 1"
+            f"Clifford correspondence produced {len(hits)} candidates instead of 1 "
+            f"{_where(G, phi.sigma)}"
         )
     return hits[0], T
 
@@ -156,7 +211,7 @@ def vertices(phi: Character) -> SubgroupClass:
 def _vertex_class(G: PermGroup, phi: Character) -> SubgroupClass:
     """`vertices(phi)` for phi in Iso(G), memoized in G."""
     sigma = phi.sigma
-    where = f"in a group of order {G.order}, sigma={{{sigma}}}"
+    where = _where(G, sigma)
     coprime_in_g = sigma.complement_within(G.order)
     target_coorder = coprime_in_g.part(G.order) // coprime_in_g.part(phi.degree)
     hits = []
@@ -265,8 +320,7 @@ def ipi_with_normal_vertex(
     )
     if out and any(N.o_sigma_walk(coprime, R.element_set())):
         raise InternalConsistencyError(
-            f"a vertex |R|={R.order} is not O_{{sigma'}} in a group of order "
-            f"{N.order}, sigma={{{sigma}}}"
+            f"a vertex |R|={R.order} is not O_{{sigma'}} {_where(N, sigma)}"
         )
     return out
 

@@ -22,10 +22,20 @@ def elements(G: PermGroup) -> tuple[Perm, ...]:
     return tuple(map(Perm, G._element_images()))
 
 
+def _group_files_within(bound: str):
+    """The desk-scale group files within the named bound, as definitions."""
+    definitions = (parse_group_file(p.read_text()) for p in sorted(GROUPS_DIR.glob("*.txt")))
+    return [d for d in definitions if d.expected_order <= DEFAULT_BOUNDS[bound]]
+
+
 def lattice_group_files():
     """The desk-scale group files within the lattice bound, as definitions."""
-    definitions = (parse_group_file(p.read_text()) for p in sorted(GROUPS_DIR.glob("*.txt")))
-    return [d for d in definitions if d.expected_order <= DEFAULT_BOUNDS["subgroup-lattice"]]
+    return _group_files_within("subgroup-lattice")
+
+
+def table_group_files():
+    """The desk-scale group files within the table bound, as definitions."""
+    return _group_files_within("table")
 
 
 @pytest.fixture(scope="session")

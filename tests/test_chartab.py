@@ -608,6 +608,30 @@ class TestDirectProducts:
         assert cache.ALGORITHM_VERSION == 1
 
 
+def test_every_table_is_in_the_eager_key_order(tmp_path, monkeypatch):
+    """The lazy row comparison sorts as (degree, every sort key) does, on every
+    table of the corpus, the factor tables of direct products included."""
+    tables = []
+    verify = chartab.CharacterTable.verify
+
+    def recording(tab):
+        tables.append(tab)
+        verify(tab)
+
+    monkeypatch.setattr(chartab.CharacterTable, "verify", recording)
+    for _, G in _corpus_groups(tmp_path):
+        character_table(G)
+    monkeypatch.undo()
+    # the 23 products of the corpus and the S3xS3 factor of S3xS3 x S3
+    products = sum(chartab._direct_factors(tab.group) is not None for tab in tables)
+    assert products == 24
+    for tab in tables:
+        e, rows = tab.conductor, tab.irreducibles
+        eager = sorted(rows, key=lambda chi: (chi.degree, [v.sort_key(e) for v in chi.values]))
+        assert list(rows) == eager
+        assert chartab.CharacterTable(tab.group, reversed(rows)).irreducibles == rows
+
+
 # sha256 of `chartab --group NAME --format machine` for every builtin, as the
 # Fraction-based cyclotomic arithmetic printed it
 CHARTAB_SHA256 = {

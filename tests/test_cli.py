@@ -697,6 +697,37 @@ class TestCache:
             assert code == 2
             assert text == "resource error: group order 24 exceeds table bound 10\n"
 
+    def test_the_bound_is_checked_before_any_class_list_or_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(groups.DEFAULT_BOUNDS, "table", 10)
+        argv = ["chartab", "--group", "S4", "--format", "machine", "--cache-dir"]
+        code, text = run_command(argv + [str(tmp_path / "cli")])
+        assert code == 2
+        assert text == "resource error: group order 24 exceeds table bound 10\n"
+        G = builtin_by_name("S4").build()
+        message = "^group order 24 exceeds table bound 10$"
+        with pytest.raises(groups.ResourceLimitError, match=message):
+            cache.load_or_compute_table(G, tmp_path / "direct")
+        assert groups.PermGroup.conjugacy_classes.peek(G) is None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_each_command_builds_one_class_fingerprint(self, tmp_path, monkeypatch):
+        builds = []
+        fingerprint = cache._class_fingerprint
+        peek = getattr(fingerprint, "peek", lambda G: None)
+
+        def counting(G):
+            if peek(G) is None:
+                builds.append(G.order)
+            return fingerprint(G)
+
+        monkeypatch.setattr(cache, "_class_fingerprint", counting)
+        argv = ["chartab", "--group", "S4xC5", "--format", "machine", "--cache-dir", str(tmp_path)]
+        for source in ("cold", "warm"):
+            code, text = run_command(argv)
+            assert code == 0 and f"cache\t{source}\n" in text
+            assert builds == [120]
+            builds.clear()
+
 
 class TestJobs:
     def test_parallel_scan_matches_serial(self):

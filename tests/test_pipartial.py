@@ -12,11 +12,12 @@ from nilweight.chartab import (
     induce_character,
     restrict_character,
 )
+from nilweight.cli import run_command
 from nilweight.corpus import builtin_by_name, builtin_corpus
 from nilweight.cyclotomic import Cyclotomic
 from nilweight import groups
 from nilweight.groups import PermGroup, bsgs_construct, span
-from nilweight.linalg import nonneg_integer_solution
+from nilweight.linalg import FIRST_PRIME, nonneg_integer_solution, prime_below
 from nilweight.lattice import (
     nilpotent_sigma_subgroup_classes,
     subgroup_class_of,
@@ -47,7 +48,7 @@ from nilweight.pipartial import (
 from nilweight.sigma import PrimeSet
 from nilweight.verify import check_weight_count, sigma_subsets
 
-from conftest import group, lattice_group_files, perm
+from conftest import group, lattice_group_files, perm, table_group_files
 
 
 def values_as_set(phis):
@@ -224,9 +225,149 @@ class TestDecompositionCertificate:
         )
         with pytest.raises(
             InternalConsistencyError,
-            match="^a restriction does not decompose over the irreducible set$",
+            match=r"^a restriction does not decompose over the irreducible set "
+            r"in a group of order 24, sigma=\{3\}$",
         ):
             sigma_partial_characters(group(4, "(1,2)", "(1,2,3,4)"), PrimeSet([3]))
+
+
+def reference_peel(G, sigma):
+    """Iso(G) as one solve per restriction finds it, as value tuples: the
+    distinct restrictions in (degree, values) order, each rejected when it is
+    a nonnegative integer combination of accepted ones of smaller degree."""
+    tab = character_table(G)
+    sidx = G.sigma_class_indices(sigma)
+    restrictions = {tuple(chi.values[j] for j in sidx) for chi in tab.irreducibles}
+    e = G.exponent()
+    ordered = sorted(
+        restrictions, key=lambda v: (v[0].to_int(), [x.sort_key(e) for x in v])
+    )
+    flat = {v: _flatten(v, e) for v in ordered}
+    accepted: list[tuple] = []
+    for v in ordered:
+        smaller = [flat[u] for u in accepted if u[0].to_int() < v[0].to_int()]
+        if smaller and nonneg_integer_solution(smaller, flat[v]) is not None:
+            continue
+        accepted.append(v)
+    return accepted
+
+
+def _recording(monkeypatch, name, record):
+    """Replace pipartial's `name` by a wrapper that appends record(*args) to a list."""
+    calls = []
+    original = getattr(pipartial, name)
+
+    def wrapper(*args):
+        calls.append(record(*args))
+        return original(*args)
+
+    monkeypatch.setattr(pipartial, name, wrapper)
+    return calls
+
+
+class TestOnePivotPass:
+    """Iso(G) is the pivot set of one elimination, certified by one batched solve."""
+
+    def test_the_members_are_the_peels_members_in_its_order(self):
+        checked = 0
+        for definition in [*builtin_corpus(), *table_group_files()]:
+            G = definition.build()
+            for sigma in sigma_subsets(G):
+                if G.is_sigma_separable(sigma):
+                    members = [phi.values for phi in sigma_partial_characters(G, sigma)]
+                    assert members == reference_peel(G, sigma), (definition.name, sigma)
+                    checked += 1
+        assert checked == 127
+
+    def test_ipi_solves_once_per_prime_tried(self, monkeypatch):
+        per_target = _recording(monkeypatch, "nonneg_integer_solution", lambda c, t: t)
+        batched = _recording(monkeypatch, "integer_solutions", lambda c, t: len(t))
+        primes = _recording(monkeypatch, "rref_mod", lambda rows, q: q)
+        code, text = run_command(["ipi", "--group", "S4xC5", "--pi", "2", "--format", "machine"])
+        assert code == 0 and "count\t4\n" in text
+        assert per_target == []
+        assert primes == [FIRST_PRIME] and len(batched) == 1
+
+    def test_a_bad_first_prime_is_redone_at_the_next(self, monkeypatch):
+        # S4 on its 3-classes: the restrictions (1,1), (2,-1), (3,0). A prime at
+        # which (2,-1) depends on (1,1) keeps (1,1) and (3,0) instead, and
+        # (2,-1) = (3,0) - (1,1) is no nonnegative combination.
+        s4 = group(4, "(1,2)", "(1,2,3,4)")
+        expected = reference_peel(s4, PrimeSet([3]))
+        elimination = pipartial.rref_mod
+        primes = []
+
+        def bad_first_prime(rows, q):
+            primes.append(q)
+            return ([], [0, 2]) if q == FIRST_PRIME else elimination(rows, q)
+
+        monkeypatch.setattr(pipartial, "rref_mod", bad_first_prime)
+        batched = _recording(monkeypatch, "integer_solutions", lambda c, t: len(c))
+        members = sigma_partial_characters(s4, PrimeSet([3]))
+        assert [phi.values for phi in members] == expected
+        assert primes == [FIRST_PRIME, prime_below(FIRST_PRIME)]
+        assert batched == [2, 2]
+
+    def test_a_failure_at_both_primes_names_the_group_and_sigma(self, monkeypatch):
+        monkeypatch.setattr(pipartial, "rref_mod", lambda rows, q: ([], [0]))
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"^found 1 irreducible partial characters, expected 2 \(the sigma-class "
+            r"count\) in a group of order 24, sigma=\{3\}$",
+        ):
+            sigma_partial_characters(group(4, "(1,2)", "(1,2,3,4)"), PrimeSet([3]))
+
+    def test_the_degree_certificate_names_the_group_and_sigma(self, monkeypatch):
+        # S4 on its 2-classes keeps degrees 1, 1, 3, 3 and drops (2,0,2,0): a
+        # solution through a member of degree 3 fails the degree certificate
+        batched = pipartial.integer_solutions
+
+        def through_the_last_member(columns, targets):
+            solutions = batched(columns, targets)
+            return [x if x.count(0) == len(x) - 1 else [0] * (len(x) - 1) + [1] for x in solutions]
+
+        monkeypatch.setattr(pipartial, "integer_solutions", through_the_last_member)
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"^a restriction decomposes over a member of no smaller degree "
+            r"in a group of order 24, sigma=\{2\}$",
+        ):
+            sigma_partial_characters(group(4, "(1,2)", "(1,2,3,4)"), PrimeSet([2]))
+
+    def test_a_solve_error_names_the_group_and_sigma(self, monkeypatch):
+        def dependent(columns, targets):
+            raise ValueError("columns are linearly dependent")
+
+        monkeypatch.setattr(pipartial, "integer_solutions", dependent)
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"^columns are linearly dependent in a group of order 24, sigma=\{3\}$",
+        ):
+            run_command(["ipi", "--group", "S4", "--pi", "3"])
+
+    def test_a_failed_decomposition_names_the_group_and_sigma(self, monkeypatch, s4):
+        phi = sigma_partial_characters(s4, PrimeSet([3]))[-1]
+        V4 = s4.subgroup([perm("(1,2)(3,4)", 4), perm("(1,3)(2,4)", 4)])
+        monkeypatch.setattr(pipartial, "nonneg_integer_solution", lambda c, t: None)
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"subgroup of order 4 .* in a group of order 24, sigma=\{3\}$",
+        ):
+            decompose_on_subgroup(phi, V4)
+
+    def test_a_failed_clifford_correspondence_names_the_group_and_sigma(self, monkeypatch):
+        s4 = group(4, "(1,2)", "(1,2,3,4)")
+        V4 = s4.subgroup([perm("(1,2)(3,4)", 4), perm("(1,3)(2,4)", 4)])
+        sigma = PrimeSet([2])
+        theta = sigma_partial_characters(V4, sigma)[0]
+        phi = next(phi for phi in sigma_partial_characters(s4, sigma) if lies_over(phi, theta))
+        monkeypatch.setattr(pipartial, "induced_partial_values", lambda mu, G: ())
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"^Clifford correspondence produced 0 candidates instead of 1 "
+            r"in a group of order 24, sigma=\{2\}$",
+        ):
+            clifford_correspondent(phi, V4, theta)
 
 
 class TestDecomposition:
