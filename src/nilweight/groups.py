@@ -443,7 +443,7 @@ class PermGroup:
             raise ValueError("element is not in the group")
         return self.stabilizer(g, Perm.conjugate)
 
-    def centralizer_of_subgroup(self, H: "PermGroup") -> "Subgroup":
+    def centralizer_of_subgroup(self, H: "PermGroup") -> "PermGroup":
         """C_self(H) = elements commuting with every generator of H.
 
         H need not be contained in self; conjugation still makes sense as
@@ -452,9 +452,9 @@ class PermGroup:
         current: PermGroup = self
         for s in H.generators:
             current = current.stabilizer(s, Perm.conjugate)
-        return self.subgroup(current.generators)
+        return current
 
-    def center(self) -> "Subgroup":
+    def center(self) -> "PermGroup":
         return self.centralizer_of_subgroup(self)
 
     @memoized()
@@ -734,8 +734,9 @@ class PermGroup:
         image = PermGroup(len(cosets), [project(g) for g in self.generators])
         return image, project
 
+    @memoized(lambda G, H: ("quotient", H.element_set()))
     def quotient(self, H: "PermGroup"):
-        """(G/H, projection) for normal H; errors if H is not normal.
+        """(G/H, projection) for normal H, memoized per H's element set; errors otherwise.
 
         The image is the first of three faithful actions of G/H that applies:
         - H = 1: the group itself, projected by the identity;

@@ -18,9 +18,9 @@ Hall sigma'-subgroups of U are read from the group's own lattice: they
 form the one class of order |U|_{sigma'} with a member inside U.
 
 The local side Iso(N|R), for a normal sigma'-subgroup R of N, needs no
-search: a vertex contains O_{sigma'}(N) and has order
-|N|_{sigma'}/phi(1)_{sigma'}, so phi has vertex R exactly when
-phi(1)_{sigma'} = |N:R|_{sigma'} (`ipi_with_normal_vertex`).
+search and no table of N: it is empty unless R = O_{sigma'}(N), and is then
+inflated from Iso(N/R), on the quotient N/R the weights at R also table, by
+the degree law phi(1)_{sigma'} = |N:R|_{sigma'} (`ipi_with_normal_vertex`).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class InternalConsistencyError(AssertionError):
     """A certified identity failed; the engine itself is wrong somewhere."""
 
 
-def _flatten(values, conductor) -> list[int]:
+def _flatten(values, conductor, where: str) -> list[int]:
     """Power-basis coordinates in Q(zeta_conductor); integers for values in Z[zeta]."""
     out: list[int] = []
     for v in values:
@@ -67,7 +67,9 @@ def _flatten(values, conductor) -> list[int]:
         if v.den != 1:
             # den is reduced against the terms, not the coordinates
             if any(c % v.den for c in coords):
-                raise InternalConsistencyError(f"character value {v} is not an algebraic integer")
+                raise InternalConsistencyError(
+                    f"character value {v} is not an algebraic integer {where}"
+                )
             coords = [c // v.den for c in coords]
         out.extend(coords)
     return out
@@ -116,7 +118,7 @@ def sigma_partial_characters(G: PermGroup, sigma: PrimeSet) -> tuple[Character, 
     keys = sorted(distinct)
     ordered = [distinct[k] for k in keys]
     degrees = [degree for degree, _ in keys]
-    flat = [_flatten(v, e) for v in ordered]
+    flat = [_flatten(v, e, where) for v in ordered]
     rows = list(zip(*flat))
     p = FIRST_PRIME
     for _ in range(2):
@@ -149,14 +151,15 @@ def sigma_partial_characters(G: PermGroup, sigma: PrimeSet) -> tuple[Character, 
 def decompose_on_subgroup(phi: Character, H: PermGroup):
     """phi restricted to H as a multiset over Iso(H); multiplicities certified."""
     basis = sigma_partial_characters(H, phi.sigma)
+    where = _where(phi.group, phi.sigma)
     # exp(H) divides exp(G), so the parent exponent is a common conductor
     e = phi.group.exponent()
-    target = _flatten(restrict_character(phi, H).values, e)
-    sol = nonneg_integer_solution([_flatten(mu.values, e) for mu in basis], target)
+    target = _flatten(restrict_character(phi, H).values, e, where)
+    sol = nonneg_integer_solution([_flatten(mu.values, e, where) for mu in basis], target)
     if sol is None:
         raise InternalConsistencyError(
             f"the restriction to a subgroup of order {H.order} is not a nonnegative "
-            f"combination {_where(phi.group, phi.sigma)}"
+            f"combination {where}"
         )
     return [(mu, m) for mu, m in zip(basis, sol) if m]
 
@@ -303,26 +306,29 @@ def ipi_with_normal_vertex(
 ):
     """Members of Iso(N) with vertex R, for a normal sigma'-subgroup R of N.
 
-    Every vertex of phi contains O_{sigma'}(N), hence R, and has order
-    |N|_{sigma'}/phi(1)_{sigma'} (the degree law). So phi has vertex R exactly
-    when phi(1)_{sigma'} = |N:R|_{sigma'}, and then R = O_{sigma'}(N), which
-    is checked: the O_{sigma'} walk of N from R keeps no larger set.
-    Optionally only the members over theta are kept.
+    Every vertex of phi contains O_{sigma'}(N) and has order
+    |N|_{sigma'}/phi(1)_{sigma'} (the degree law), so Iso(N|R) is empty unless
+    the O_{sigma'} walk of N from R keeps no set, that is R = O_{sigma'}(N).
+    Then R lies in the kernel of all of Iso(N) (Isaacs, J. Algebra 86, 1984),
+    and Iso(N|R) is the inflation of the phi in Iso(N/R) with phi(1)_{sigma'}
+    = |N:R|_{sigma'}, in Iso(N)'s (degree, values) order; over theta if given.
     """
     coprime = sigma.complement_within(N.order)
     if not (coprime.is_sigma_number(R.order) and N.is_normal(R)):
         raise ValueError("R is not a normal sigma'-subgroup")
+    if any(N.o_sigma_walk(coprime, R.element_set())):
+        return ()
+    quo, project = N.quotient(R)
     law = coprime.part(N.order // R.order)
-    out = tuple(
-        phi
-        for phi in sigma_partial_characters(N, sigma)
-        if coprime.part(phi.degree) == law and (theta is None or lies_over(phi, theta))
-    )
-    if out and any(N.o_sigma_walk(coprime, R.element_set())):
-        raise InternalConsistencyError(
-            f"a vertex |R|={R.order} is not O_{{sigma'}} {_where(N, sigma)}"
-        )
-    return out
+    images = [project(c.representative) for c in N.sigma_element_classes(sigma)]
+    inflated = [
+        Character(N, [phi(x) for x in images], sigma)
+        for phi in sigma_partial_characters(quo, sigma)
+        if coprime.part(phi.degree) == law
+    ]
+    e = N.exponent()
+    inflated.sort(key=lambda phi: (phi.degree, tuple(x.sort_key(e) for x in phi.values)))
+    return tuple(phi for phi in inflated if theta is None or lies_over(phi, theta))
 
 
 # --- Glauberman correspondence ------------------------------------------------
@@ -436,13 +442,6 @@ def _local_normalizer(G: PermGroup, R: PermGroup) -> PermGroup:
     return G.normalizer(R)
 
 
-@memoized(lambda G, cls: ("weight_quotient", cls.canonical_key))
-def weight_quotient(G: PermGroup, cls: SubgroupClass):
-    """N_G(Q)/Q with its projection, memoized per subgroup class."""
-    Q = cls.representative
-    return _local_normalizer(G, Q).quotient(Q)
-
-
 def _weights_on(G: PermGroup, sigma: PrimeSet, cls: SubgroupClass) -> list[Weight]:
     """The weights (Q, gamma) for Q in cls: the sigma-defect-zero Irr(N_G(Q)/Q).
 
@@ -455,12 +454,12 @@ def _weights_on(G: PermGroup, sigma: PrimeSet, cls: SubgroupClass) -> list[Weigh
     above Q, with no class list of N_G(Q).
     """
     Q = cls.representative
-    if any(_local_normalizer(G, Q).o_sigma_walk(sigma, Q.element_set())):
+    N = _local_normalizer(G, Q)
+    if any(N.o_sigma_walk(sigma, Q.element_set())):
         return []
-    quo, _ = weight_quotient(G, cls)
     return [
         Weight(cls, gamma)
-        for gamma in character_table(quo).irreducibles
+        for gamma in character_table(N.quotient(Q)[0]).irreducibles
         if has_sigma_defect_zero(gamma, sigma)
     ]
 

@@ -42,6 +42,7 @@ from .pipartial import (
     GlaubermanAction,
     InternalConsistencyError,
     _local_normalizer,
+    _where,
     decompose_on_subgroup,
     enumerate_weights,
     glauberman_correspondent,
@@ -327,14 +328,15 @@ def check_canonical_bijection(
         raise AssertionError(f"C_N(R) meets R nontrivially in a group of order {G.order}")
     images = {}
     well_defined = True
+    where = _where(G, sigma)
     for phi, members in domain:
         constituents = [mu for mu, _ in decompose_on_subgroup(phi, N)]
         thetas = {}
         for member in members:
-            for theta_char in _invariant_constituents(constituents, member):
+            for theta_char in _invariant_constituents(constituents, member, where):
                 thetas[theta_char.values] = theta_char
         candidates = {
-            _bijection_image(sigma, action, CR, NR, theta_char)
+            _bijection_image(sigma, action, CR, NR, theta_char, where)
             for theta_char in thetas.values()
         }
         if len(candidates) != 1:
@@ -385,17 +387,17 @@ def check_canonical_bijection(
     )
 
 
-def _invariant_constituents(constituents: list[Character], member: frozenset):
+def _invariant_constituents(constituents: list[Character], member: frozenset, where: str):
     """The constituents of phi on the sigma-group N fixed by every element of
-    Q, for Q given by its element set."""
+    Q, for Q given by its element set; `where` ends the error (`_where`)."""
     elements = [Perm(x) for x in member]
     out = [theta for theta in constituents if is_invariant_character(theta, elements)]
     if not out:
-        raise InternalConsistencyError("no invariant constituent over the vertex")
+        raise InternalConsistencyError(f"no invariant constituent over the vertex {where}")
     return out
 
 
-def _bijection_image(sigma, action, CR, NR, theta_char):
+def _bijection_image(sigma, action, CR, NR, theta_char, where: str):
     """(theta* x 1_R) induced to N_G(R), matched into Iso(N_G(R)); CR is C_N(R) x R."""
     theta_star = glauberman_correspondent(action, theta_char)
     values = []
@@ -405,14 +407,12 @@ def _bijection_image(sigma, action, CR, NR, theta_char):
     lam = Character(CR, values)
     induced = induce_character(lam, NR)
     if inner_product(induced, induced) != 1:
-        raise InternalConsistencyError("induced image is not irreducible")
-    restriction = tuple(
-        induced.values[i] for i in NR.sigma_class_indices(sigma)
-    )
+        raise InternalConsistencyError(f"induced image is not irreducible {where}")
+    restriction = tuple(induced.values[i] for i in NR.sigma_class_indices(sigma))
     for psi in sigma_partial_characters(NR, sigma):
         if psi.values == restriction:
             return psi
-    raise InternalConsistencyError("image does not restrict into Iso(N_G(R))")
+    raise InternalConsistencyError(f"image does not restrict into Iso(N_G(R)) {where}")
 
 
 def _product_decomposition_holds(G, N, H) -> bool:

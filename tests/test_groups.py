@@ -341,6 +341,32 @@ class TestCentralizer:
                 C = G.centralizer(c.representative)
                 assert c.size * C.order == G.order
 
+    def test_of_a_subgroup_matches_bruteforce(self):
+        for G in builtins_up_to(BRUTE_MAX_ORDER):
+            elems = G.element_set()
+            for H in [*(cls.representative for cls in subgroup_classes(G)), G]:
+                expected = set(elems)
+                for h in H.generators:
+                    expected &= bf.centralizer(elems, h.images)
+                assert G.centralizer_of_subgroup(H).element_set() == expected, (G, H)
+
+    def test_of_a_subgroup_builds_only_its_stabilizers(self, monkeypatch):
+        # C_S4(V4): the stabilizer of (1,2)(3,4) is D8, and that of
+        # (1,3)(2,4) in D8 is V4, the result itself with no third group
+        s4 = group(4, "(1,2)", "(1,2,3,4)")
+        V4 = s4.subgroup([perm("(1,2)(3,4)", 4), perm("(1,3)(2,4)", 4)])
+        built = []
+        init = PermGroup.__init__
+
+        def count(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PermGroup, "__init__", count)
+        C = s4.centralizer_of_subgroup(V4)
+        assert [K.order for K in built] == [8, 4]
+        assert C is built[-1]
+
 
 class TestClassImage:
     def test_matches_bruteforce_conjugation(self, s4):

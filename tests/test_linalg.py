@@ -174,9 +174,9 @@ class TestSolver:
 class TestFlatten:
     def test_integer_coordinates(self):
         z3 = Cyclotomic(3, {1: Fraction(1)})
-        assert _flatten([Cyclotomic.from_rational(2), z3], 3) == [2, 0, 0, 1]
+        assert _flatten([Cyclotomic.from_rational(2), z3], 3, "") == [2, 0, 0, 1]
 
     def test_rejects_a_denominator(self):
         half = Cyclotomic.from_rational(Fraction(1, 2))
         with pytest.raises(InternalConsistencyError, match="1/2"):
-            _flatten([half], 1)
+            _flatten([half], 1, "")

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -42,7 +43,6 @@ from nilweight.pipartial import (
     partial_character_stabilizer,
     sigma_partial_characters,
     vertices,
-    weight_quotient,
     weights_with_first_component,
 )
 from nilweight.sigma import PrimeSet
@@ -242,7 +242,7 @@ def reference_peel(G, sigma):
     ordered = sorted(
         restrictions, key=lambda v: (v[0].to_int(), [x.sort_key(e) for x in v])
     )
-    flat = {v: _flatten(v, e) for v in ordered}
+    flat = {v: _flatten(v, e, "") for v in ordered}
     accepted: list[tuple] = []
     for v in ordered:
         smaller = [flat[u] for u in accepted if u[0].to_int() < v[0].to_int()]
@@ -536,14 +536,27 @@ class TestIpiWithVertex:
         assert [p.degree for p in phis] == [3]
 
 
+def degree_law_on_the_table_of(N, sigma, R):
+    """Iso(N|R) read off the table of N itself: the members of Iso(N) with
+    phi(1)_{sigma'} = |N:R|_{sigma'}, each certified to have vertex R by
+    R = O_{sigma'}(N)."""
+    coprime = sigma.complement_within(N.order)
+    law = coprime.part(N.order // R.order)
+    out = tuple(
+        phi for phi in sigma_partial_characters(N, sigma) if coprime.part(phi.degree) == law
+    )
+    assert not (out and any(N.o_sigma_walk(coprime, R.element_set())))
+    return out
+
+
 class TestIpiWithNormalVertex:
-    """Iso(N|R) by the degree law, against the exhaustive vertex search."""
+    """Iso(N|R) off the quotient N/R, against the exhaustive vertex search."""
 
     def test_equals_the_vertex_search_on_every_normalizer(self):
+        # the vertex search on the builtins of order at most 120, and Iso(N)
+        # by the degree law on the larger builtins and the group files
         cases = nonempty = 0
-        for definition in builtin_corpus():
-            if definition.expected_order > 120:
-                continue
+        for definition in [*builtin_corpus(), *lattice_group_files()]:
             G = definition.build()
             primes = G.primes()
             for k in range(1, len(primes) + 1):
@@ -557,27 +570,42 @@ class TestIpiWithNormalVertex:
                             continue
                         R = cls.representative
                         N = _local_normalizer(G, R)
-                        expected = ipi_with_vertex(N, sigma, N.subgroup(R.generators))
+                        if definition.expected_order <= 120:
+                            expected = ipi_with_vertex(N, sigma, N.subgroup(R.generators))
+                        else:
+                            expected = degree_law_on_the_table_of(N, sigma, R)
                         where = (definition.name, subset, R.order)
                         assert ipi_with_normal_vertex(N, sigma, R) == expected, where
                         cases += 1
                         nonempty += bool(expected)
-        assert (cases, nonempty) == (143, 77)
+        assert (cases, nonempty) == (413, 128)
 
     def test_rejects_a_subgroup_that_is_not_normal(self, s4):
         R = s4.subgroup([perm("(1,2)", 4)])
         with pytest.raises(ValueError, match="normal sigma'-subgroup"):
             ipi_with_normal_vertex(s4, PrimeSet([3]), R)
 
-    def test_certificate_names_the_group(self, monkeypatch):
+    def test_a_set_kept_above_r_builds_no_quotient_and_no_table(self, monkeypatch):
         s4 = group(4, "(1,2)", "(1,2,3,4)")
         V4 = s4.subgroup([perm("(1,2)(3,4)", 4), perm("(1,3)(2,4)", 4)])
-        # a walk that keeps the whole group above R
+        # a walk that keeps the whole group above R: O_{sigma'}(N) > R
         monkeypatch.setattr(PermGroup, "o_sigma_walk", lambda self, sigma, start: iter([self.element_set()]))
-        with pytest.raises(
-            InternalConsistencyError, match=r"\|R\|=4 .* order 24, sigma=\{3\}"
-        ):
-            ipi_with_normal_vertex(s4, PrimeSet([3]), V4)
+        assert ipi_with_normal_vertex(s4, PrimeSet([3]), V4) == ()
+        assert PermGroup.quotient.peek(s4, V4) is None
+        assert character_table.peek(s4) is None
+        assert sigma_partial_characters.peek(s4, PrimeSet([3])) is None
+
+    def test_reads_the_quotient_and_not_the_table_of_n(self):
+        # V4 = O_2(S4): Iso(S4|V4) at sigma = {3} is the member of degree 2,
+        # inflated from S4/V4 = S3; the linear one has vertex D8
+        s4 = group(4, "(1,2)", "(1,2,3,4)")
+        V4 = s4.subgroup([perm("(1,2)(3,4)", 4), perm("(1,3)(2,4)", 4)])
+        sigma = PrimeSet([3])
+        got = ipi_with_normal_vertex(s4, sigma, V4)
+        assert [phi.degree for phi in got] == [2]
+        assert character_table.peek(PermGroup.quotient.peek(s4, V4)[0]) is not None
+        assert character_table.peek(s4) is None
+        assert got == degree_law_on_the_table_of(s4, sigma, V4)
 
 
 class TestGlauberman:
@@ -702,6 +730,13 @@ class TestWeights:
         assert weight_quotient(s4, trivial)[0].degree == 4
 
 
+def weight_quotient(G, cls):
+    """The memoized N_G(Q)/Q, with its projection, that the weights at the
+    class of Q built, or None."""
+    Q = cls.representative
+    return PermGroup.quotient.peek(_local_normalizer(G, Q), Q)
+
+
 def _is_gated(G, sigma, cls):
     """The weight gate: O_sigma(N_G(Q)) > Q for the class representative Q."""
     Q = cls.representative
@@ -721,7 +756,7 @@ class TestNormalSigmaGate:
                 for cls in nilpotent_sigma_subgroup_classes(G, sigma):
                     Q = cls.representative
                     upstairs = len(G.normalizer(Q).o_sigma_elements(sigma))
-                    quo, _ = weight_quotient(G, cls)
+                    quo, _ = _local_normalizer(G, Q).quotient(Q)
                     where = (definition.name, sigma, cls.order)
                     assert upstairs == Q.order * len(quo.o_sigma_elements(sigma)), where
                     if upstairs > Q.order:
@@ -819,7 +854,7 @@ class TestNormalSigmaGate:
             for cls in nilpotent_sigma_subgroup_classes(G, sigma):
                 if _is_gated(G, sigma, cls):
                     gated += 1
-                    assert weight_quotient.peek(G, cls) is None
+                    assert weight_quotient(G, cls) is None
                 else:
                     assert character_table.peek(weight_quotient(G, cls)[0]) is not None
         assert gated == 2  # N(1)/1 = A4 and N(C2)/C2 = C2, at sigma = {2}
@@ -828,11 +863,11 @@ class TestNormalSigmaGate:
         gated = kept = 0
         for definition in builtin_corpus():
             for sigma in sigma_subsets(definition.build()):
-                # a fresh group per sigma: weight quotients are memoized per class
+                # a fresh group per sigma: quotients are memoized per normal subgroup
                 G = definition.build()
                 check_weight_count(G, sigma)
                 for cls in nilpotent_sigma_subgroup_classes(G, sigma):
-                    built = weight_quotient.peek(G, cls) is not None
+                    built = weight_quotient(G, cls) is not None
                     assert built is not _is_gated(G, sigma, cls), (definition.name, sigma, cls)
                     gated += not built
                     kept += built
@@ -921,9 +956,26 @@ class TestFlattenCoordinates:
         # power-basis coordinates (1 - 1) / 2 are integers
         zero = Cyclotomic(4, {0: 1, 2: 1}, 2)
         assert zero.den == 2
-        assert _flatten([zero, Cyclotomic(4, {1: 3})], 4) == [0, 0, 0, 3]
+        assert _flatten([zero, Cyclotomic(4, {1: 3})], 4, "") == [0, 0, 0, 3]
 
     def test_rejects_a_coordinate_not_divisible_by_the_denominator(self):
         half_i = Cyclotomic(4, {1: 1}, 2)
         with pytest.raises(InternalConsistencyError, match="not an algebraic integer"):
-            _flatten([half_i], 4)
+            _flatten([half_i], 4, "")
+
+    def test_a_value_outside_the_integers_names_the_group_and_sigma(self, monkeypatch):
+        # 1/2*z4 on the last 3-class of S4: the table passes through
+        # unchecked, and the restriction's coordinates are not integers
+        s4 = group(4, "(1,2)", "(1,2,3,4)")
+        sidx = s4.sigma_class_indices(PrimeSet([3]))
+        real = character_table(s4).irreducibles
+        values = list(real[-1].values)
+        values[sidx[-1]] = Cyclotomic(4, {1: 1}, 2)
+        table = SimpleNamespace(irreducibles=real[:-1] + (Character(s4, values),))
+        monkeypatch.setattr(pipartial, "character_table", lambda G: table)
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"^character value .* is not an algebraic integer "
+            r"in a group of order 24, sigma=\{3\}$",
+        ):
+            sigma_partial_characters(s4, PrimeSet([3]))

@@ -10,6 +10,7 @@ from nilweight.groups import bsgs_construct
 from nilweight.lattice import (
     carter_fiber,
     carter_members,
+    nilpotent_sigma_subgroup_classes,
     solvable_sigma_subgroup_classes,
     subgroup_classes,
 )
@@ -153,6 +154,28 @@ class TestCarterRefinement:
             for phi in sigma_partial_characters(NR, sigma)
         )
 
+    def test_builds_no_table_of_a_normalizer_of_a_subgroup_not_normal(self):
+        # the local side reads Iso(N_G(R)/R), off the quotient the weights
+        # at R table; N_G(R) itself gets no character table
+        cases = 0
+        for definition in builtin_corpus():
+            if definition.expected_order > 120:
+                continue
+            for sigma in sigma_subsets(definition.build()):
+                G = definition.build()  # fresh: no other sigma's memos
+                coprime = sigma.complement_within(G.order)
+                if not G.is_sigma_separable(sigma):
+                    continue
+                for cls in nilpotent_sigma_subgroup_classes(G, coprime):
+                    R = cls.representative
+                    if G.is_normal(R):
+                        continue
+                    rep = check_carter_refinement(G, sigma, R, definition.name)
+                    assert rep.verdict != FAILS
+                    assert character_table.peek(G.normalizer(R)) is None, (definition.name, sigma)
+                    cases += 1
+        assert cases == 100
+
     def test_nonseparable_reports_unmet(self, a5):
         R = a5.subgroup([perm("(1,2)(3,4)", 5)])
         rep = check_carter_refinement(a5, PrimeSet([3, 5]), R, "A5")
@@ -286,14 +309,43 @@ class TestCanonicalBijection:
         used = set()
         real = verify._invariant_constituents
 
-        def recording(constituents, member):
+        def recording(constituents, member, where):
             used.add(member)
-            return real(constituents, member)
+            return real(constituents, member, where)
 
         monkeypatch.setattr(verify, "_invariant_constituents", recording)
         rep = check_canonical_bijection(G, sigma, N, H, R, "C5xC5:S3")
         assert (rep.lhs, rep.rhs, rep.verdict) == (5, 5, HOLDS)
         assert used == {R.element_set(), H.element_set()}
+
+    @pytest.mark.parametrize(
+        "name, patch, message",
+        [
+            (
+                "is_invariant_character",
+                lambda NR: lambda chi, elements: False,
+                "no invariant constituent over the vertex",
+            ),
+            ("inner_product", lambda NR: lambda a, b: 2, "induced image is not irreducible"),
+            (
+                "sigma_partial_characters",
+                lambda NR: lambda G, sigma: () if G is NR else sigma_partial_characters(G, sigma),
+                r"image does not restrict into Iso\(N_G\(R\)\)",
+            ),
+        ],
+        ids=["no-invariant-constituent", "reducible-image", "image-outside-iso"],
+    )
+    def test_a_failed_step_names_the_group_and_sigma(self, monkeypatch, name, patch, message):
+        a4 = group(4, "(1,2,3)", "(1,2)(3,4)")
+        sigma = PrimeSet([2])
+        N, H = bijection_setup(a4, sigma)
+        NR = pipartial._local_normalizer(a4, H)  # N_A4(C3) = C3, memoized
+        monkeypatch.setattr(verify, name, patch(NR))
+        with pytest.raises(
+            pipartial.InternalConsistencyError,
+            match=rf"^{message} in a group of order 12, sigma=\{{2\}}$",
+        ):
+            check_canonical_bijection(a4, sigma, N, H, H, "A4")
 
     def test_reads_no_class_of_a_subgroup(self, monkeypatch):
         G = parse_group_file(AGL116.read_text()).build()
