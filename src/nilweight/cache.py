@@ -5,9 +5,12 @@ order fingerprint and an algorithm version, so changes to the table
 algorithm invalidate old entries. The fingerprint is memoized on the group,
 so the key and the entry written or checked share one list. A deserialized
 table is rebuilt through the CharacterTable constructor, which puts its
-rows in canonical order and certifies them before the table is used. Each
-write goes through its own temp file in the cache directory and an atomic
-replace, so concurrent writers of one entry do not collide.
+rows in canonical order and certifies them before the table is used.
+A write encodes each value object of the table once; a read decodes and
+checks each distinct raw value once, keyed by its repr, and every cell
+holding that raw value shares the one decoded object. Each write goes
+through its own temp file in the cache directory and an atomic replace,
+so concurrent writers of one entry do not collide.
 """
 
 from __future__ import annotations
@@ -85,13 +88,15 @@ def _value_from_json(data, exponent: int) -> Cyclotomic:
 
 
 def serialize_table(tab: CharacterTable) -> dict:
+    """The cache entry of a table; each value object is encoded once and its
+    list shared by every cell that holds it."""
+    distinct = {id(v): v for chi in tab.irreducibles for v in chi.values}
+    encoded = {k: _value_to_json(v) for k, v in distinct.items()}
     return {
         "version": ALGORITHM_VERSION,
         "key": table_cache_key(tab.group),
         "classes": _class_fingerprint(tab.group),
-        "characters": [
-            [_value_to_json(v) for v in chi.values] for chi in tab.irreducibles
-        ],
+        "characters": [[encoded[id(v)] for v in chi.values] for chi in tab.irreducibles],
     }
 
 
@@ -109,7 +114,19 @@ def deserialize_table(G: PermGroup, data) -> CharacterTable:
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ValueError("cache characters are not a list of rows")
     e = G.exponent()
-    chars = [Character(G, [_value_from_json(v, e) for v in row]) for row in rows]
+    # one decoded object per distinct raw value, keyed by its repr: unlike the
+    # raw value, the repr tells true and 1.0 apart from 1, so no term skips
+    # the checks of _value_from_json by comparing equal to a checked one
+    decoded: dict[str, Cyclotomic] = {}
+    chars = []
+    for row in rows:
+        values = []
+        for raw in row:
+            key = repr(raw)
+            if key not in decoded:
+                decoded[key] = _value_from_json(raw, e)
+            values.append(decoded[key])
+        chars.append(Character(G, values))
     return CharacterTable(G, chars)
 
 

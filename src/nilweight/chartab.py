@@ -19,6 +19,13 @@ is used: row orthogonality is checked exactly by evaluating every value
 once at an integer point z modulo Phi_e(z), with z large enough that no
 nonzero sum can vanish there (`CharacterTable.verify`).
 
+Each distinct value of a table is one `Cyclotomic` object, shared by
+every cell that holds it: the finite-field lift keeps one per distinct
+lifted terms, and a product table one per pair of factor value objects
+and one per distinct product. The pools live for one table build. Work on
+a single value, its evaluation in `verify`, its canonical coordinates and
+its text, then runs once per distinct value, not once per cell.
+
 A `Character` is a class function of one of two kinds: on all classes of
 its group, or, given a prime set sigma, on its sigma-classes only, which
 makes it a sigma-partial character. Evaluation, restriction, induction,
@@ -175,25 +182,27 @@ class CharacterTable:
                 raise AssertionError(
                     f"character degree is not a positive divisor of |G| in row {i} {where}"
                 )
-        den = math.lcm(*(v.den for chi in irr for v in chi.values))
+        distinct = {id(v): v for chi in irr for v in chi.values}.values()
+        den = math.lcm(*(v.den for v in distinct))
         # x_ik is den / v.den times the numerators of v = chi_i(g_k), at exponents t e/m
-        ell1 = max(den // v.den * sum(map(abs, v.nums.values())) for chi in irr for v in chi.values)
+        ell1 = max(den // v.den * sum(map(abs, v.nums.values())) for v in distinct)
         z = G.order * (ell1 * ell1 + den * den) + 2
         q = cyclotomic_value(e, z)
         pw = [1] * e
         for t in range(1, e):
             pw[t] = pw[t - 1] * z % q
+        # each value object, however many cells hold it, is evaluated once
+        at_z, at_inverse = {}, {}
+        for v in distinct:
+            s, k, x, y = e // v.conductor, den // v.den, 0, 0
+            for t, n in v.nums.items():
+                x += n * pw[t * s]
+                y += n * pw[-t * s]
+            at_z[id(v)], at_inverse[id(v)] = k * x % q, k * y % q
         sizes = [c.size for c in G.conjugacy_classes()]
         # W[i][k] = |C_k| x_ik at zeta -> z, Y[j][k] = x_jk at zeta^-1 -> z^-1
-        W, Y = [[0] * len(sizes) for _ in irr], [[0] * len(sizes) for _ in irr]
-        for i, chi in enumerate(irr):
-            for k, v in enumerate(chi.values):
-                s, at_z, at_inverse = e // v.conductor, 0, 0
-                for t, n in v.nums.items():
-                    at_z += n * pw[t * s]
-                    at_inverse += n * pw[-t * s]
-                W[i][k] = sizes[k] * (den // v.den) * at_z % q
-                Y[i][k] = den // v.den * at_inverse % q
+        W = [[size * at_z[id(v)] % q for size, v in zip(sizes, chi.values)] for chi in irr]
+        Y = [[at_inverse[id(v)] for v in chi.values] for chi in irr]
         unit = G.order * den * den % q
         for i, w in enumerate(W):
             if sum(map(mul, w, Y[i])) % q != unit:
@@ -210,8 +219,8 @@ class _RowKey:
     """A row's values, ordered as the list of their `sort_key(conductor)`s.
 
     Two rows are compared column by column, and a column's canonical
-    coordinates are computed only when every earlier column ties: two values
-    with the same terms tie without them.
+    coordinates are computed only when every earlier column ties: a value
+    object shared by both cells ties without them.
     """
 
     __slots__ = ("values", "conductor")
@@ -223,7 +232,7 @@ class _RowKey:
     def __lt__(self, other: "_RowKey") -> bool:
         e = self.conductor
         for a, b in zip(self.values, other.values):
-            if a.nums == b.nums and a.den == b.den and a.conductor == b.conductor:
+            if a is b:
                 continue
             ka, kb = a.sort_key(e), b.sort_key(e)
             if ka != kb:
@@ -289,6 +298,8 @@ def _product_table(G: PermGroup, A, project_a, B, project_b) -> CharacterTable:
     of factor classes. The value alpha(a) beta(b) is the convolution of the
     two values' numerators at conductor exp(G); for eigenvalue
     multiplicities that is exactly the `nums` the finite-field method lifts.
+    It is computed once per pair of factor value objects, and equal products
+    share one object.
     """
     a_table, b_table = character_table(A), character_table(B)
     reps = [c.representative for c in G.conjugacy_classes()]
@@ -296,28 +307,31 @@ def _product_table(G: PermGroup, A, project_a, B, project_b) -> CharacterTable:
     if not len(set(pairs)) == len(pairs) == len(a_table.irreducibles) * len(b_table.irreducibles):
         raise AssertionError(f"the classes do not map one-to-one onto class pairs {_where(G)}")
     e = G.exponent()
+    pool: dict[tuple, Cyclotomic] = {}
+    products: dict[tuple[int, int], Cyclotomic] = {}
 
-    def terms_at_e(chi: Character):
-        """Each value as its denominator and its (exponent at e, numerator) pairs."""
-        return [
-            (v.den, [(t * (e // v.conductor), n) for t, n in v.nums.items()])
-            for v in chi.values
-        ]
+    def times(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
+        sa, sb = e // a.conductor, e // b.conductor
+        terms: dict[int, int] = {}
+        for s, m in a.nums.items():
+            for t, n in b.nums.items():
+                k = (s * sa + t * sb) % e
+                terms[k] = terms.get(k, 0) + m * n
+        key = tuple(sorted(terms.items())), a.den * b.den
+        if key not in pool:
+            pool[key] = Cyclotomic(e, dict(key[0]), key[1])
+        return pool[key]
 
-    b_rows = [terms_at_e(beta) for beta in b_table.irreducibles]
     chars = []
     for alpha in a_table.irreducibles:
-        a_row = terms_at_e(alpha)
-        for b_row in b_rows:
+        for beta in b_table.irreducibles:
             values = []
             for i, j in pairs:
-                (da, xa), (db, xb) = a_row[i], b_row[j]
-                terms: dict[int, int] = {}
-                for s, m in xa:
-                    for t, n in xb:
-                        k = (s + t) % e
-                        terms[k] = terms.get(k, 0) + m * n
-                values.append(Cyclotomic(e, dict(sorted(terms.items())), da * db))
+                a, b = alpha.values[i], beta.values[j]
+                key = id(a), id(b)
+                if key not in products:
+                    products[key] = times(a, b)
+                values.append(products[key])
             chars.append(Character(G, values))
     return CharacterTable(G, chars)
 
@@ -432,6 +446,8 @@ def _finite_field_table(G: PermGroup) -> CharacterTable:
         roots = [pow(z, (e // m) * k, q) for k in range(m)]
         dft[m] = [[roots[-s * t % m] for s in range(m)] for t in range(m)]
 
+    # one value object per distinct lifted terms
+    pool: dict[tuple, Cyclotomic] = {}
     chars = []
     for u in vectors:
         if u[0] % q == 0:
@@ -464,7 +480,10 @@ def _finite_field_table(G: PermGroup) -> CharacterTable:
                 raise AssertionError(
                     f"eigenvalue multiplicities do not sum to the degree {where}"
                 )
-            values.append(Cyclotomic(e, terms))
+            key = tuple(terms.items())
+            if key not in pool:
+                pool[key] = Cyclotomic(e, terms)
+            values.append(pool[key])
         chars.append(Character(G, values))
     return CharacterTable(G, chars)
 

@@ -16,6 +16,11 @@ power-basis coordinates. Table orthogonality does not go through it:
 `_reduce_mod_phi`, serves canonical forms and `conjugate_dot`: it adds up,
 over the nonzero terms n x^t of a value, n times the power-basis
 coordinates of x^t, read from a table cached per conductor.
+
+A value keeps what it derives from itself: its canonical coordinates per
+conductor, its hash and its text. A character table shares one object
+per distinct value among its cells, so each of these is computed once per
+distinct value of the table.
 """
 
 from __future__ import annotations
@@ -113,7 +118,7 @@ def _over_common_denominator(terms: dict, den: int, conductor: int):
 class Cyclotomic:
     """sum over nums of (n / den) * zeta_conductor^e; den > 0, and gcd(den, *nums) is 1."""
 
-    __slots__ = ("conductor", "nums", "den", "_canon", "_hash")
+    __slots__ = ("conductor", "nums", "den", "_canon", "_hash", "_text")
 
     def __init__(self, conductor: int, terms: dict, den: int = 1):
         """The value sum of (c / den) * zeta_conductor^e over terms {e: c}.
@@ -139,6 +144,7 @@ class Cyclotomic:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_canon", {})
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_text", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclotomic is immutable")
@@ -301,6 +307,11 @@ class Cyclotomic:
         return f"Cyclotomic({self})"
 
     def __str__(self) -> str:
+        if self._text is None:
+            object.__setattr__(self, "_text", self._render())
+        return self._text
+
+    def _render(self) -> str:
         den = self.den
         coords = self._coords_at(self.conductor)
         if not any(coords[1:]):

@@ -40,7 +40,8 @@ normalizing element on the classes comes from one memoized map,
 
 Each normal-structure question has one implementation. `is_solvable` runs
 the derived series alone; a subgroup made after its parent is known to be
-solvable is solvable without a series of its own. `is_nilpotent` counts
+solvable, and a quotient of a group known to be solvable, is solvable
+without a series of its own. `is_nilpotent` counts
 p-elements, one count per prime. A normal closure is spanned from the
 classes of its seeds; that of each class representative is computed
 once, by `PermGroup._class_normal_closure`, for `normal_subgroups` and
@@ -763,6 +764,9 @@ class PermGroup:
             image, project = self.coset_action(H)
         if image.order * H.order != self.order:
             raise AssertionError(f"quotient order times subgroup order is not {self.order}")
+        if PermGroup.is_solvable.peek(self):
+            # every quotient of a solvable group is solvable
+            PermGroup.is_solvable.remember(image, True)
         return image, project
 
     def point_orbits(self) -> tuple[tuple[int, ...], ...]:

@@ -318,7 +318,6 @@ def check_canonical_bijection(
 
     NR = _local_normalizer(G, R)
     target = ipi_with_normal_vertex(NR, sigma, R)
-    target_by_values = {phi.values: phi for phi in target}
 
     n_tab = character_table(N)
     action = GlaubermanAction(N, R)
@@ -355,7 +354,7 @@ def check_canonical_bijection(
     bijective = (
         well_defined
         and len(set(images.values())) == len(images)
-        and {psi.values for psi in images.values()} == set(target_by_values)
+        and set(images.values()) == {phi.values for phi in target}
     )
     lemma_a = _product_decomposition_holds(G, N, H)
     lemma_b = _self_normalizing_stabilizers_hold(H, N, R, NR, action, CR, n_tab)
@@ -398,7 +397,8 @@ def _invariant_constituents(constituents: list[Character], member: frozenset, wh
 
 
 def _bijection_image(sigma, action, CR, NR, theta_char, where: str):
-    """(theta* x 1_R) induced to N_G(R), matched into Iso(N_G(R)); CR is C_N(R) x R."""
+    """The values of (theta* x 1_R) induced to N_G(R) on its sigma-classes, to be
+    matched into Iso(N_G(R)|R) by the caller; CR is C_N(R) x R."""
     theta_star = glauberman_correspondent(action, theta_char)
     values = []
     for c in CR.conjugacy_classes():
@@ -408,11 +408,7 @@ def _bijection_image(sigma, action, CR, NR, theta_char, where: str):
     induced = induce_character(lam, NR)
     if inner_product(induced, induced) != 1:
         raise InternalConsistencyError(f"induced image is not irreducible {where}")
-    restriction = tuple(induced.values[i] for i in NR.sigma_class_indices(sigma))
-    for psi in sigma_partial_characters(NR, sigma):
-        if psi.values == restriction:
-            return psi
-    raise InternalConsistencyError(f"image does not restrict into Iso(N_G(R)) {where}")
+    return tuple(induced.values[i] for i in NR.sigma_class_indices(sigma))
 
 
 def _product_decomposition_holds(G, N, H) -> bool:

@@ -608,6 +608,61 @@ class TestDirectProducts:
         assert cache.ALGORITHM_VERSION == 1
 
 
+def _value_objects(tab):
+    """The ids of a table's value objects, grouped by (conductor, terms, den)."""
+    objects: dict[tuple, set] = {}
+    for chi in tab.irreducibles:
+        for v in chi.values:
+            objects.setdefault((v.conductor, tuple(sorted(v.nums.items())), v.den), set()).add(id(v))
+    return objects
+
+
+class TestSharedValues:
+    """Each distinct value of a table is one object, built once per table."""
+
+    def test_s4xs4_builds_one_object_per_distinct_value(self, tmp_path, monkeypatch):
+        path = tmp_path / "S4xS4.grp"
+        path.write_text(_load_bench_workloads().group_file_text(random.Random(1), ("S4", "S4")))
+        made, tables = [], []
+        init, verify = Cyclotomic.__init__, chartab.CharacterTable.verify
+
+        def counting(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        def recording(tab):
+            tables.append(tab)
+            verify(tab)
+
+        monkeypatch.setattr(Cyclotomic, "__init__", counting)
+        monkeypatch.setattr(chartab.CharacterTable, "verify", recording)
+        argv = ["chartab", "--group", str(path), "--format", "machine", "--cache-dir"]
+        reports = []
+        for source, certified in (("cold", 3), ("warm", 1)):
+            made.clear()
+            tables.clear()
+            code, text = run_command(argv + [str(tmp_path / "cache")])
+            assert code == 0 and f"cache\t{source}\n" in text
+            reports.append(text.replace(f"cache\t{source}", "cache"))
+            # cold: the two S4 factors and the product; warm: the product
+            assert len(tables) == certified
+            distinct = [_value_objects(tab) for tab in tables]
+            # equal values in one table are one object
+            assert all(len(ids) == 1 for objects in distinct for ids in objects.values())
+            assert len(made) <= sum(map(len, distinct)) < len(tables[-1].irreducibles) ** 2
+        assert reports[0] == reports[1]
+        # one changed cell is rejected, whether it gets a new object or one
+        # that other cells of the table hold
+        monkeypatch.undo()
+        tab = tables[-1]
+        chars = list(tab.irreducibles)
+        values = list(chars[-1].values)
+        for changed in (values[-1] + 1, chars[0].values[0]):
+            assert changed != values[-1]
+            chars[-1] = Character(tab.group, values[:-1] + [changed])
+            assert certificates_agree(unverified_table(tab.group, chars)) is AssertionError
+
+
 def test_every_table_is_in_the_eager_key_order(tmp_path, monkeypatch):
     """The lazy row comparison sorts as (degree, every sort key) does, on every
     table of the corpus, the factor tables of direct products included."""

@@ -561,6 +561,20 @@ def _set_last_value(value):
     return edit
 
 
+def _retype_a_repeat_of_the_degree(one):
+    """Write a later cell equal to its row's degree 1 with `one` for the
+    numerator: a term Python finds equal to the valid one, JSON does not."""
+
+    def edit(entry):
+        row = next(r for r in entry["characters"] if r[0] in r[1:])
+        m, [e, num, den] = row[0]
+        assert num == den == 1
+        row[row.index(row[0], 1)] = [m, [e, one, den]]
+        return entry
+
+    return edit
+
+
 def _set_characters(entry):
     entry["characters"] = 5
     return entry
@@ -605,13 +619,15 @@ class TestCache:
             ("S4", _lift_to_twice_the_element_order, "warm"),
             ("S3", _add_thirds_to_last_value({1: 1, 2: -1}), "cold"),
             ("S3", _scale_row(0, 2), "cold"),
+            ("S4", _retype_a_repeat_of_the_degree(True), "cold"),
+            ("S4", _retype_a_repeat_of_the_degree(1.0), "cold"),
         ],
         ids=[
             "negated-row", "altered-value", "swapped-rows", "top-level-list",
             "characters-not-a-list", "empty-value", "value-not-a-list", "zero-denominator",
             "conductor-not-dividing-exponent", "vanishing-sum-added",
             "lifted-to-twice-the-element-order", "changed-by-z3-minus-z3-squared",
-            "row-scaled-by-2",
+            "row-scaled-by-2", "repeated-value-with-true", "repeated-value-with-float",
         ],
     )
     def test_edited_entry_gives_the_cold_report(self, tmp_path, group, edit, source):

@@ -7,6 +7,7 @@ import pytest
 
 from nilweight import bruteforce as bf
 from nilweight.chartab import character_table
+from nilweight.cli import run_command
 from nilweight.corpus import builtin_corpus, parse_group_file
 from nilweight.perms import MalformedPermError, Perm
 from nilweight import groups
@@ -516,6 +517,30 @@ class TestQuotients:
             Q, _ = G.quotient(H)
             assert Q.generators == G.coset_action(H)[0].generators
             assert Q.degree == G.order // H.order
+
+    def test_a_quotient_of_a_solvable_group_is_known_solvable(self, monkeypatch):
+        s4 = group(4, "(1,2)", "(1,2,3,4)")  # fresh: no memo of another test
+        V = s4.subgroup([perm("(1,2)(3,4)", 4), perm("(1,3)(2,4)", 4)])
+        assert PermGroup.is_solvable.peek(s4.quotient(V)[0]) is None
+        assert s4.is_solvable()
+        a4 = s4.subgroup([perm("(1,2,3)", 4), perm("(1,2)(3,4)", 4)])
+        assert PermGroup.is_solvable.peek(a4.quotient(V)[0]) is True
+        # so each local quotient N_G(R)/R runs no derived series: the three
+        # calls are G's own series S4xC5 > A4 > V4 > 1
+        calls = []
+        derived = PermGroup.derived_subgroup
+
+        def counting(G):
+            calls.append(G.order)
+            return derived(G)
+
+        monkeypatch.setattr(PermGroup, "derived_subgroup", counting)
+        code, text = run_command(["verify-b", "--group", "S4xC5", "--pi", "2", "--format", "machine"])
+        assert code == 0 and text.count("verdict\tholds") == 4
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "dd405f61ca7c954562e6da775dca1e2409d978244236e43e472495e2b790ac32"
+        )
+        assert calls == [120, 12, 4]
 
     def test_every_normal_subgroup_and_weight_quotient_of_builtins(self):
         for G in builtins_up_to(BRUTE_MAX_ORDER):

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from nilweight import pipartial, verify
-from nilweight.chartab import character_table
+from nilweight.chartab import Character, character_table
 from nilweight.corpus import builtin_by_name, builtin_corpus, parse_group_file
 from nilweight.groups import bsgs_construct
 from nilweight.lattice import (
@@ -327,13 +327,8 @@ class TestCanonicalBijection:
                 "no invariant constituent over the vertex",
             ),
             ("inner_product", lambda NR: lambda a, b: 2, "induced image is not irreducible"),
-            (
-                "sigma_partial_characters",
-                lambda NR: lambda G, sigma: () if G is NR else sigma_partial_characters(G, sigma),
-                r"image does not restrict into Iso\(N_G\(R\)\)",
-            ),
         ],
-        ids=["no-invariant-constituent", "reducible-image", "image-outside-iso"],
+        ids=["no-invariant-constituent", "reducible-image"],
     )
     def test_a_failed_step_names_the_group_and_sigma(self, monkeypatch, name, patch, message):
         a4 = group(4, "(1,2,3)", "(1,2)(3,4)")
@@ -346,6 +341,36 @@ class TestCanonicalBijection:
             match=rf"^{message} in a group of order 12, sigma=\{{2\}}$",
         ):
             check_canonical_bijection(a4, sigma, N, H, H, "A4")
+
+    def test_an_image_outside_the_target_is_a_theorem_violation(self, monkeypatch):
+        a4 = group(4, "(1,2,3)", "(1,2)(3,4)")
+        sigma = PrimeSet([2])
+        N, H = bijection_setup(a4, sigma)
+        target = verify.ipi_with_normal_vertex
+
+        def negated(NR, sigma, R, theta=None):
+            return tuple(
+                Character(NR, [-v for v in phi.values], sigma) for phi in target(NR, sigma, R, theta)
+            )
+
+        monkeypatch.setattr(verify, "ipi_with_normal_vertex", negated)
+        rep = check_canonical_bijection(a4, sigma, N, H, H, "A4")
+        assert (rep.lhs, rep.rhs, rep.verdict) == (1, -1, FAILS)
+        assert rep.detail.endswith(" THEOREM-VIOLATION")
+
+    def test_builds_no_table_of_a_normalizer_not_normal(self):
+        G = parse_group_file(AGL116.read_text()).build()
+        sigma = PrimeSet([2])
+        N, H = bijection_setup(G, sigma)
+        seen = []
+        for cls in subgroup_classes(H):
+            if cls.is_nilpotent():
+                R = cls.representative
+                rep = check_canonical_bijection(G, sigma, N, H, R, "AGL116")
+                seen.append((R.order, rep.lhs, rep.rhs, rep.verdict))
+                NR = pipartial._local_normalizer(G, R)
+                assert G.is_normal(NR) or character_table.peek(NR) is None, R.order
+        assert seen == [(1, 1, 1, HOLDS), (3, 0, 0, HOLDS), (5, 0, 0, HOLDS), (15, 1, 1, HOLDS)]
 
     def test_reads_no_class_of_a_subgroup(self, monkeypatch):
         G = parse_group_file(AGL116.read_text()).build()
