@@ -104,10 +104,9 @@ def parse_definition(text: str) -> GroupDefinition:
             if degree is None:
                 raise GroupFileError("degree must come before generators", lineno)
             try:
-                Perm.parse(value, degree)
+                gens.append(Perm.parse(value, degree).cycle_string())
             except MalformedPermError as exc:
                 raise GroupFileError(str(exc), lineno) from None
-            gens.append(_normalize_cycles(value, degree))
         else:
             raise GroupFileError(f"unknown key {key!r}", lineno)
     if name is None:
@@ -117,10 +116,6 @@ def parse_definition(text: str) -> GroupDefinition:
     return GroupDefinition(
         name=name, degree=degree, generators=tuple(gens), expected_order=order
     )
-
-
-def _normalize_cycles(text: str, degree: int) -> str:
-    return Perm.parse(text, degree).cycle_string()
 
 
 def _d(name, degree, gens, order, tags=()) -> GroupDefinition:

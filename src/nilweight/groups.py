@@ -55,7 +55,7 @@ vertex certificate stop at the first span it keeps above their subgroup.
 One routine, `span`, grows every element set by cosets, for O_sigma,
 normal closures, normalizers, the joins of `normal_subgroups` and the
 lattice's candidates <H, z>; one step, `PermGroup._generated`, builds the
-subgroup on a spanned set.
+subgroup on a spanned set, and on each lattice class's canonical member.
 
 Resource bounds (`check_bound`) and memoization (`memoized`) live here
 alone, and every module uses them. A stabilizer chain whose basic orbit
@@ -886,9 +886,7 @@ class Orbit:
     elements, and the Schreier generators of a member's stabilizer, are
     multiplied out when first asked for, so an orbit read only for its
     members costs no products (the Schreier lemma; Holt, Eick and O'Brien,
-    Handbook of Computational Group Theory, section 4.1). Set iteration
-    depends on insertion order, and reports show generator lists read from
-    orbits of element sets, so the walk order is part of the output.
+    Handbook of Computational Group Theory, section 4.1).
     """
 
     def __init__(self, identity: Perm, start, moves):

@@ -6,7 +6,7 @@ z^p in H, so that <H, z> contains H with prime index. The normalizer is
 read as an element set (`PermGroup.normalizer_elements`), so the lattice
 builds no normalizer subgroup; the join pass walks N_G(H)'s orbits under
 the generators that element set was spanned by. Each candidate K = <H, z> is
-first formed as an element set, the union of the cosets z^i H, from image
+formed as an element set, the union of the cosets z^i H, from image
 tuples; the order of z modulo H comes from membership in H's element
 set. K is formed once per H: every z' in K outside H also has
 prime order modulo H, so <H, z'> = K, and those z' are skipped. That
@@ -17,34 +17,34 @@ overgroups, again forming each join <H, Z> as an element set first.
 Run with the indices in a prime set sigma only, cyclic extension reaches
 exactly the classes of solvable sigma-subgroups
 (`solvable_sigma_subgroup_classes`; Neubüser, Numer. Math. 2, 1960;
-Cannon–Cox–Holt, J. Symbolic Comput. 31, 2001). A solvable sigma-group
-K > 1 has a normal subgroup of prime index, itself a solvable sigma-group,
-and a subgroup that is not a solvable sigma-group has no overgroup that
-is. So the restricted run is the full run with whole subtrees of its
-frontier pruned: it reaches the classes it keeps in the same order, with
-the same representatives. The weights and every Hall question
-(`PermGroup.find_hall_sigma_subgroup`) read these classes only.
+Cannon–Cox–Holt, J. Symbolic Comput. 31, 2001): a solvable sigma-group
+K > 1 has a normal subgroup of prime index, itself a solvable sigma-group.
+The weights and every Hall question (`PermGroup.find_hall_sigma_subgroup`)
+read these classes only.
 
-Conjugacy of candidates is decided by the canonical key of their orbit.
-`PermGroup.subgroup_orbit` walks each class's orbit once and memoizes it
-under every member, so the lattice, normalizers and Carter fibers all read
-the same walk. A candidate whose orbit is already walked and collected is
-dropped without a stabilizer chain; only a candidate of a new class is
-built as a `Subgroup`, from H's generators and z (or Z), and its orbit is
-walked from that subgroup's element set.
+Conjugacy of candidates is decided by the canonical key of their orbit,
+its least sorted member. `PermGroup.subgroup_orbit` walks each class's
+orbit once and memoizes it under every member, so the lattice, normalizers
+and Carter fibers all read the same walk. A candidate whose orbit is
+already walked and collected is dropped without a stabilizer chain. A
+candidate of a new class gets its class's representative, the subgroup on
+the canonical member, built in `_ClassCollector.add` (a join also gets
+the chain that certifies it). So a representative, and every label
+printed from it, is a function of the class alone, whichever route
+reached it.
 
 A conjugate Q of a class contains a nilpotent R as a Carter subgroup when
 N_Q(R) = N_G(R) ∩ Q has |R| elements, one set intersection per conjugate
 (`carter_members`, with N_G(R) read as an element set too). Callers read
-such members as element sets; the Carter fiber builds a subgroup only for
-the first member of each class. A class is self-normalizing when |G| over
-its size is its order (`carter_subgroups`), and R is self-normalizing in
-Q when |Q| over the length of R's orbit under Q is |R| (`is_carter_in`).
+such members as element sets, and the Carter fiber is the classes that
+have one. A class is self-normalizing when |G| over its size is its order
+(`carter_subgroups`), and R is self-normalizing in Q when |Q| over the
+length of R's orbit under Q is |R| (`is_carter_in`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .groups import Orbit, PermGroup, Subgroup, conjugation, memoized, span
@@ -99,18 +99,26 @@ class _ClassCollector:
         orbit = PermGroup.subgroup_orbit.peek(self.G, elems)
         return orbit is not None and orbit.canonical_key in self.by_key
 
-    def add(self, H: Subgroup) -> SubgroupClass:
-        """Register H, which `knows` does not place in a collected class.
+    def add(self, elems: frozenset) -> SubgroupClass:
+        """Register the subgroup with element set `elems`, which `knows` does
+        not place in a collected class.
 
-        This walks H's orbit unless some other caller has walked it already.
+        This walks its orbit unless some other caller has walked it already.
+        The representative is the subgroup on the canonical member, built by
+        `PermGroup._generated`, so it depends on the class alone; its chain
+        must have exactly that member's elements.
         """
-        orbit = self.G.subgroup_orbit(H.element_set())
+        G = self.G
+        orbit = G.subgroup_orbit(elems)
         key = orbit.canonical_key
         if key in self.by_key:
-            raise AssertionError(f"subgroup class registered twice {_where(self.G)}")
-        cls = SubgroupClass(
-            representative=H, class_size=len(orbit.members), canonical_key=key
-        )
+            raise AssertionError(f"subgroup class registered twice {_where(G)}")
+        H = G._generated(key)
+        if H.element_set() != frozenset(key):
+            raise AssertionError(
+                f"class representative differs from its canonical member {_where(G)}"
+            )
+        cls = SubgroupClass(representative=H, class_size=len(orbit.members), canonical_key=key)
         self.by_key[key] = cls
         return cls
 
@@ -141,9 +149,8 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
 def solvable_sigma_subgroup_classes(G: PermGroup, sigma: PrimeSet) -> tuple[SubgroupClass, ...]:
     """The classes of solvable sigma-subgroups of G, in lattice order.
 
-    Cyclic extension through indices in sigma alone reaches them, with the
-    same representatives as in G's full lattice. Once the classes of all
-    solvable subgroups are memoized, by this function or by
+    Cyclic extension through indices in sigma alone reaches them. Once the
+    classes of all solvable subgroups are memoized, by this function or by
     `subgroup_classes`, they are read off those and no group is built.
     """
     solvable = solvable_sigma_subgroup_classes.peek(G, PrimeSet(G.primes()))
@@ -155,17 +162,16 @@ def solvable_sigma_subgroup_classes(G: PermGroup, sigma: PrimeSet) -> tuple[Subg
 def _cyclic_extension(G: PermGroup, primes: PrimeSet) -> _ClassCollector:
     """The classes reached from 1 by extensions <H, z> of prime index in `primes`.
 
-    The frontier is a stack, and each H tries the z of N_G(H) in sorted
-    order. A z of prime order p modulo H lies in no <H, z'> of another
-    index, so skipping every z whose p is not in `primes` leaves the other
-    z, and the classes they reach, in the order of the run over every prime.
+    Each H tries the z of N_G(H) in sorted order. The span K of H and z is
+    checked by exact facts: it lies in N_G(H), holds H and z, and has |H|
+    times the order of z modulo H elements, which is |<H, z>|; and a
+    conjugate of it is the element set of a class representative's chain
+    (`_ClassCollector.add`). So K is a subgroup holding <H, z> and as large.
     """
     collector = _ClassCollector(G)
-    frontier = [collector.add(G.subgroup([]))]
+    frontier = [collector.add(frozenset([G.identity.images]))]
     while frontier:
-        cls = frontier.pop()
-        H = cls.representative
-        h_set = H.element_set()
+        h_set = frontier.pop().representative.element_set()
         covered = set(h_set)
         n_set, _ = G.normalizer_elements(h_set)
         for images in sorted(n_set):
@@ -176,16 +182,13 @@ def _cyclic_extension(G: PermGroup, primes: PrimeSet) -> _ClassCollector:
                 continue  # z must have prime order modulo H, a prime in `primes`
             # z normalizes H, so K = <H, z> is the union of the cosets z^i H
             k_set = span(h_set, [images])
-            if len(k_set) != coset_order * H.order:
+            if len(k_set) != coset_order * len(h_set):
                 raise AssertionError(f"cyclic extension has the wrong order {_where(G)}")
-            covered |= k_set
-            if collector.knows(k_set):
-                continue
-            z = Perm(images)
-            K = G.subgroup(tuple(H.generators) + (z,), order=coset_order * H.order)
-            if K.element_set() != k_set:
+            if not (h_set <= k_set <= n_set and images in k_set):
                 raise AssertionError(f"cyclic extension differs from its span {_where(G)}")
-            frontier.append(collector.add(K))
+            covered |= k_set
+            if not collector.knows(k_set):
+                frontier.append(collector.add(k_set))
     return collector
 
 
@@ -209,33 +212,29 @@ def _nonsolvable_completion(G: PermGroup, collector: _ClassCollector) -> None:
     with the first Z outside H of each N_G(H)-orbit only, and the element
     set of <H, Z> is spanned from one generator of Z.
     """
-    cyclics: dict[frozenset, list] = {}  # each conjugate Z -> its nonidentity elements
     cyclic_of: dict[tuple, frozenset] = {}  # each element x of prime-power order -> <x>
     for c in G.conjugacy_classes():
         if len(factorize(c.element_order)) == 1:
-            Z = G.subgroup([c.representative])
-            for conj_set in G.subgroup_orbit(Z.element_set()).members:
-                if conj_set not in cyclics:
-                    cyclics[conj_set] = [im for im in conj_set if im != G.identity.images]
+            z_set = frozenset((c.representative**i).images for i in range(c.element_order))
+            for conj_set in G.subgroup_orbit(z_set).members:
                 cyclic_of.update((x, conj_set) for x in conj_set & c.members)
-    generator = {Z: x for x, Z in cyclic_of.items()}
+    generator = {Z: x for x, Z in cyclic_of.items()}  # each cyclic Z -> one generator
     frontier = list(collector.by_key.values())
     while frontier:
-        cls = frontier.pop()
-        H = cls.representative
+        H = frontier.pop().representative
         h_set = H.element_set()
         h_gens = [h.images for h in H.generators]
         # N_G(H) keeps the cyclic subgroups inside H among themselves
         normalizing = H.generators + G.normalizer_elements(h_set)[1]
-        outside = [Z for Z in cyclics if generator[Z] not in h_set]
+        outside = [Z for Z, x in generator.items() if x not in h_set]
         for Z in _orbit_firsts(G.identity, normalizing, outside, generator, cyclic_of):
             k_set = span(h_set, h_gens + [generator[Z]])
             if collector.knows(k_set):
                 continue
-            K = G.subgroup(tuple(H.generators) + tuple(map(Perm, cyclics[Z])))
+            K = G.subgroup(H.generators + (Perm(generator[Z]),))
             if K.element_set() != k_set:
                 raise AssertionError(f"join differs from its span {_where(G)}")
-            frontier.append(collector.add(K))
+            frontier.append(collector.add(k_set))
 
 
 def _orbit_firsts(identity: Perm, gens: list, cyclics: list, generator: dict, cyclic_of: dict):
@@ -307,26 +306,22 @@ def is_carter_in(R: PermGroup, Q: PermGroup) -> bool:
 
 
 def carter_fiber(G: PermGroup, sigma: PrimeSet, R: PermGroup) -> tuple[SubgroupClass, ...]:
-    """Classes of sigma'-subgroups with a conjugate containing R as Carter subgroup.
+    """The classes of G's lattice with a member that contains R as Carter subgroup.
 
-    Each returned class carries a representative that actually contains R:
-    the first such conjugate in order of sorted element sets. Reports print
-    its generators, so it is built from all of its elements.
+    They are sigma'-classes; `carter_members` yields those members.
     """
     coprimes = sigma.complement_within(G.order)
     if not coprimes.is_sigma_number(R.order):
         raise ValueError("R is not a sigma'-subgroup")
     if not R.is_nilpotent():
         raise ValueError("R is not nilpotent")
-    out = []
-    for cls in subgroup_classes(G):
-        if not coprimes.is_sigma_number(cls.order) or cls.order % R.order:
-            continue
-        member = next(carter_members(G, cls, R), None)
-        if member is not None:
-            Q = G.subgroup([Perm(im) for im in member if im != G.identity.images])
-            out.append(replace(cls, representative=Q))
-    return tuple(out)
+    return tuple(
+        cls
+        for cls in subgroup_classes(G)
+        if coprimes.is_sigma_number(cls.order)
+        and cls.order % R.order == 0
+        and next(carter_members(G, cls, R), None) is not None
+    )
 
 
 def carter_members(G: PermGroup, cls: SubgroupClass, R: PermGroup):

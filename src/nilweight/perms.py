@@ -8,10 +8,8 @@ Cycle notation in text always uses 1-based points and commas, e.g.
 The images are a tuple of int on purpose. Composition builds the product
 tuple in C with `operator.itemgetter`, and each permutation computes its
 inverse once and keeps it. A tuple of int hashes the same in every
-process, whereas `bytes` and `str` hashes change with PYTHONHASHSEED; the
-iteration order of the frozensets of images that subgroup orbits walk
-reaches the machine reports through their generator lists, so images of
-another type would make reports depend on the seed.
+process, whereas `bytes` and `str` hashes change with PYTHONHASHSEED, so a
+set of images iterates in the same order in every run.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ verdict\tholds
 row\tlhs\torder=1 size=1 rep=()\t1
 row\tlhs\torder=3 size=8 rep=(2,3,4)\t1
 row\trhs\t|Q|=4 reps=1 <(1,2)(3,4),(1,3)(2,4)> gamma_deg=2\t1
-row\trhs\t|Q|=8 reps=3 <(1,2)(3,4),(1,3,2,4),(3,4)> gamma_deg=1\t1
+row\trhs\t|Q|=8 reps=3 <(3,4),(1,2),(1,3)(2,4)> gamma_deg=1\t1
 """
 
 GOLDEN_SUBGROUPS_A5 = """nilweight-report 1
@@ -47,9 +47,9 @@ row\tsubgroup\t3\t10\tnilpotent\tsolvable\t(3,4,5)
 row\tsubgroup\t4\t5\tnilpotent\tsolvable\t(2,3)(4,5),(2,4)(3,5)
 row\tsubgroup\t5\t6\tnilpotent\tsolvable\t(1,2,3,4,5)
 row\tsubgroup\t6\t10\t-\tsolvable\t(3,4,5),(1,2)(4,5)
-row\tsubgroup\t10\t6\t-\tsolvable\t(1,2,3,4,5),(2,5)(3,4)
-row\tsubgroup\t12\t5\t-\tsolvable\t(2,3)(4,5),(2,4)(3,5),(3,4,5)
-row\tsubgroup\t60\t1\t-\t-\t(3,4,5),(1,2)(4,5),(1,3)(4,5)
+row\tsubgroup\t10\t6\t-\tsolvable\t(2,3)(4,5),(1,2)(3,4)
+row\tsubgroup\t12\t5\t-\tsolvable\t(3,4,5),(2,3)(4,5)
+row\tsubgroup\t60\t1\t-\t-\t(3,4,5),(2,3)(4,5),(1,2)(4,5)
 """
 
 GOLDEN_SUBGROUPS_S3xS3 = """nilweight-report 1
@@ -65,21 +65,21 @@ row\tsubgroup\t2\t9\tnilpotent\tsolvable\t(2,3)(5,6)
 row\tsubgroup\t3\t1\tnilpotent\tsolvable\t(4,5,6)
 row\tsubgroup\t3\t1\tnilpotent\tsolvable\t(1,2,3)
 row\tsubgroup\t3\t2\tnilpotent\tsolvable\t(1,2,3)(4,5,6)
-row\tsubgroup\t4\t9\tnilpotent\tsolvable\t(2,3)(5,6),(5,6)
-row\tsubgroup\t6\t1\t-\tsolvable\t(4,5,6),(5,6)
-row\tsubgroup\t6\t3\tnilpotent\tsolvable\t(1,2,3),(5,6)
-row\tsubgroup\t6\t3\tnilpotent\tsolvable\t(2,3),(4,5,6)
+row\tsubgroup\t4\t9\tnilpotent\tsolvable\t(5,6),(2,3)
+row\tsubgroup\t6\t1\t-\tsolvable\t(5,6),(4,5)
+row\tsubgroup\t6\t3\tnilpotent\tsolvable\t(5,6),(1,2,3)
+row\tsubgroup\t6\t3\tnilpotent\tsolvable\t(4,5,6),(2,3)
 row\tsubgroup\t6\t3\t-\tsolvable\t(4,5,6),(2,3)(5,6)
-row\tsubgroup\t6\t1\t-\tsolvable\t(1,2,3),(2,3)
-row\tsubgroup\t6\t3\t-\tsolvable\t(1,2,3),(2,3)(5,6)
-row\tsubgroup\t6\t6\t-\tsolvable\t(1,2,3)(4,5,6),(2,3)(5,6)
-row\tsubgroup\t9\t1\tnilpotent\tsolvable\t(1,2,3)(4,5,6),(4,5,6)
-row\tsubgroup\t12\t3\t-\tsolvable\t(2,3),(4,5,6),(5,6)
-row\tsubgroup\t12\t3\t-\tsolvable\t(1,2,3),(2,3)(5,6),(5,6)
-row\tsubgroup\t18\t1\t-\tsolvable\t(1,2,3)(4,5,6),(4,5,6),(5,6)
-row\tsubgroup\t18\t1\t-\tsolvable\t(1,2,3)(4,5,6),(4,5,6),(2,3)
-row\tsubgroup\t18\t1\t-\tsolvable\t(1,2,3)(4,5,6),(4,5,6),(2,3)(5,6)
-row\tsubgroup\t36\t1\t-\tsolvable\t(1,2,3)(4,5,6),(4,5,6),(2,3)(5,6),(5,6)
+row\tsubgroup\t6\t1\t-\tsolvable\t(2,3),(1,2)
+row\tsubgroup\t6\t3\t-\tsolvable\t(2,3)(5,6),(1,2)(5,6)
+row\tsubgroup\t6\t6\t-\tsolvable\t(2,3)(5,6),(1,2)(4,5)
+row\tsubgroup\t9\t1\tnilpotent\tsolvable\t(4,5,6),(1,2,3)
+row\tsubgroup\t12\t3\t-\tsolvable\t(5,6),(4,5),(2,3)
+row\tsubgroup\t12\t3\t-\tsolvable\t(5,6),(2,3),(1,2)
+row\tsubgroup\t18\t1\t-\tsolvable\t(5,6),(4,5),(1,2,3)
+row\tsubgroup\t18\t1\t-\tsolvable\t(4,5,6),(2,3),(1,2)
+row\tsubgroup\t18\t1\t-\tsolvable\t(4,5,6),(2,3)(5,6),(1,2)(5,6)
+row\tsubgroup\t36\t1\t-\tsolvable\t(5,6),(4,5),(2,3),(1,2)
 """
 
 GOLDEN_SUBGROUPS_S4xC5 = """nilweight-report 1
@@ -92,24 +92,24 @@ row\tsubgroup\t1\t1\tnilpotent\tsolvable\t()
 row\tsubgroup\t2\t6\tnilpotent\tsolvable\t(3,4)
 row\tsubgroup\t2\t3\tnilpotent\tsolvable\t(1,2)(3,4)
 row\tsubgroup\t3\t4\tnilpotent\tsolvable\t(2,3,4)
-row\tsubgroup\t4\t3\tnilpotent\tsolvable\t(1,2)(3,4),(3,4)
+row\tsubgroup\t4\t3\tnilpotent\tsolvable\t(3,4),(1,2)
 row\tsubgroup\t4\t1\tnilpotent\tsolvable\t(1,2)(3,4),(1,3)(2,4)
 row\tsubgroup\t4\t3\tnilpotent\tsolvable\t(1,2)(3,4),(1,3,2,4)
 row\tsubgroup\t5\t1\tnilpotent\tsolvable\t(5,6,7,8,9)
-row\tsubgroup\t6\t4\t-\tsolvable\t(2,3,4),(3,4)
-row\tsubgroup\t8\t3\tnilpotent\tsolvable\t(1,2)(3,4),(1,3,2,4),(3,4)
-row\tsubgroup\t10\t6\tnilpotent\tsolvable\t(3,4),(5,6,7,8,9)
-row\tsubgroup\t10\t3\tnilpotent\tsolvable\t(1,2)(3,4),(5,6,7,8,9)
-row\tsubgroup\t12\t1\t-\tsolvable\t(1,2)(3,4),(1,3)(2,4),(2,3,4)
-row\tsubgroup\t15\t4\tnilpotent\tsolvable\t(2,3,4),(5,6,7,8,9)
-row\tsubgroup\t20\t3\tnilpotent\tsolvable\t(1,2)(3,4),(3,4),(5,6,7,8,9)
-row\tsubgroup\t20\t1\tnilpotent\tsolvable\t(1,2)(3,4),(1,3)(2,4),(5,6,7,8,9)
-row\tsubgroup\t20\t3\tnilpotent\tsolvable\t(1,2)(3,4),(1,3,2,4),(5,6,7,8,9)
-row\tsubgroup\t24\t1\t-\tsolvable\t(1,2)(3,4),(1,3)(2,4),(2,3,4),(3,4)
-row\tsubgroup\t30\t4\t-\tsolvable\t(2,3,4),(3,4),(5,6,7,8,9)
-row\tsubgroup\t40\t3\tnilpotent\tsolvable\t(1,2)(3,4),(1,3,2,4),(3,4),(5,6,7,8,9)
-row\tsubgroup\t60\t1\t-\tsolvable\t(1,2)(3,4),(1,3)(2,4),(2,3,4),(5,6,7,8,9)
-row\tsubgroup\t120\t1\t-\tsolvable\t(1,2)(3,4),(1,3)(2,4),(2,3,4),(3,4),(5,6,7,8,9)
+row\tsubgroup\t6\t4\t-\tsolvable\t(3,4),(2,3)
+row\tsubgroup\t8\t3\tnilpotent\tsolvable\t(3,4),(1,2),(1,3)(2,4)
+row\tsubgroup\t10\t6\tnilpotent\tsolvable\t(5,6,7,8,9),(3,4)
+row\tsubgroup\t10\t3\tnilpotent\tsolvable\t(5,6,7,8,9),(1,2)(3,4)
+row\tsubgroup\t12\t1\t-\tsolvable\t(2,3,4),(1,2)(3,4)
+row\tsubgroup\t15\t4\tnilpotent\tsolvable\t(5,6,7,8,9),(2,3,4)
+row\tsubgroup\t20\t3\tnilpotent\tsolvable\t(5,6,7,8,9),(3,4),(1,2)
+row\tsubgroup\t20\t1\tnilpotent\tsolvable\t(5,6,7,8,9),(1,2)(3,4),(1,3)(2,4)
+row\tsubgroup\t20\t3\tnilpotent\tsolvable\t(5,6,7,8,9),(1,2)(3,4),(1,3,2,4)
+row\tsubgroup\t24\t1\t-\tsolvable\t(3,4),(2,3),(1,2)
+row\tsubgroup\t30\t4\t-\tsolvable\t(5,6,7,8,9),(3,4),(2,3)
+row\tsubgroup\t40\t3\tnilpotent\tsolvable\t(5,6,7,8,9),(3,4),(1,2),(1,3)(2,4)
+row\tsubgroup\t60\t1\t-\tsolvable\t(5,6,7,8,9),(2,3,4),(1,2)(3,4)
+row\tsubgroup\t120\t1\t-\tsolvable\t(5,6,7,8,9),(3,4),(2,3),(1,2)
 """
 
 GOLDEN_VERIFY_B_S4 = """nilweight-report 1
@@ -147,7 +147,7 @@ verdict\tholds
 check\tcarter-refinement
 group\tS4
 pi\t3
-detail\tR=<(1,2)(3,4),(3,4)> |R|=4
+detail\tR=<(3,4),(1,2)> |R|=4
 hypothesis:sigma-separable\tmet
 hypothesis:solvable Hall complement\tmet
 hypothesis:R nilpotent sigma'-subgroup\tmet
@@ -177,7 +177,7 @@ verdict\tholds
 check\tcarter-refinement
 group\tS4
 pi\t3
-detail\tR=<(1,2)(3,4),(1,3,2,4),(3,4)> |R|=8
+detail\tR=<(3,4),(1,2),(1,3)(2,4)> |R|=8
 hypothesis:sigma-separable\tmet
 hypothesis:solvable Hall complement\tmet
 hypothesis:R nilpotent sigma'-subgroup\tmet
@@ -190,11 +190,11 @@ row\tinfo\tweights with first component R\t0
 row\tinfo\tweights with first component R\t0
 row\tinfo\tweights with first component R\t0
 row\tinfo\tweights with first component R\t0
-row\tlhs\tphi_deg=2 vertex=|Q|=4 reps=1 <(1,4)(2,3),(1,3)(2,4),(1,2)(3,4)>\t1
+row\tlhs\tphi_deg=2 vertex=|Q|=4 reps=1 <(1,2)(3,4),(1,3)(2,4)>\t1
 row\trhs\tlocal_phi_deg=2\t1
 row\tinfo\tweights with first component R\t1
 row\tinfo\tweights with first component R\t0
-row\tlhs\tphi_deg=1 vertex=|Q|=8 reps=3 <(1,4)(2,3),(1,3)(2,4),(1,2)(3,4),(1,3,2,4),(3,4),(1,2),(1,4,2,3)>\t1
+row\tlhs\tphi_deg=1 vertex=|Q|=8 reps=3 <(3,4),(1,2),(1,3)(2,4)>\t1
 row\trhs\tlocal_phi_deg=1\t1
 row\tinfo\tweights with first component R\t1
 """
@@ -225,7 +225,8 @@ class TestVerifyA:
 
 class TestVerifyB:
     def test_s4_all_r(self):
-        # the <...> generator lists of the vertex rows come from carter_fiber
+        # the <...> generator lists of the vertex rows are those of the lattice
+        # representatives, which carter_fiber returns as they are
         code, text = run_command(
             ["verify-b", "--group", "S4", "--pi", "3", "--format", "machine"]
         )

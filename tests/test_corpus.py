@@ -6,8 +6,10 @@ from nilweight.corpus import (
     SKIPPED_ENTRIES,
     builtin_by_name,
     builtin_corpus,
+    parse_definition,
     parse_group_file,
 )
+from nilweight.perms import Perm
 
 
 class TestParse:
@@ -45,6 +47,19 @@ class TestParse:
 
     def test_degree_at_the_maximum_is_accepted(self):
         assert parse_group_file(f"name: X\ndegree: {MAX_DEGREE}\ngen: (1,2)").build().order == 2
+
+    def test_each_generator_is_parsed_once(self, monkeypatch):
+        parsed = []
+        real = Perm.parse.__func__
+
+        def parse(cls, text, degree):
+            parsed.append(text)
+            return real(cls, text, degree)
+
+        monkeypatch.setattr(Perm, "parse", classmethod(parse))
+        d = parse_definition("name: S3\ndegree: 3\ngen: (1, 2)\ngen: (1,2,3)")
+        assert parsed == ["(1, 2)", "(1,2,3)"]
+        assert d.generators == ("(1,2)", "(1,2,3)")
 
     def test_degree_must_precede_gens(self):
         with pytest.raises(GroupFileError, match="degree"):

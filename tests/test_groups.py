@@ -421,12 +421,12 @@ class TestNormalizer:
             (
                 4,
                 ["(1,2)", "(1,2,3,4)"],
-                "36c5615e1979c7f851a599a7841c0ffa9bc6c85dcd3b34f9bfd035b20b8a2bfc",
+                "70118449e4bd321f20163a4101fa246f2c32a6707409c8bf97e05067970401c0",
             ),
             (
                 5,
                 ["(1,2,3,4,5)", "(3,4,5)"],
-                "b4e060182c06867b58d1f0f0edabb0410fbad618fb3db77058ea7d3e1506a5f2",
+                "45a9a05cbfa82085e4b35369f8d87ca0b447a81b89bebd7517e436e84e8d367a",
             ),
         ],
         ids=["S4", "A5"],
@@ -538,7 +538,7 @@ class TestQuotients:
         code, text = run_command(["verify-b", "--group", "S4xC5", "--pi", "2", "--format", "machine"])
         assert code == 0 and text.count("verdict\tholds") == 4
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "dd405f61ca7c954562e6da775dca1e2409d978244236e43e472495e2b790ac32"
+            "19aa659f76c0a369f2c8f88efca920a57487611a0e554829a8e82d40ad86d6ed"
         )
         assert calls == [120, 12, 4]
 

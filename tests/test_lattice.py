@@ -82,21 +82,21 @@ class TestSubgroupClasses:
                 5,
                 ["(1,2)", "(1,2,3,4,5)"],
                 19,
-                "179cc15cf162e2684fbb277066d1d8622088b03a84586b87f766b978d876176b",
+                "c6394a314cb250f1a1a9d4615e2864081f1380fd9d0c0a3d5adb4606ed6594d9",
             ),
             (
                 7,
                 ["(1,2,3,4,5)", "(3,4,5)", "(6,7)"],
                 22,
-                "f9e9bffc18ef7e56976f99d3549e91bd27b3f2e81221bebf276176769e74bbf5",
+                "4bf61012225fd3077ec2cd3e542d51575c61f542e4def522815db8a452aafd4e",
             ),
         ],
         ids=["S5", "A5xC2"],
     )
     def test_nonsolvable_lattice_order_120(self, degree, gens, count, digest):
         # the brute-force oracle takes many seconds at order 120, so the class
-        # list is pinned by a digest of the cyclic-extension lattice that
-        # built every candidate as a subgroup
+        # list is pinned by a digest; its (order, class size, canonical key)
+        # part is that of the lattice that built every candidate as a subgroup
         G = group(degree, *gens)
         rows = [
             (c.order, c.class_size, c.canonical_key, c.representative.generator_label())
@@ -104,6 +104,12 @@ class TestSubgroupClasses:
         ]
         assert len(rows) == count
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("definition", LATTICE_CORPUS, ids=lambda d: d.name)
+    def test_each_representative_is_its_canonical_member(self, definition):
+        G = definition.build()
+        for cls in subgroup_classes(G):
+            assert cls.representative.element_set() == frozenset(cls.canonical_key), cls
 
 
 class TestCyclicExtension:
@@ -197,6 +203,17 @@ class TestCertificatesNameTheGroup:
         message = "^join differs from its span in the lattice of a group of order 60$"
         with pytest.raises(AssertionError, match=message):
             subgroup_classes(a5)
+
+    def test_representative_that_misses_its_canonical_member(self, monkeypatch):
+        s4 = group(4, "(1,2)", "(1,2,3,4)")
+        s4.is_solvable()  # the derived series is spanned before `_generated` is broken
+        monkeypatch.setattr(PermGroup, "_generated", lambda self, elements: self.subgroup([]))
+        message = (
+            "^class representative differs from its canonical member "
+            "in the lattice of a group of order 24$"
+        )
+        with pytest.raises(AssertionError, match=message):
+            subgroup_classes(s4)
 
     def test_subgroup_class_registered_twice(self, monkeypatch):
         s4 = group(4, "(1,2)", "(1,2,3,4)")
@@ -460,6 +477,17 @@ class TestCarterFiber:
         R = s4.subgroup([perm("(1,2,3)", 4)])
         with pytest.raises(ValueError):
             carter_fiber(s4, PrimeSet([3]), R)  # R is a 3-group, not a 3'-group
+
+    @pytest.mark.parametrize("definition", builtin_corpus(), ids=lambda d: d.name)
+    def test_returns_the_lattice_classes_themselves(self, definition):
+        G = definition.build()
+        classes = subgroup_classes(G)
+        for p in G.primes():
+            sigma = PrimeSet([p])
+            for r_cls in nilpotent_sigma_subgroup_classes(G, sigma.complement_within(G.order)):
+                fiber = carter_fiber(G, sigma, r_cls.representative)
+                assert r_cls in fiber  # R is a Carter subgroup of itself
+                assert all(any(cls is c for c in classes) for cls in fiber)
 
 
 class TestClassOf:

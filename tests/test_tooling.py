@@ -7,8 +7,9 @@ test keeps the engine free of `random`, as the README's determinism note
 says, and one keeps its certificates free of bare `assert` statements,
 which `python -O` strips. One keeps every engine function in use by the
 engine itself or the tracer, so that no test-only code lives in `src/`,
-and one keeps the engine from building a normalizer subgroup only to read
-its order or its elements.
+one keeps the engine from building a normalizer subgroup only to read
+its order or its elements, and one keeps every subgroup class made in one
+place, with its canonical member as its representative.
 The last five check `tools/`: every desk-scale group file builds to the
 order it states, `tools/report_sweep.py` names exactly the files that are
 there, it passes `--bound` on every line whose group is above the bound
@@ -165,6 +166,36 @@ def test_no_test_only_code_in_src():
             if all(m == module and line in inside for m, line in uses):
                 unused.append(f"{module}.{owner + '.' if owner else ''}{name}")
     assert unused == []
+
+
+def _calls(node, name):
+    """The calls under `node` of a function or method named `name`."""
+    return [
+        n
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+        and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+    ]
+
+
+def test_a_subgroup_class_is_made_only_by_the_collector():
+    # a class's representative is its canonical member, built by
+    # `_ClassCollector.add` alone; no class is copied onto another subgroup
+    src = ROOT / "src" / "nilweight"
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    made = [
+        f"{name}:{call.lineno}"
+        for name, tree in trees.items()
+        for call in _calls(tree, "SubgroupClass")
+    ]
+    (add,) = [
+        fn
+        for owner, fn in _defined_functions(trees["lattice.py"])
+        if (owner, fn.name) == ("_ClassCollector", "add")
+    ]
+    assert len(made) == 1
+    assert made == [f"lattice.py:{call.lineno}" for call in _calls(add, "SubgroupClass")]
+    assert _calls(trees["lattice.py"], "replace") == []
 
 
 def test_every_desk_scale_group_file_builds_to_its_stated_order():
