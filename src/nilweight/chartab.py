@@ -514,18 +514,33 @@ def restrict_character(chi: Character, H: PermGroup) -> Character:
 
 
 def _induced_values(H: PermGroup, values, h_indices, G: PermGroup, g_indices):
-    """theta^G on G's classes g_indices, from theta's values on H's classes h_indices."""
+    """theta^G on G's classes g_indices, from theta's values on H's classes h_indices.
+
+    theta^G(g) is |C_G(g)| / |H| times the sum of |c| theta(c) over the
+    H-classes c inside g's class. The sums run over integer numerators at
+    conductor exp(G), over the common denominator of theta's values, and
+    each value is built once; the classes that meet no H-class share one zero.
+    """
+    e = G.exponent()
+    den = math.lcm(1, *(v.den for v in values))
     h_classes = H.conjugacy_classes()
-    by_target: dict[int, Cyclotomic] = {}
+    by_target: dict[int, dict[int, int]] = {}
     for i, v in zip(h_indices, values):
         c = h_classes[i]
-        j = G.class_index_of(c.representative)
-        by_target[j] = by_target.get(j, Cyclotomic.zero()) + v * c.size
+        sums = by_target.setdefault(G.class_index_of(c.representative), {})
+        for t, n in v.numerators_at(e, den):
+            sums[t] = sums.get(t, 0) + n * c.size
     g_classes = G.conjugacy_classes()
-    return [
-        by_target.get(j, Cyclotomic.zero()) * (G.order // g_classes[j].size) / H.order
-        for j in g_indices
-    ]
+    zero = Cyclotomic.zero()
+    out = []
+    for j in g_indices:
+        sums = by_target.get(j)
+        if sums is None:
+            out.append(zero)
+        else:
+            centralizer = G.order // g_classes[j].size
+            out.append(Cyclotomic(e, {t: n * centralizer for t, n in sums.items()}, den * H.order))
+    return out
 
 
 def induce_character(theta: Character, G: PermGroup) -> Character:

@@ -19,8 +19,11 @@ exactly the classes of solvable sigma-subgroups
 (`solvable_sigma_subgroup_classes`; Neubüser, Numer. Math. 2, 1960;
 Cannon–Cox–Holt, J. Symbolic Comput. 31, 2001): a solvable sigma-group
 K > 1 has a normal subgroup of prime index, itself a solvable sigma-group.
-The weights and every Hall question (`PermGroup.find_hall_sigma_subgroup`)
-read these classes only.
+Every Hall question (`PermGroup.find_hall_sigma_subgroup`) reads these
+classes only, and so do the weights when sigma meets |G| in two or more
+primes. For one prime p the weights read the classes of intersections of
+Sylow p-subgroups (`sylow_intersection_classes`), which hold every
+p-radical subgroup and need no p-subgroup lattice.
 
 Conjugacy of candidates is decided by the canonical key of their orbit,
 its least sorted member. `PermGroup.subgroup_orbit` walks each class's
@@ -49,7 +52,7 @@ from operator import itemgetter
 
 from .groups import Orbit, PermGroup, Subgroup, conjugation, memoized, span
 from .perms import Perm
-from .sigma import PrimeSet, factorize
+from .sigma import PrimeSet, factorize, sigma_part
 
 
 @dataclass(frozen=True)
@@ -190,6 +193,49 @@ def _cyclic_extension(G: PermGroup, primes: PrimeSet) -> _ClassCollector:
             if not collector.knows(k_set):
                 frontier.append(collector.add(k_set))
     return collector
+
+
+@memoized(bound="subgroup-lattice")
+def sylow_intersection_classes(G: PermGroup, p: int) -> tuple[SubgroupClass, ...]:
+    """The classes of intersections of Sylow p-subgroups of G, in lattice order.
+
+    They hold every p-radical subgroup Q, one with Q = O_p(N_G(Q)), and so
+    every weight for a prime set that meets the order of G in p alone
+    (Alperin, Weights for finite groups, 1987). Proof: let N = N_G(Q). Then
+    Q = O_p(N) is the intersection of the Sylow p-subgroups S_i of N. Each
+    S_i lies in a Sylow P_i of G, and P_i ∩ N = S_i. Let D be the
+    intersection of the P_i. Then Q <= D and N_D(Q) = D ∩ N = Q; D is a
+    p-group, in which normalizers grow, so D = Q.
+
+    A Sylow P is climbed from H = 1. While H < P, N_P(H) > H, so p divides
+    |N_G(H) : H| and some z in N_G(H) has order p modulo H (Cauchy); the
+    least such z spans K = <H, z>, checked as cyclic extension checks its
+    candidates: |K| = p|H| and K lies in N_G(H). Then P's orbit is walked,
+    and the canonical member of each new class is intersected with every
+    Sylow subgroup, starting from P. An intersection of Sylow subgroups
+    P_1 ∩ ... ∩ P_k has a conjugate C ∩ P_k^g with C the canonical member of
+    the class of P_1 ∩ ... ∩ P_(k-1), so every class is reached, and no
+    p-subgroup lattice is built.
+    """
+    order = sigma_part(G.order, PrimeSet([p]))
+    h_set = frozenset([G.identity.images])
+    while len(h_set) < order:
+        n_set, _ = G.normalizer_elements(h_set)
+        z = next((x for x in sorted(n_set) if _coset_order(x, h_set) == p), None)
+        k_set = span(h_set, [z]) if z is not None else h_set
+        if len(k_set) != p * len(h_set) or not k_set <= n_set:
+            raise AssertionError(f"Sylow {p}-subgroup climb step has the wrong order {_where(G)}")
+        h_set = k_set
+    sylows = G.subgroup_orbit(h_set).members
+    collector = _ClassCollector(G)
+    frontier = [collector.add(h_set)]
+    while frontier:
+        d_set = frontier.pop().representative.element_set()
+        for s_set in sylows:
+            meet = d_set & s_set
+            if not collector.knows(meet):
+                frontier.append(collector.add(meet))
+    return tuple(collector.classes())
 
 
 def _coset_order(z: tuple, h_set: frozenset) -> int:

@@ -44,6 +44,7 @@ from .lattice import (
     nilpotent_sigma_subgroup_classes,
     subgroup_class_of,
     subgroup_classes,
+    sylow_intersection_classes,
 )
 from .linalg import (
     FIRST_PRIME,
@@ -465,12 +466,19 @@ def _weights_on(G: PermGroup, sigma: PrimeSet, cls: SubgroupClass) -> list[Weigh
 
 
 def enumerate_weights(G: PermGroup, sigma: PrimeSet) -> tuple[Weight, ...]:
-    """All weight classes (Q, gamma) for nilpotent sigma-subgroups Q."""
-    return tuple(
-        w
-        for cls in nilpotent_sigma_subgroup_classes(G, sigma)
-        for w in _weights_on(G, sigma, cls)
-    )
+    """All weight classes (Q, gamma) for nilpotent sigma-subgroups Q.
+
+    When sigma meets |G| in one prime p, the first components are read off
+    the Sylow p-intersections, which hold every class the gate keeps;
+    otherwise off the solvable sigma-subgroup classes. Either way the classes
+    come in lattice order, so the weights are the same.
+    """
+    primes = [p for p in G.primes() if p in sigma]
+    if len(primes) == 1:
+        classes = sylow_intersection_classes(G, primes[0])
+    else:
+        classes = nilpotent_sigma_subgroup_classes(G, sigma)
+    return tuple(w for cls in classes for w in _weights_on(G, sigma, cls))
 
 
 def weights_with_first_component(G: PermGroup, sigma: PrimeSet, R: PermGroup):

@@ -106,12 +106,15 @@ def check_weight_count(G: PermGroup, sigma: PrimeSet, name: str = "G") -> Verifi
     """Classes of sigma'-elements vs nilpotent sigma-weight classes.
 
     The hypotheses are that G is sigma-separable and that a solvable Hall
-    sigma-subgroup exists. Both the flag and the weights read the solvable
-    sigma-subgroup classes only, not G's whole lattice.
+    sigma-subgroup exists. When at most one prime of sigma divides |G|, a
+    Sylow subgroup is one (Sylow's theorem); otherwise the flag reads the
+    solvable sigma-subgroup classes only, not G's whole lattice, as the
+    weights do unless sigma meets |G| in one prime (`enumerate_weights`).
     """
+    sylow = sum(p in sigma for p in G.primes()) <= 1
     hypotheses = (
         ("sigma-separable", G.is_sigma_separable(sigma)),
-        ("solvable Hall subgroup", G.find_hall_sigma_subgroup(sigma) is not None),
+        ("solvable Hall subgroup", sylow or G.find_hall_sigma_subgroup(sigma) is not None),
     )
     coprime = sigma.complement_within(G.order)
     lhs_classes = G.sigma_element_classes(coprime)

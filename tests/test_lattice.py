@@ -3,9 +3,10 @@ import hashlib
 import pytest
 
 from nilweight import bruteforce as bf
-from nilweight import groups, lattice
-from nilweight.corpus import builtin_by_name, builtin_corpus
-from nilweight.groups import PermGroup, bsgs_construct
+from nilweight import groups, lattice, pipartial
+from nilweight.cli import run_command
+from nilweight.corpus import builtin_by_name, builtin_corpus, parse_group_file
+from nilweight.groups import PermGroup, bsgs_construct, resource_bound
 from nilweight.lattice import (
     carter_fiber,
     carter_members,
@@ -15,8 +16,10 @@ from nilweight.lattice import (
     solvable_sigma_subgroup_classes,
     subgroup_class_of,
     subgroup_classes,
+    sylow_intersection_classes,
 )
 from nilweight.perms import Perm
+from nilweight.pipartial import enumerate_weights
 from nilweight.sigma import PrimeSet, factorize, sigma_part
 from nilweight.verify import (
     bijection_setup,
@@ -25,7 +28,7 @@ from nilweight.verify import (
     sigma_subsets,
 )
 
-from conftest import group, lattice_group_files, perm
+from conftest import GROUPS_DIR, group, lattice_group_files, perm
 
 # every builtin, and every desk-scale group file within the lattice bound
 LATTICE_CORPUS = [*builtin_corpus(), *lattice_group_files()]
@@ -398,6 +401,69 @@ class TestSolvableSigmaClasses:
         for sigma, classes in got.items():
             want = [c for c in full if c.is_solvable() and c.is_sigma_group(sigma)]
             assert _rows(classes) == _rows(want), sigma
+
+
+def _weight_rows(weights):
+    return [(*_rows([w.subgroup_class])[0], w.character.values) for w in weights]
+
+
+class TestSylowIntersectionClasses:
+    """For one prime, the weights and the Hall flag of `verify-a` read no p-subgroup lattice."""
+
+    def test_verify_a_and_weights_as_on_the_lattice(self, monkeypatch):
+        # every builtin and every group file up to order 6,000 (the lattice
+        # bound lifted as the sweep lifts it), for every prime of the order:
+        # the reports, the weight rows and the Hall flag are those the
+        # solvable sigma-subgroup lattice gives
+        bound = 6000
+        cases = [(d.name, d) for d in builtin_corpus()]
+        for path in sorted(GROUPS_DIR.glob("*.txt")):
+            definition = parse_group_file(path.read_text())
+            if definition.expected_order <= bound:
+                cases.append((str(path), definition))
+
+        def lattice_route(G, p):
+            return nilpotent_sigma_subgroup_classes(G, PrimeSet([p]))
+
+        asked = 0
+        for argument, definition in cases:
+            for p in definition.build().primes():
+                sigma, where = PrimeSet([p]), (definition.name, p)
+                commands = [
+                    [cmd, "--group", argument, "--pi", str(p), "--bound", str(bound)]
+                    + ["--format", "machine"]
+                    for cmd in ("verify-a", "weights")
+                ]
+                reports = [run_command(c) for c in commands]
+                with resource_bound(bound):
+                    G = definition.build()
+                    rows = _weight_rows(enumerate_weights(G, sigma))
+                    hypotheses = dict(check_weight_count(G, sigma).hypotheses)
+                    hall = G.find_hall_sigma_subgroup(sigma) is not None
+                    assert hypotheses["solvable Hall subgroup"] is hall, where
+                    with monkeypatch.context() as patched:
+                        patched.setattr(pipartial, "sylow_intersection_classes", lattice_route)
+                        assert [run_command(c) for c in commands] == reports, where
+                        assert _weight_rows(enumerate_weights(G, sigma)) == rows, where
+                asked += 1
+        assert asked == 69
+
+    def test_verify_a_builds_no_lattice_for_one_prime(self):
+        G = parse_group_file((GROUPS_DIR / "S4wrC2.txt").read_text()).build()
+        check_weight_count(G, PrimeSet([2]))
+        assert solvable_sigma_subgroup_classes.peek(G, PrimeSet([2])) is None
+        assert subgroup_classes.peek(G) is None
+
+    def test_a_climb_step_of_the_wrong_order_names_the_group_and_p(self, monkeypatch):
+        s4 = group(4, "(1,2)", "(1,2,3,4)")
+        # every element, the identity first, passes for one of order 2 modulo H
+        monkeypatch.setattr(lattice, "_coset_order", lambda z, h_set: 2)
+        message = (
+            "^Sylow 2-subgroup climb step has the wrong order "
+            "in the lattice of a group of order 24$"
+        )
+        with pytest.raises(AssertionError, match=message):
+            sylow_intersection_classes(s4, 2)
 
 
 class TestNilpotentSigmaClasses:

@@ -115,17 +115,19 @@ def reference_restriction_values(phi, H):
 
 
 def reference_induced_values(alpha, G):
-    """alpha^G on the sigma-classes of G, summed class by class from alpha's group."""
+    """alpha^G on the classes of G of alpha's kind, summed class by class from
+    alpha's group with `Cyclotomic` operators."""
     H, sigma = alpha.group, alpha.sigma
     h_classes, g_classes = H.conjugacy_classes(), G.conjugacy_classes()
     by_target = {}
-    for i, v in zip(H.sigma_class_indices(sigma), alpha.values):
+    for i, v in zip(alpha.class_indices, alpha.values):
         c = h_classes[i]
         j = G.class_index_of(c.representative)
         by_target[j] = by_target.get(j, Cyclotomic.zero()) + v * c.size
+    g_indices = range(len(g_classes)) if sigma is None else G.sigma_class_indices(sigma)
     return tuple(
         by_target.get(j, Cyclotomic.zero()) * (G.order // g_classes[j].size) / H.order
-        for j in G.sigma_class_indices(sigma)
+        for j in g_indices
     )
 
 
@@ -172,6 +174,17 @@ class TestOneClassFunctionType:
                         assert ind.group is G and ind.sigma == sigma, where
                         assert ind.values == reference_induced_values(alpha, G), where
                         assert induced_partial_values(alpha, G) == ind.values, where
+
+    def test_induction_keeps_the_ordinary_values(self):
+        # every irreducible of every subgroup class, induced to G
+        for definition in builtin_corpus():
+            G = definition.build()
+            for cls in subgroup_classes(G):
+                for theta in character_table(cls.representative).irreducibles:
+                    ind = induce_character(theta, G)
+                    where = (definition.name, cls.order)
+                    assert ind.group is G and ind.sigma is None, where
+                    assert ind.values == reference_induced_values(theta, G), where
 
     def test_conjugation_keeps_the_kind(self, s4):
         for p in (2, 3):

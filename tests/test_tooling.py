@@ -228,7 +228,7 @@ def test_report_sweep_lifts_the_lattice_bound_above_it():
         if order > bound:
             assert int(command[command.index("--bound") + 1]) >= order, command
             lifted.add(path.name)
-    assert lifted == {"S3wrC4.txt", "S4wrC2xC3.txt"}
+    assert lifted == {"S3wrC4.txt", "S4wrC2xC3.txt", "S4wrC3.txt"}
 
 
 def test_report_sweep_tables_every_group_file_and_reads_one_back():
@@ -241,7 +241,7 @@ def test_report_sweep_tables_every_group_file_and_reads_one_back():
     assert commands[-2:] == [cached, cached]
     assert sum("--cache-dir" in c for c in commands) == 2
     # the count the sweep's docstring states
-    assert len(sweep.sweep_commands(properties=False)) == 502
+    assert len(sweep.sweep_commands(properties=False)) == 505
 
 
 def test_readme_states_the_sweep_sizes():
