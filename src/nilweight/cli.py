@@ -99,7 +99,12 @@ def _resolve_group(arg: str | None):
         raise UsageError("--group is required for this command")
     path = Path(arg)
     if path.exists():
-        definition = parse_definition(path.read_text())
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise UsageError(f"cannot read group file {arg}: {reason}") from None
+        definition = parse_definition(text)
     else:
         try:
             definition = builtin_by_name(arg)

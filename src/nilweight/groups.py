@@ -33,8 +33,8 @@ subgroup orbits that `PermGroup.subgroup_orbit` memoizes and normalizers
 read off, and the lattice's orbits of cyclic subgroups. N_G(H) has one
 computation, `PermGroup.normalizer_elements`: H's element set spanned by
 the Schreier images of H's orbit, with the generators it kept, and
-`PermGroup.normalizer` is the subgroup on it. The action of a
-normalizing element on the classes comes from one memoized map,
+`PermGroup.normalizer` is the subgroup on it (the group itself for a
+normal H). The action of a normalizing element on the classes comes from one memoized map,
 `PermGroup.class_image`, and class functions are conjugated through it by
 `PermGroup.conjugate_class_function`.
 
@@ -43,9 +43,10 @@ the derived series alone; a subgroup made after its parent is known to be
 solvable, and a quotient of a group known to be solvable, is solvable
 without a series of its own. `is_nilpotent` counts
 p-elements, one count per prime. A normal closure is spanned from the
-classes of its seeds; that of each class representative is computed
-once, by `PermGroup._class_normal_closure`, for `normal_subgroups` and
-the composition factors. O_sigma has one
+classes of its seeds, that of a class representative from its class by
+`PermGroup._spanning`. `normal_subgroups` joins those closures as element
+sets and builds no subgroup; the composition factors build each closure
+once (`PermGroup._class_normal_closure`). O_sigma has one
 walker, `PermGroup.o_sigma_walk`. From a normal sigma-subgroup it spans
 the class of each sigma-element it meets, in sorted element order, with
 the set so far, and keeps each span of sigma-number order; it builds no
@@ -55,7 +56,8 @@ vertex certificate stop at the first span it keeps above their subgroup.
 One routine, `span`, grows every element set by cosets, for O_sigma,
 normal closures, normalizers, the joins of `normal_subgroups` and the
 lattice's candidates <H, z>; one step, `PermGroup._generated`, builds the
-subgroup on a spanned set, and on each lattice class's canonical member.
+subgroup on a spanned set, on each lattice class's canonical member, and
+on the normal subgroups a caller uses as groups.
 
 Resource bounds (`check_bound`) and memoization (`memoized`) live here
 alone, and every module uses them. A stabilizer chain whose basic orbit
@@ -508,10 +510,13 @@ class PermGroup:
 
     @memoized(lambda G, H: ("normalizer", H.element_set()), bound="normalizer")
     def normalizer(self, H: "PermGroup") -> "Subgroup":
-        """N_self(H) for a subgroup H of self, built on H's generators and
-        the Schreier generators of `normalizer_elements`."""
+        """N_self(H) for a subgroup H of self: self itself when H is normal,
+        so that it shares self's memo, and otherwise built on H's generators
+        and the Schreier generators of `normalizer_elements`."""
         if not H.is_subset(self):
             raise ValueError("H is not a subgroup of the group")
+        if len(self.subgroup_orbit(H.element_set()).members) == 1:
+            return self
         elems, kept = self.normalizer_elements(H.element_set())
         N = self.subgroup(H.generators + kept, order=len(elems))
         if N.order != len(elems):
@@ -532,14 +537,19 @@ class PermGroup:
         return self._generated(members)
 
     def _generated(self, elements) -> "Subgroup":
-        """The subgroup generated by the image tuples `elements`, built on the
-        least of them that each leave the span of those before."""
+        """The subgroup on the image tuples `elements`, built as `_spanning` spans it."""
+        gens, spanned = self._spanning(elements)
+        return self.subgroup(map(Perm, gens), order=len(spanned))
+
+    def _spanning(self, elements) -> tuple[list, frozenset]:
+        """The least of the image tuples `elements` that each leave the span
+        of those before, and the element set they span."""
         gens, spanned = [], frozenset([self.identity.images])
         for x in sorted(elements):
             if x not in spanned:
                 gens.append(x)
                 spanned = span(spanned, gens)
-        return self.subgroup(map(Perm, gens), order=len(spanned))
+        return gens, spanned
 
     def derived_subgroup(self) -> "Subgroup":
         comms = []
@@ -591,29 +601,25 @@ class PermGroup:
         return self._generated(self.conjugacy_classes()[i].members)
 
     @memoized()
-    def normal_subgroups(self) -> tuple["Subgroup", ...]:
-        """All normal subgroups, via join-closure of class-rep normal closures.
-
-        Each join <H, A> is spanned as an element set first, as A normalizes
-        H, and built only when it is new. Sorted by (order, sorted elements),
-        so the last is the group itself."""
+    def normal_subgroups(self) -> tuple[frozenset, ...]:
+        """The element sets of all normal subgroups, sorted by (order, sorted
+        elements): the join-closure of the classes' normal closures, each
+        spanned from its class (`_spanning`). A join <H, A> is spanned from H
+        by the generators A was spanned by, and no subgroup is built."""
         atoms = {}
-        for i in range(1, len(self.conjugacy_classes())):
-            ncl = self._class_normal_closure(i)
-            atoms.setdefault(ncl.element_set(), ncl)
-        found = {frozenset({self.identity.images}): self.subgroup([])}
-        frontier = list(found.values())
+        for c in self.conjugacy_classes()[1:]:
+            gens, elems = self._spanning(c.members)
+            atoms.setdefault(elems, gens)
+        found = {frozenset([self.identity.images])}
+        frontier = list(found)
         while frontier:
-            H = frontier.pop()
-            for A in atoms.values():
-                key = span(H.element_set(), [a.images for a in A.generators])
-                if key not in found:
-                    found[key] = join = self.subgroup(
-                        tuple(H.generators) + tuple(A.generators), order=len(key)
-                    )
+            h_set = frontier.pop()
+            for gens in atoms.values():
+                join = span(h_set, gens)
+                if join not in found:
+                    found.add(join)
                     frontier.append(join)
-        subs = sorted(found.values(), key=lambda s: (s.order, sorted(s.element_set())))
-        return tuple(subs)
+        return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
     @memoized()
     def composition_factor_orders(self) -> tuple[int, ...]:
@@ -677,13 +683,17 @@ class PermGroup:
     def find_hall_sigma_subgroup(self, sigma: PrimeSet) -> "Subgroup | None":
         """A solvable Hall sigma-subgroup, or None if G has none.
 
-        It is the representative of the first class of order |G|_sigma among
-        the solvable sigma-subgroup classes, read off G's full lattice when
-        that is memoized and otherwise found by cyclic extension through
-        indices in sigma alone.
+        For one prime p of |G| in sigma it is the representative of the last
+        class of Sylow p-intersections, P ∩ P = P. Otherwise it is that of
+        the first class of order |G|_sigma among the solvable sigma-subgroup
+        classes, read off G's full lattice when that is memoized and
+        otherwise found by cyclic extension through indices in sigma alone.
         """
-        from .lattice import solvable_sigma_subgroup_classes
+        from .lattice import solvable_sigma_subgroup_classes, sylow_intersection_classes
 
+        primes = [p for p in self.primes() if p in sigma]
+        if len(primes) == 1:
+            return sylow_intersection_classes(self, primes[0])[-1].representative
         target = sigma_part(self.order, sigma)
         for cls in solvable_sigma_subgroup_classes(self, sigma):
             if cls.order == target:

@@ -19,11 +19,12 @@ exactly the classes of solvable sigma-subgroups
 (`solvable_sigma_subgroup_classes`; Neubüser, Numer. Math. 2, 1960;
 Cannon–Cox–Holt, J. Symbolic Comput. 31, 2001): a solvable sigma-group
 K > 1 has a normal subgroup of prime index, itself a solvable sigma-group.
-Every Hall question (`PermGroup.find_hall_sigma_subgroup`) reads these
-classes only, and so do the weights when sigma meets |G| in two or more
-primes. For one prime p the weights read the classes of intersections of
-Sylow p-subgroups (`sylow_intersection_classes`), which hold every
-p-radical subgroup and need no p-subgroup lattice.
+Every Hall question (`PermGroup.find_hall_sigma_subgroup`) and the
+weights read these classes only, unless sigma meets |G| in one prime p.
+Then the weights read the classes of intersections of Sylow p-subgroups
+(`sylow_intersection_classes`), which hold every p-radical subgroup and
+need no p-subgroup lattice, and the Hall question reads the last of
+them, P ∩ P = P.
 
 Conjugacy of candidates is decided by the canonical key of their orbit,
 its least sorted member. `PermGroup.subgroup_orbit` walks each class's

@@ -286,12 +286,12 @@ def ipi_with_vertex(
     theta: Character | None = None,
 ):
     """Members of Iso(G) with vertex class containing Q, optionally over theta."""
-    if not sigma.complement_within(G.order).is_sigma_number(Q.order):
+    if not (Q.is_subset(G) and sigma.complement_within(G.order).is_sigma_number(Q.order)):
         raise ValueError("Q is not a sigma'-subgroup")
-    q_class = subgroup_class_of(G, Q)
+    key = G.subgroup_orbit(Q.element_set()).canonical_key
     out = []
     for phi in sigma_partial_characters(G, sigma):
-        if vertices(phi).canonical_key != q_class.canonical_key:
+        if vertices(phi).canonical_key != key:
             continue
         if theta is not None and not lies_over(phi, theta):
             continue
@@ -362,9 +362,10 @@ def _fixed_points(acted: PermGroup, acting: PermGroup) -> PermGroup:
     return acted.centralizer_of_subgroup(acting)
 
 
+@memoized()
 def _largest_proper_normal(S: PermGroup) -> PermGroup:
-    """The last proper member of `normal_subgroups`, which ends with S itself."""
-    return S.normal_subgroups()[-2]
+    """The subgroup on the second-last of `normal_subgroups`, the last being S."""
+    return S._generated(S.normal_subgroups()[-2])
 
 
 def glauberman_correspondent(
@@ -435,14 +436,6 @@ class Weight:
         return f"Weight(|Q|={self.q_order}, deg={self.character.values[0]})"
 
 
-def _local_normalizer(G: PermGroup, R: PermGroup) -> PermGroup:
-    """N_G(R); G itself when R is normal, so that it shares G's memo, and
-    then no normalizer is built."""
-    if len(G.subgroup_orbit(R.element_set()).members) == 1:
-        return G
-    return G.normalizer(R)
-
-
 def _weights_on(G: PermGroup, sigma: PrimeSet, cls: SubgroupClass) -> list[Weight]:
     """The weights (Q, gamma) for Q in cls: the sigma-defect-zero Irr(N_G(Q)/Q).
 
@@ -455,7 +448,7 @@ def _weights_on(G: PermGroup, sigma: PrimeSet, cls: SubgroupClass) -> list[Weigh
     above Q, with no class list of N_G(Q).
     """
     Q = cls.representative
-    N = _local_normalizer(G, Q)
+    N = G.normalizer(Q)
     if any(N.o_sigma_walk(sigma, Q.element_set())):
         return []
     return [

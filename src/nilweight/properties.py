@@ -22,14 +22,13 @@ from .chartab import (
     is_invariant_character,
     restrict_character,
 )
-from .groups import PermGroup
+from .groups import PermGroup, memoized
 from .lattice import (
     carter_subgroups,
     is_carter_in,
     nilpotent_sigma_subgroup_classes,
     subgroup_classes,
 )
-from .perms import Perm
 from .pipartial import (
     GlaubermanAction,
     clifford_correspondent,
@@ -181,17 +180,13 @@ def _prop_o_sigma(corpus):
             for cls in subgroup_classes(G)
             if cls.class_size == 1
         }
-        yield PropertyOutcome(
-            "normal-subgroup-search",
-            name,
-            {N.element_set() for N in normals} == lattice_normals,
-        )
+        yield PropertyOutcome("normal-subgroup-search", name, set(normals) == lattice_normals)
         for sigma in sigma_subsets(G):
             O = G.o_sigma(sigma)
             ok = G.is_normal(O) and sigma.is_sigma_number(O.order)
-            for N in normals:
-                if sigma.is_sigma_number(N.order):
-                    ok = ok and N.is_subset(O)
+            for n_set in normals:
+                if sigma.is_sigma_number(len(n_set)):
+                    ok = ok and n_set <= O.element_set()
             yield PropertyOutcome("o-sigma-maximal", f"{name} sigma={sigma}", ok)
 
 
@@ -247,9 +242,10 @@ def _prop_carter_lifting(corpus):
                 )
 
 
+@memoized()
 def _alt_series_choice(S: PermGroup) -> PermGroup:
     """The smallest prime-index normal subgroup (the default picks the largest)."""
-    return next(T for T in S.normal_subgroups() if is_prime(S.order // T.order))
+    return S._generated(next(T for T in S.normal_subgroups() if is_prime(S.order // len(T))))
 
 
 def _prop_table_invariants(corpus):
@@ -327,13 +323,13 @@ def _prop_vertex_degree_law(corpus):
 
 def _prop_clifford_roundtrip(corpus):
     for name, G in corpus:
-        normals = [N for N in G.normal_subgroups() if 1 < N.order < G.order]
+        normals = [G._generated(N) for N in G.normal_subgroups()[1:-1][:3]]  # proper ones
         for sigma in sigma_subsets(G):
             if not G.is_sigma_separable(sigma) or not sigma.primes:
                 continue
             checked = 0
             ok = True
-            for N in normals[:3]:
+            for N in normals:
                 for phi in sigma_partial_characters(G, sigma):
                     theta = decompose_on_subgroup(phi, N)[0][0]
                     mu, T = clifford_correspondent(phi, N, theta)
@@ -391,9 +387,8 @@ def _prop_glauberman(corpus):
         )
         yield PropertyOutcome("glauberman-series-independence", label, ok_series)
         # equivariance of the T-correspondence under the S-action
-        for T in S.normal_subgroups():
-            if not 1 < T.order < S.order:
-                continue
+        for t_set in S.normal_subgroups()[1:-1]:  # the proper nontrivial ones
+            T = S._generated(t_set)
             t_action = GlaubermanAction(N, T)
             C_T = t_action.fixed
             ok_eq = True
@@ -416,14 +411,14 @@ def _prop_glauberman(corpus):
 def _prop_lemma_intersection_counts(corpus):
     """|Iso(G|Q,tau)| = sum over orbit reps U of |Iso(G_tau|U,tau)|."""
     for name, G in corpus:
-        normals = [N for N in G.normal_subgroups() if 1 < N.order < G.order]
+        normals = [G._generated(N) for N in G.normal_subgroups()[1:-1][:2]]  # proper ones
         for sigma in sigma_subsets(G):
             if not sigma.primes or not G.is_sigma_separable(sigma):
                 continue
             coprime = sigma.complement_within(G.order)
             instances = 0
             ok = True
-            for N in normals[:2]:
+            for N in normals:
                 q_classes = [
                     c
                     for c in subgroup_classes(G)
@@ -444,9 +439,7 @@ def _prop_lemma_intersection_counts(corpus):
                                 key = T.subgroup_orbit(conj_set).canonical_key
                                 reps.setdefault(key, conj_set)
                         for conj_set in reps.values():
-                            U = T.subgroup(
-                                [Perm(im) for im in conj_set if not Perm(im).is_identity()]
-                            )
+                            U = T._generated(conj_set)
                             rhs += len(ipi_with_vertex(T, sigma, U, theta=tau))
                         if lhs != rhs:
                             ok = False

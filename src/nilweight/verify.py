@@ -41,7 +41,6 @@ from .perms import Perm
 from .pipartial import (
     GlaubermanAction,
     InternalConsistencyError,
-    _local_normalizer,
     _where,
     decompose_on_subgroup,
     enumerate_weights,
@@ -106,15 +105,14 @@ def check_weight_count(G: PermGroup, sigma: PrimeSet, name: str = "G") -> Verifi
     """Classes of sigma'-elements vs nilpotent sigma-weight classes.
 
     The hypotheses are that G is sigma-separable and that a solvable Hall
-    sigma-subgroup exists. When at most one prime of sigma divides |G|, a
-    Sylow subgroup is one (Sylow's theorem); otherwise the flag reads the
-    solvable sigma-subgroup classes only, not G's whole lattice, as the
-    weights do unless sigma meets |G| in one prime (`enumerate_weights`).
+    sigma-subgroup exists (`PermGroup.find_hall_sigma_subgroup`). Neither
+    the flag nor the weights read G's whole lattice: for one prime of sigma
+    dividing |G| both read the Sylow intersections, and otherwise the
+    solvable sigma-subgroup classes.
     """
-    sylow = sum(p in sigma for p in G.primes()) <= 1
     hypotheses = (
         ("sigma-separable", G.is_sigma_separable(sigma)),
-        ("solvable Hall subgroup", sylow or G.find_hall_sigma_subgroup(sigma) is not None),
+        ("solvable Hall subgroup", G.find_hall_sigma_subgroup(sigma) is not None),
     )
     coprime = sigma.complement_within(G.order)
     lhs_classes = G.sigma_element_classes(coprime)
@@ -172,7 +170,7 @@ def check_carter_refinement(
         for phi in ipi_with_vertex(G, sigma, cls.representative)
     ]
     lhs = len(rows)
-    local = ipi_with_normal_vertex(_local_normalizer(G, R), sigma, R)
+    local = ipi_with_normal_vertex(G.normalizer(R), sigma, R)
     rows += [ReportRow("rhs", f"local_phi_deg={phi.degree}", 1) for phi in local]
     weight_count = len(weights_with_first_component(G, coprime, R))
     rows.append(ReportRow("info", "weights with first component R", weight_count))
@@ -227,7 +225,7 @@ def check_normalizer_counting(
         )
     phi_member = _partial_member_for_character(M, sigma, phi)
     lhs_set = ipi_with_vertex(G, sigma, Q, theta=phi_member)
-    rhs_set = ipi_with_normal_vertex(_local_normalizer(G, Q), sigma, Q, theta=phi_member)
+    rhs_set = ipi_with_normal_vertex(G.normalizer(Q), sigma, Q, theta=phi_member)
     rows = [ReportRow("lhs", f"phi_deg={p.degree}", 1) for p in lhs_set]
     rows += [ReportRow("rhs", f"local_phi_deg={p.degree}", 1) for p in rhs_set]
     return VerificationReport(
@@ -310,16 +308,13 @@ def check_canonical_bijection(
     # by Schur-Zassenhaus a member Q has a conjugate Q^n inside H with n in
     # N, and n centralizes R, since [R, n] lies in H ∩ N = 1.
     h_set = H.element_set()
-    with_vertex: dict[tuple, list] = {}
-    for phi in sigma_partial_characters(G, sigma):
-        with_vertex.setdefault(vertices(phi).canonical_key, []).append(phi)
     domain = [
         (phi, [m for m in carter_members(G, cls, R) if m <= h_set])
         for cls in sorted(carter_fiber(G, sigma, R), key=lambda c: c.canonical_key)
-        for phi in with_vertex.get(cls.canonical_key, ())
+        for phi in ipi_with_vertex(G, sigma, cls.representative)
     ]
 
-    NR = _local_normalizer(G, R)
+    NR = G.normalizer(R)
     target = ipi_with_normal_vertex(NR, sigma, R)
 
     n_tab = character_table(N)
@@ -456,7 +451,8 @@ def bijection_setup(G: PermGroup, sigma: PrimeSet):
         return None
     # N has complements, all isomorphic to G/N (Schur-Zassenhaus). None is
     # solvable unless G/N is, and then the check reads G's full lattice, so
-    # it is built first and H is read off it
+    # it is built first. H is the lattice's representative of its class: read
+    # off the lattice, or off the Sylow intersections when |H| is a prime power
     if not G.quotient(N)[0].is_solvable():
         return None
     subgroup_classes(G)

@@ -268,9 +268,9 @@ def test_clifford_vertex_counterexample_order216():
     sigma = PrimeSet([3])
 
     # the stated structure, re-verified before the counts are trusted
-    normal_c3 = [N for N in G.normal_subgroups() if N.order == 3]
+    normal_c3 = [N for N in G.normal_subgroups() if len(N) == 3]
     assert len(normal_c3) == 1
-    N3 = normal_c3[0]
+    N3 = G._generated(normal_c3[0])
     O3 = G.o_sigma(PrimeSet([3]))
     assert O3.order == 27 and O3.is_abelian() and O3.exponent() == 3
     assert G.o_sigma(PrimeSet([2])).order == 1

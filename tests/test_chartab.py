@@ -274,7 +274,7 @@ class TestStabilizer:
             if d.expected_order > 60:
                 continue
             G = d.build()
-            for N in G.normal_subgroups():
+            for N in map(G._generated, G.normal_subgroups()):
                 for theta in character_table(N).irreducibles:
                     brute = {
                         g.images

@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import GROUPS_DIR
 
 import nilweight
 from nilweight import cache, cli, corpus, groups
@@ -370,6 +371,18 @@ class TestGroupFiles:
         code, text = run_command(["classes", "--group", str(f)])
         assert code == 2
         assert "repeated point" in text
+
+    def test_a_directory_is_usage_error(self, tmp_path):
+        code, text = run_command(["classes", "--group", str(tmp_path)])
+        assert code == 2
+        assert text == f"error: cannot read group file {tmp_path}: Is a directory\n"
+
+    def test_a_file_not_in_utf8_is_usage_error(self, tmp_path):
+        f = tmp_path / "latin1.grp"
+        f.write_bytes("name: K\u00e4\ndegree: 2\ngen: (1,2)\n".encode("latin-1"))
+        code, text = run_command(["classes", "--group", str(f)])
+        assert code == 2
+        assert text.startswith(f"error: cannot read group file {f}: 'utf-8' codec can't decode")
 
     @pytest.mark.parametrize(
         "degree, gens, message",
@@ -794,8 +807,10 @@ class TestJobs:
         # these two change with the hash seed when images are bytes
         ["verify-b", "--group", "S3", "--pi", "2"],
         ["subgroups", "--group", "A5"],
+        # the Glauberman descent and the normalizer of a normal R
+        ["bijection", "--group", str(GROUPS_DIR / "AGL116.txt"), "--pi", "2"],
     ],
-    ids=lambda argv: "-".join(argv[::2]),
+    ids=lambda argv: "-".join(Path(a).stem for a in argv[::2]),
 )
 def test_reports_do_not_depend_on_the_hash_seed(argv):
     """Report bytes must not follow PYTHONHASHSEED; images that hash by seed break this."""

@@ -372,7 +372,7 @@ class TestCentralizer:
 class TestClassImage:
     def test_matches_bruteforce_conjugation(self, s4):
         # S4 acts on each of its normal subgroups; g x g^-1 = conj(x, g^-1)
-        for N in s4.normal_subgroups():
+        for N in map(s4._generated, s4.normal_subgroups()):
             classes = N.conjugacy_classes()
             for g in elements(s4):
                 image = N.class_image(g)
@@ -421,23 +421,25 @@ class TestNormalizer:
             (
                 4,
                 ["(1,2)", "(1,2,3,4)"],
-                "70118449e4bd321f20163a4101fa246f2c32a6707409c8bf97e05067970401c0",
+                "70e8721c8934632fb423919fd683582ebdbaf04b6715de8d06ca1e06d4eeebd8",
             ),
             (
                 5,
                 ["(1,2,3,4,5)", "(3,4,5)"],
-                "45a9a05cbfa82085e4b35369f8d87ca0b447a81b89bebd7517e436e84e8d367a",
+                "9382ff5762726223b9f33e5266a067b5ea6d975c3db28e5d37ceb3acc1d6b843",
             ),
         ],
         ids=["S4", "A5"],
     )
     def test_generator_labels_are_pinned(self, degree, gens, digest):
         # normalizer generators are H's, then the Schreier generators that
-        # `normalizer_elements` kept in orbit-walk order; reports print
-        # generator lists, so the order is pinned
+        # `normalizer_elements` kept in orbit-walk order, and G's own for a
+        # normal H; reports print generator lists, so the order is pinned
         G = group(degree, *gens)
         classes = subgroup_classes(G)
         labels = [G.normalizer(c.representative).generator_label() for c in classes]
+        normal = [label for c, label in zip(classes, labels) if c.class_size == 1]
+        assert normal == [G.generator_label()] * len(normal)
         assert hashlib.sha256(repr(labels).encode()).hexdigest() == digest
 
 
@@ -544,7 +546,7 @@ class TestQuotients:
 
     def test_every_normal_subgroup_and_weight_quotient_of_builtins(self):
         for G in builtins_up_to(BRUTE_MAX_ORDER):
-            pairs = [(G, H) for H in G.normal_subgroups()]
+            pairs = [(G, G._generated(h_set)) for h_set in G.normal_subgroups()]
             for cls in subgroup_classes(G):
                 if cls.is_nilpotent():
                     pairs.append((G.normalizer(cls.representative), cls.representative))
@@ -685,9 +687,9 @@ class TestNormalStructure:
                 O = G.o_sigma(sigma)
                 assert G.is_normal(O)
                 assert sigma.is_sigma_number(O.order)
-                for N in G.normal_subgroups():
-                    if sigma.is_sigma_number(N.order):
-                        assert N.is_subset(O)
+                for n_set in G.normal_subgroups():
+                    if sigma.is_sigma_number(len(n_set)):
+                        assert n_set <= O.element_set()
 
     def test_a_normal_closure_is_one_build_on_the_classes_of_its_seeds(self, monkeypatch):
         s4 = group(4, "(1,2)", "(1,2,3,4)")
@@ -709,8 +711,25 @@ class TestNormalStructure:
             assert builds == [s4], cycles
 
     def test_normal_subgroups_of_s4(self, s4):
-        orders = sorted(N.order for N in s4.normal_subgroups())
+        orders = sorted(map(len, s4.normal_subgroups()))
         assert orders == [1, 4, 12, 24]
+
+    def test_normal_subgroups_build_no_subgroup(self, monkeypatch):
+        # the join-closure runs on element sets; a caller builds the few
+        # groups it uses
+        built = []
+        real = groups.Subgroup.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(groups.Subgroup, "__init__", init)
+        for definition in builtin_corpus():
+            G = definition.build()  # fresh: nothing memoized
+            normals = G.normal_subgroups()
+            assert built == [], definition.name
+            assert normals[0] == {G.identity.images} and normals[-1] == G.element_set()
 
     def test_composition_factors(self, s4, a5, q8):
         assert s4.composition_factor_orders() == (2, 2, 2, 3)

@@ -356,7 +356,7 @@ class TestNormalizerElements:
             is_carter_in(R, H)
             assert built == []
             check_canonical_bijection(G, sigma, N, H, R, "AGL116")
-            # N_G(R) for `_local_normalizer`, unless R is normal
+            # N_G(R), which is G itself when R is normal
             assert set(built) <= {(G, R.element_set())}
             built.clear()
 
@@ -407,26 +407,35 @@ def _weight_rows(weights):
     return [(*_rows([w.subgroup_class])[0], w.character.values) for w in weights]
 
 
+# the lattice bound lifted as the sweep lifts it for the one-prime lines
+ONE_PRIME_BOUND = 6000
+
+
+def _one_prime_cases():
+    """(--group argument, definition) for every builtin and every group file
+    up to order `ONE_PRIME_BOUND`."""
+    cases = [(d.name, d) for d in builtin_corpus()]
+    for path in sorted(GROUPS_DIR.glob("*.txt")):
+        definition = parse_group_file(path.read_text())
+        if definition.expected_order <= ONE_PRIME_BOUND:
+            cases.append((str(path), definition))
+    return cases
+
+
 class TestSylowIntersectionClasses:
     """For one prime, the weights and the Hall flag of `verify-a` read no p-subgroup lattice."""
 
     def test_verify_a_and_weights_as_on_the_lattice(self, monkeypatch):
-        # every builtin and every group file up to order 6,000 (the lattice
-        # bound lifted as the sweep lifts it), for every prime of the order:
-        # the reports, the weight rows and the Hall flag are those the
-        # solvable sigma-subgroup lattice gives
-        bound = 6000
-        cases = [(d.name, d) for d in builtin_corpus()]
-        for path in sorted(GROUPS_DIR.glob("*.txt")):
-            definition = parse_group_file(path.read_text())
-            if definition.expected_order <= bound:
-                cases.append((str(path), definition))
+        # every builtin and every group file up to order 6,000, for every
+        # prime of the order: the reports, the weight rows and the Hall flag
+        # are those the solvable sigma-subgroup lattice gives
+        bound = ONE_PRIME_BOUND
 
         def lattice_route(G, p):
             return nilpotent_sigma_subgroup_classes(G, PrimeSet([p]))
 
         asked = 0
-        for argument, definition in cases:
+        for argument, definition in _one_prime_cases():
             for p in definition.build().primes():
                 sigma, where = PrimeSet([p]), (definition.name, p)
                 commands = [
@@ -439,13 +448,37 @@ class TestSylowIntersectionClasses:
                     G = definition.build()
                     rows = _weight_rows(enumerate_weights(G, sigma))
                     hypotheses = dict(check_weight_count(G, sigma).hypotheses)
-                    hall = G.find_hall_sigma_subgroup(sigma) is not None
+                    # the oracle: a class of order |G|_p among the p-subgroup classes
+                    target = sigma_part(G.order, sigma)
+                    classes = solvable_sigma_subgroup_classes(G, sigma)
+                    hall = any(c.order == target for c in classes)
                     assert hypotheses["solvable Hall subgroup"] is hall, where
                     with monkeypatch.context() as patched:
                         patched.setattr(pipartial, "sylow_intersection_classes", lattice_route)
                         assert [run_command(c) for c in commands] == reports, where
                         assert _weight_rows(enumerate_weights(G, sigma)) == rows, where
                 asked += 1
+        assert asked == 69
+
+    def test_a_sylow_subgroup_is_the_lattice_representative(self):
+        # for one prime, `find_hall_sigma_subgroup` reads the Sylow
+        # intersections and no p-subgroup lattice, and gives the subgroup,
+        # generators included, that the lattice's class of order |G|_p has
+        asked = 0
+        cases = _one_prime_cases()
+        with resource_bound(ONE_PRIME_BOUND):
+            for _, definition in cases:
+                G, fresh = definition.build(), definition.build()
+                for p in G.primes():
+                    sigma, where = PrimeSet([p]), (definition.name, p)
+                    P = G.find_hall_sigma_subgroup(sigma)
+                    assert solvable_sigma_subgroup_classes.peek(G, sigma) is None, where
+                    target = sigma_part(G.order, sigma)
+                    classes = solvable_sigma_subgroup_classes(fresh, sigma)
+                    want = next(c.representative for c in classes if c.order == target)
+                    assert P.element_set() == want.element_set(), where
+                    assert P.generator_label() == want.generator_label(), where
+                    asked += 1
         assert asked == 69
 
     def test_verify_a_builds_no_lattice_for_one_prime(self):

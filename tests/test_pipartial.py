@@ -29,7 +29,6 @@ from nilweight.pipartial import (
     InternalConsistencyError,
     _flatten,
     _hall_coprime_class,
-    _local_normalizer,
     clifford_correspondent,
     decompose_on_subgroup,
     enumerate_weights,
@@ -582,7 +581,7 @@ class TestIpiWithNormalVertex:
                         if not coprime.is_sigma_number(cls.order):
                             continue
                         R = cls.representative
-                        N = _local_normalizer(G, R)
+                        N = G.normalizer(R)
                         if definition.expected_order <= 120:
                             expected = ipi_with_vertex(N, sigma, N.subgroup(R.generators))
                         else:
@@ -692,9 +691,9 @@ class TestGlauberman:
             options = [
                 T
                 for T in group_.normal_subgroups()
-                if T.order < group_.order and is_prime(group_.order // T.order)
+                if len(T) < group_.order and is_prime(group_.order // len(T))
             ]
-            return min(options, key=lambda T: (T.order, sorted(T.element_set())))
+            return group_._generated(min(options, key=lambda T: (len(T), sorted(T))))
 
         tab = character_table(N)
         invariant = [
@@ -747,7 +746,7 @@ def weight_quotient(G, cls):
     """The memoized N_G(Q)/Q, with its projection, that the weights at the
     class of Q built, or None."""
     Q = cls.representative
-    return PermGroup.quotient.peek(_local_normalizer(G, Q), Q)
+    return PermGroup.quotient.peek(G.normalizer(Q), Q)
 
 
 def _is_gated(G, sigma, cls):
@@ -769,7 +768,7 @@ class TestNormalSigmaGate:
                 for cls in nilpotent_sigma_subgroup_classes(G, sigma):
                     Q = cls.representative
                     upstairs = len(G.normalizer(Q).o_sigma_elements(sigma))
-                    quo, _ = _local_normalizer(G, Q).quotient(Q)
+                    quo, _ = G.normalizer(Q).quotient(Q)
                     where = (definition.name, sigma, cls.order)
                     assert upstairs == Q.order * len(quo.o_sigma_elements(sigma)), where
                     if upstairs > Q.order:
@@ -780,17 +779,17 @@ class TestNormalSigmaGate:
 
     def test_equals_the_largest_normal_sigma_subgroup(self):
         # `normal_subgroups` joins the normal closures of the class
-        # representatives with stabilizer chains, a path of its own
+        # representatives as element sets, a path of its own
         cases = 0
         for definition in builtin_corpus():
             G = definition.build()
             for sigma in sigma_subsets(G):
                 for cls in nilpotent_sigma_subgroup_classes(G, sigma):
                     N = G.normalizer(cls.representative)
-                    sigma_normals = [K for K in N.normal_subgroups() if sigma.is_sigma_number(K.order)]
-                    largest = max(sigma_normals, key=lambda K: K.order)
+                    sigma_normals = [K for K in N.normal_subgroups() if sigma.is_sigma_number(len(K))]
+                    largest = max(sigma_normals, key=len)
                     where = (definition.name, sigma, cls.order)
-                    assert N.o_sigma_elements(sigma) == largest.element_set(), where
+                    assert N.o_sigma_elements(sigma) == largest, where
                     cases += 1
         assert cases == 341
 
@@ -810,7 +809,7 @@ class TestNormalSigmaGate:
             for cls in nilpotent_sigma_subgroup_classes(G, sigma):
                 Q = cls.representative
                 N = G.normalizer(Q)
-                largest = max(K.order for K in N.normal_subgroups() if sigma.is_sigma_number(K.order))
+                largest = max(len(K) for K in N.normal_subgroups() if sigma.is_sigma_number(len(K)))
                 gated = any(N.o_sigma_walk(sigma, Q.element_set()))
                 assert gated is (largest > Q.order), (name, sigma, cls.order)
                 asked += 1
@@ -887,16 +886,17 @@ class TestNormalSigmaGate:
         assert (gated, kept) == (220, 121)
 
     def test_verify_a_tables_g_itself_for_a_kept_trivial_class(self):
-        # O_2(S3) = 1 keeps the trivial class at sigma = {2}; N_G(1)/1 is G
-        # itself, so the weights read G's table and N_G(1) builds no classes
+        # O_2(S3) = 1 keeps the trivial class at sigma = {2}; N_G(1) is G
+        # itself, so the weights read G's table of N_G(1)/1 = G
         G = group(3, "(1,2)", "(1,2,3)")
         check_weight_count(G, PrimeSet([2]))
         assert character_table.peek(G) is not None
-        assert PermGroup.conjugacy_classes.peek(G.normalizer(G.subgroup([]))) is None
+        assert G.normalizer(G.subgroup([])) is G
 
     def test_verify_a_builds_no_class_list_of_a_normalizer(self):
-        # the gate walks the classes it needs, one at a time; Q = 1 is left
-        # out, as N_G(1)/1 is G itself and its table reads its classes
+        # the gate walks the classes it needs, one at a time; Q = 1 and every
+        # other normal Q are left out, as N_G(Q) is G itself and G's classes
+        # are read by the count of sigma'-classes and by G's table
         asked = 0
         for definition in builtin_corpus():
             G = definition.build()  # fresh: no other test's memo
@@ -905,12 +905,12 @@ class TestNormalSigmaGate:
                 check_weight_count(G, sigma)
             for sigma in sigmas:
                 for cls in nilpotent_sigma_subgroup_classes(G, sigma):
-                    if cls.order > 1:
+                    if cls.class_size > 1:
                         N = G.normalizer(cls.representative)
                         where = (definition.name, sigma, cls)
                         assert PermGroup.conjugacy_classes.peek(N) is None, where
                         asked += 1
-        assert asked == 246
+        assert asked == 149  # 246 with the normal classes, whose N_G(Q) is G
 
 
 class TestLiftConsistency:

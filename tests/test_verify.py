@@ -6,7 +6,7 @@ import pytest
 from nilweight import pipartial, verify
 from nilweight.chartab import Character, character_table
 from nilweight.corpus import builtin_by_name, builtin_corpus, parse_group_file
-from nilweight.groups import bsgs_construct
+from nilweight.groups import PermGroup, bsgs_construct
 from nilweight.lattice import (
     carter_fiber,
     carter_members,
@@ -136,17 +136,18 @@ class TestCarterRefinement:
         # a fresh S4: the session fixtures may carry other tests' memos
         s4 = group(4, "(1,2)", "(1,2,3,4)")
         normalizers = []
-        real = verify._local_normalizer
+        real = PermGroup.normalizer
 
-        def recording(G, R):
-            normalizers.append(real(G, R))
-            return normalizers[-1]
+        def recording(G, H):
+            normalizers.append((H, real(G, H)))
+            return normalizers[-1][1]
 
-        monkeypatch.setattr(verify, "_local_normalizer", recording)
+        monkeypatch.setattr(PermGroup, "normalizer", recording)
         sigma = PrimeSet([3])
         R = s4.subgroup([perm("(1,2)", 4)])
         check_carter_refinement(s4, sigma, R, "S4")
-        (NR,) = normalizers
+        # the weights at R ask for the normalizer of R's class representative
+        (NR,) = [N for H, N in normalizers if H is R]
         assert NR.order == 4
         assert subgroup_classes.peek(NR) is None
         assert all(
@@ -334,7 +335,7 @@ class TestCanonicalBijection:
         a4 = group(4, "(1,2,3)", "(1,2)(3,4)")
         sigma = PrimeSet([2])
         N, H = bijection_setup(a4, sigma)
-        NR = pipartial._local_normalizer(a4, H)  # N_A4(C3) = C3, memoized
+        NR = a4.normalizer(H)  # N_A4(C3) = C3, memoized
         monkeypatch.setattr(verify, name, patch(NR))
         with pytest.raises(
             pipartial.InternalConsistencyError,
@@ -368,7 +369,7 @@ class TestCanonicalBijection:
                 R = cls.representative
                 rep = check_canonical_bijection(G, sigma, N, H, R, "AGL116")
                 seen.append((R.order, rep.lhs, rep.rhs, rep.verdict))
-                NR = pipartial._local_normalizer(G, R)
+                NR = G.normalizer(R)
                 assert G.is_normal(NR) or character_table.peek(NR) is None, R.order
         assert seen == [(1, 1, 1, HOLDS), (3, 0, 0, HOLDS), (5, 0, 0, HOLDS), (15, 1, 1, HOLDS)]
 
